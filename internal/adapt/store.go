@@ -1,18 +1,16 @@
 package adapt
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
+	"tilgc/internal/jsonl"
 	"tilgc/internal/mem"
 	"tilgc/internal/obj"
 	"tilgc/internal/prof"
 )
 
-// Cross-run profile store: schema-versioned JSONL, one record per line,
+// Cross-run profile store: schema-versioned JSONL over internal/jsonl,
 // read→write byte-identical like the trace sink. Record kinds, in stream
 // order:
 //
@@ -30,17 +28,18 @@ import (
 const StoreSchemaVersion = 1
 
 // SiteSeed is one site's stored statistics: the engine's decayed survival
-// state plus the end-of-run pretenuring verdict.
+// state plus the end-of-run pretenuring verdict. The store's site record
+// embeds it, so the tags are wire names.
 type SiteSeed struct {
-	Site       obj.SiteID
-	Name       string
-	SurvWords  uint64
-	DeadWords  uint64
-	AgeBytes   uint64
-	AgeSamples uint64
-	PretPlaced uint64
-	PretDied   uint64
-	Pretenured bool
+	Site       obj.SiteID `json:"site"`
+	Name       string     `json:"name,omitempty"`
+	SurvWords  uint64     `json:"surv_words"`
+	DeadWords  uint64     `json:"dead_words"`
+	AgeBytes   uint64     `json:"age_bytes"`
+	AgeSamples uint64     `json:"age_samples"`
+	PretPlaced uint64     `json:"pret_placed"`
+	PretDied   uint64     `json:"pret_died"`
+	Pretenured bool       `json:"pretenured"`
 }
 
 // RunProfile is one run's stored advisor state, keyed by workload name for
@@ -85,135 +84,78 @@ type storeProfile struct {
 }
 
 type storeSite struct {
-	T          string `json:"t"`
-	Profile    int    `json:"profile"`
-	Site       uint16 `json:"site"`
-	Name       string `json:"name,omitempty"`
-	SurvWords  uint64 `json:"surv_words"`
-	DeadWords  uint64 `json:"dead_words"`
-	AgeBytes   uint64 `json:"age_bytes"`
-	AgeSamples uint64 `json:"age_samples"`
-	PretPlaced uint64 `json:"pret_placed"`
-	PretDied   uint64 `json:"pret_died"`
-	Pretenured bool   `json:"pretenured"`
+	T       string `json:"t"`
+	Profile int    `json:"profile"`
+	SiteSeed
 }
 
 // WriteJSONL writes the store as schema-versioned JSONL.
 func (s *Store) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(storeHeader{T: "header", Schema: StoreSchemaVersion, Profiles: len(s.Profiles)}); err != nil {
-		return err
-	}
+	jw := jsonl.NewWriter(w)
+	jw.Write(storeHeader{T: "header", Schema: StoreSchemaVersion, Profiles: len(s.Profiles)})
 	for i, p := range s.Profiles {
-		if err := enc.Encode(storeProfile{T: "profile", Profile: i,
-			Label: p.Label, Workload: p.Workload, Sites: len(p.Sites)}); err != nil {
-			return err
-		}
+		jw.Write(storeProfile{T: "profile", Profile: i, Label: p.Label, Workload: p.Workload, Sites: len(p.Sites)})
 		for _, seed := range p.Sites {
-			if err := enc.Encode(storeSite{T: "site", Profile: i,
-				Site: uint16(seed.Site), Name: seed.Name,
-				SurvWords: seed.SurvWords, DeadWords: seed.DeadWords,
-				AgeBytes: seed.AgeBytes, AgeSamples: seed.AgeSamples,
-				PretPlaced: seed.PretPlaced, PretDied: seed.PretDied,
-				Pretenured: seed.Pretenured}); err != nil {
-				return err
-			}
+			jw.Write(storeSite{T: "site", Profile: i, SiteSeed: seed})
 		}
 	}
-	return bw.Flush()
+	return jw.Flush()
 }
 
-// ReadJSONL parses a profile store, rejecting unknown record types,
-// unknown fields, out-of-order profile records, and — before anything
-// else is decoded — schema versions this build does not understand.
+// storeFormat is the store stream's structure; each profile declares its
+// site count.
+var storeFormat = jsonl.Format{Pkg: "adapt: store", Version: StoreSchemaVersion,
+	Header: "header", Parent: "profile", Index: "profile"}
+
+// ReadJSONL parses a profile store under the strict-record contract of
+// internal/jsonl, rejecting in addition sites out of ascending order.
 func ReadJSONL(r io.Reader) (*Store, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	var s *Store
-	var cur *RunProfile
-	lineNo := 0
-	strict := func(line []byte, into any) error {
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		return dec.Decode(into)
-	}
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var probe struct {
-			T       string `json:"t"`
-			Profile int    `json:"profile"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, fmt.Errorf("adapt: store line %d: %v", lineNo, err)
-		}
-		if probe.T == "header" {
-			if s != nil {
-				return nil, fmt.Errorf("adapt: store line %d: duplicate header", lineNo)
-			}
-			var h storeHeader
-			if err := strict(line, &h); err != nil {
-				return nil, fmt.Errorf("adapt: store line %d: %v", lineNo, err)
-			}
-			if h.Schema != StoreSchemaVersion {
-				return nil, fmt.Errorf("adapt: store line %d: schema %d, this build reads schema %d",
-					lineNo, h.Schema, StoreSchemaVersion)
-			}
-			s = &Store{}
-			continue
-		}
-		if s == nil {
-			return nil, fmt.Errorf("adapt: store line %d: %q record before header", lineNo, probe.T)
-		}
-		switch probe.T {
-		case "profile":
-			var rp storeProfile
-			if err := strict(line, &rp); err != nil {
-				return nil, fmt.Errorf("adapt: store line %d: %v", lineNo, err)
-			}
-			if rp.Profile != len(s.Profiles) {
-				return nil, fmt.Errorf("adapt: store line %d: profile %d out of order (expected %d)",
-					lineNo, rp.Profile, len(s.Profiles))
-			}
-			cur = &RunProfile{Label: rp.Label, Workload: rp.Workload}
-			s.Profiles = append(s.Profiles, cur)
-		case "site":
-			if cur == nil {
-				return nil, fmt.Errorf("adapt: store line %d: site record before any profile record", lineNo)
-			}
-			if probe.Profile != len(s.Profiles)-1 {
-				return nil, fmt.Errorf("adapt: store line %d: site record for profile %d inside profile %d",
-					lineNo, probe.Profile, len(s.Profiles)-1)
-			}
-			var rs storeSite
-			if err := strict(line, &rs); err != nil {
-				return nil, fmt.Errorf("adapt: store line %d: %v", lineNo, err)
-			}
-			if n := len(cur.Sites); n > 0 && cur.Sites[n-1].Site >= obj.SiteID(rs.Site) {
-				return nil, fmt.Errorf("adapt: store line %d: site %d out of order", lineNo, rs.Site)
-			}
-			cur.Sites = append(cur.Sites, SiteSeed{
-				Site: obj.SiteID(rs.Site), Name: rs.Name,
-				SurvWords: rs.SurvWords, DeadWords: rs.DeadWords,
-				AgeBytes: rs.AgeBytes, AgeSamples: rs.AgeSamples,
-				PretPlaced: rs.PretPlaced, PretDied: rs.PretDied,
-				Pretenured: rs.Pretenured,
-			})
-		default:
-			return nil, fmt.Errorf("adapt: store line %d: unknown record type %q", lineNo, probe.T)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	var sr storeReader
+	if err := storeFormat.Read(r, &sr); err != nil {
 		return nil, err
 	}
-	if s == nil {
-		return nil, fmt.Errorf("adapt: empty store (no header record)")
+	return sr.s, nil
+}
+
+// storeReader is the store schema's jsonl.Handler.
+type storeReader struct {
+	s   *Store
+	cur *RunProfile
+}
+
+func (sr *storeReader) Header(rec jsonl.Record) (int, int, error) {
+	var h storeHeader
+	if err := rec.Decode(&h); err != nil {
+		return 0, 0, err
 	}
-	return s, nil
+	sr.s = &Store{}
+	return h.Schema, h.Profiles, nil
+}
+
+func (sr *storeReader) Parent(rec jsonl.Record) (int, error) {
+	var rp storeProfile
+	if err := rec.Decode(&rp); err != nil {
+		return 0, err
+	}
+	sr.cur = &RunProfile{Label: rp.Label, Workload: rp.Workload}
+	sr.s.Profiles = append(sr.s.Profiles, sr.cur)
+	return rp.Sites, nil
+}
+
+func (sr *storeReader) Child(rec jsonl.Record) error {
+	if rec.T != "site" {
+		return fmt.Errorf("unknown record type %q", rec.T)
+	}
+	var rs storeSite
+	if err := rec.Decode(&rs); err != nil {
+		return err
+	}
+	cur := sr.cur
+	if n := len(cur.Sites); n > 0 && cur.Sites[n-1].Site >= rs.Site {
+		return fmt.Errorf("site %d out of order", rs.Site)
+	}
+	cur.Sites = append(cur.Sites, rs.SiteSeed)
+	return nil
 }
 
 // FromProfile converts an offline heap profile (internal/prof) into a

@@ -61,6 +61,11 @@ func TestStoreRejectsMalformed(t *testing.T) {
 		"profile disorder": "{\"t\":\"header\",\"schema\":1,\"profiles\":2}\n{\"t\":\"profile\",\"profile\":1,\"label\":\"x\",\"workload\":\"y\",\"sites\":0}",
 		"orphan site":      "{\"t\":\"header\",\"schema\":1,\"profiles\":0}\n{\"t\":\"site\",\"profile\":0,\"site\":1,\"surv_words\":0,\"dead_words\":0,\"age_bytes\":0,\"age_samples\":0,\"pret_placed\":0,\"pret_died\":0,\"pretenured\":false}",
 		"empty":            "",
+		"profile count": "{\"t\":\"header\",\"schema\":1,\"profiles\":2}\n" +
+			"{\"t\":\"profile\",\"profile\":0,\"label\":\"x\",\"workload\":\"y\",\"sites\":0}",
+		"site count": "{\"t\":\"header\",\"schema\":1,\"profiles\":1}\n" +
+			"{\"t\":\"profile\",\"profile\":0,\"label\":\"x\",\"workload\":\"y\",\"sites\":2}\n" +
+			"{\"t\":\"site\",\"profile\":0,\"site\":5,\"surv_words\":0,\"dead_words\":0,\"age_bytes\":0,\"age_samples\":0,\"pret_placed\":0,\"pret_died\":0,\"pretenured\":false}",
 		"site disorder": "{\"t\":\"header\",\"schema\":1,\"profiles\":1}\n" +
 			"{\"t\":\"profile\",\"profile\":0,\"label\":\"x\",\"workload\":\"y\",\"sites\":2}\n" +
 			"{\"t\":\"site\",\"profile\":0,\"site\":5,\"surv_words\":0,\"dead_words\":0,\"age_bytes\":0,\"age_samples\":0,\"pret_placed\":0,\"pret_died\":0,\"pretenured\":false}\n" +

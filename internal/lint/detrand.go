@@ -36,6 +36,10 @@ var detPackages = []string{
 	// machines, and parallelism levels. A clock read here would smuggle
 	// wall time into a report whose schema promises simulated cycles only.
 	"internal/slo",
+	// The strict-record codec reads and writes every trace, SLO report and
+	// profile store: its records must be a pure function of the data it is
+	// handed, or byte-identical read -> write breaks for all three formats.
+	"internal/jsonl",
 }
 
 // detrandBanned maps package path -> banned member names. An empty set

@@ -291,7 +291,7 @@ func TestScannedPackageSet(t *testing.T) {
 		"tilgc/internal/core", "tilgc/internal/rt", "tilgc/internal/mem",
 		"tilgc/internal/obj", "tilgc/internal/costmodel", "tilgc/internal/prof",
 		"tilgc/internal/trace", "tilgc/internal/adapt", "tilgc/internal/fuzz",
-		"tilgc/internal/slo", "tilgc/internal/harness", "tilgc/internal/sanitize",
+		"tilgc/internal/slo", "tilgc/internal/jsonl", "tilgc/internal/harness", "tilgc/internal/sanitize",
 		"tilgc/internal/lint",
 		"tilgc/cmd/gcbench", "tilgc/cmd/gclint", "tilgc/gcsim",
 	} {
@@ -318,7 +318,7 @@ func TestFenceCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	fences := lint.FencePackages()
-	for _, want := range []string{"internal/adapt", "internal/trace", "internal/fuzz", "internal/slo"} {
+	for _, want := range []string{"internal/adapt", "internal/trace", "internal/fuzz", "internal/slo", "internal/jsonl"} {
 		found := false
 		for _, f := range fences {
 			if f == want {

@@ -2,9 +2,10 @@ package slo
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
+
+	"tilgc/internal/trace"
 )
 
 // Chrome counter-track sink for utilization curves: each run becomes one
@@ -14,65 +15,20 @@ import (
 // against window size — the paper-standard MMU curve — with no floats in
 // the file, so the output is byte-identical everywhere.
 
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Ts   uint64         `json:"ts"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // WriteChromeCounters writes the report's MMU/AMU curves as Chrome
 // trace-event JSON counter tracks.
 func (r *Report) WriteChromeCounters(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(e chromeEvent) error {
-		if !first {
-			if _, err := io.WriteString(bw, ",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		_, err = bw.Write(b)
-		return err
-	}
-	if err := emit(chromeEvent{Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
-		Args: map[string]any{"name": "gcsim slo"}}); err != nil {
-		return err
-	}
+	cw := trace.NewChromeWriter(w, "gcsim slo")
 	for tid, rr := range r.Runs {
-		label := rr.Label
-		if label == "" {
-			label = fmt.Sprintf("run %d", tid)
-		}
-		if err := emit(chromeEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: tid,
-			Args: map[string]any{"name": label}}); err != nil {
-			return err
-		}
+		cw.Thread(tid, rr.Label)
 		for _, ws := range rr.Windows {
-			if err := emit(chromeEvent{Name: "mmu", Ph: "C", Pid: 0, Tid: tid, Ts: ws.Window,
-				Args: map[string]any{"ppm": ws.MMUppm}}); err != nil {
-				return err
-			}
-			if err := emit(chromeEvent{Name: "amu", Ph: "C", Pid: 0, Tid: tid, Ts: ws.Window,
-				Args: map[string]any{"ppm": ws.AMUppm}}); err != nil {
-				return err
-			}
+			cw.Emit(trace.ChromeEvent{Name: "mmu", Ph: "C", Tid: tid, Ts: ws.Window,
+				Args: map[string]any{"ppm": ws.MMUppm}})
+			cw.Emit(trace.ChromeEvent{Name: "amu", Ph: "C", Tid: tid, Ts: ws.Window,
+				Args: map[string]any{"ppm": ws.AMUppm}})
 		}
 	}
-	if _, err := io.WriteString(bw, "\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return cw.Close()
 }
 
 // WriteMMUTable renders the utilization curves as a compact table: one

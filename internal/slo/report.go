@@ -2,17 +2,15 @@ package slo
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"tilgc/internal/costmodel"
+	"tilgc/internal/jsonl"
 )
 
-// JSONL report sink, mirroring the trace sink's contract: one record per
-// line, schema-versioned, strict reader (unknown record types and fields
-// rejected), and read -> write byte-identity. Record kinds, in stream
+// JSONL report sink, a schema over internal/jsonl like the trace sink:
+// strict reader, read -> write byte-identity. Record kinds, in stream
 // order:
 //
 //	{"t":"slo_header","schema":1,"clock_hz":150000000,"windows":[...],"runs":N}
@@ -42,174 +40,110 @@ type recRun struct {
 	Majors      uint64 `json:"majors"`
 }
 
+// The stats records embed the in-memory stats types, whose tags are the
+// wire names.
+
 type recPauses struct {
-	T     string `json:"t"`
-	Run   int    `json:"run"`
-	Count uint64 `json:"count"`
-	Total uint64 `json:"total"`
-	P50   uint64 `json:"p50"`
-	P90   uint64 `json:"p90"`
-	P99   uint64 `json:"p99"`
-	P999  uint64 `json:"p999"`
-	Max   uint64 `json:"max"`
+	T   string `json:"t"`
+	Run int    `json:"run"`
+	PauseStats
 }
 
 type recWindow struct {
-	T          string `json:"t"`
-	Run        int    `json:"run"`
-	Window     uint64 `json:"window"`
-	MMUppm     uint64 `json:"mmu_ppm"`
-	AMUppm     uint64 `json:"amu_ppm"`
-	WorstStart uint64 `json:"worst_start"`
-	WorstPause uint64 `json:"worst_pause"`
+	T   string `json:"t"`
+	Run int    `json:"run"`
+	WindowStats
 }
 
 type recRequests struct {
-	T     string `json:"t"`
-	Run   int    `json:"run"`
-	Count uint64 `json:"count"`
-	P50   uint64 `json:"p50"`
-	P90   uint64 `json:"p90"`
-	P99   uint64 `json:"p99"`
-	P999  uint64 `json:"p999"`
-	Max   uint64 `json:"max"`
-	GC    uint64 `json:"gc"`
-	GCHit uint64 `json:"gc_hit"`
+	T   string `json:"t"`
+	Run int    `json:"run"`
+	RequestStats
 }
 
 // WriteJSONL writes the report as schema-versioned JSONL.
 func (r *Report) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(recHeader{T: "slo_header", Schema: r.Schema, ClockHz: r.ClockHz,
-		Windows: r.Windows, Runs: len(r.Runs)}); err != nil {
-		return err
-	}
+	jw := jsonl.NewWriter(w)
+	jw.Write(recHeader{T: "slo_header", Schema: r.Schema, ClockHz: r.ClockHz, Windows: r.Windows, Runs: len(r.Runs)})
 	for i, rr := range r.Runs {
-		if err := enc.Encode(recRun{T: "slo_run", Run: i, Label: rr.Label,
-			Total: rr.Total, GC: rr.GC, Collections: rr.Collections, Majors: rr.Majors}); err != nil {
-			return err
-		}
-		p := rr.Pauses
-		if err := enc.Encode(recPauses{T: "slo_pauses", Run: i, Count: p.Count, Total: p.Total,
-			P50: p.P50, P90: p.P90, P99: p.P99, P999: p.P999, Max: p.Max}); err != nil {
-			return err
-		}
+		jw.Write(recRun{T: "slo_run", Run: i, Label: rr.Label,
+			Total: rr.Total, GC: rr.GC, Collections: rr.Collections, Majors: rr.Majors})
+		jw.Write(recPauses{T: "slo_pauses", Run: i, PauseStats: rr.Pauses})
 		for _, ws := range rr.Windows {
-			if err := enc.Encode(recWindow{T: "slo_window", Run: i, Window: ws.Window,
-				MMUppm: ws.MMUppm, AMUppm: ws.AMUppm,
-				WorstStart: ws.WorstStart, WorstPause: ws.WorstPause}); err != nil {
-				return err
-			}
+			jw.Write(recWindow{T: "slo_window", Run: i, WindowStats: ws})
 		}
-		if q := rr.Requests; q != nil {
-			if err := enc.Encode(recRequests{T: "slo_requests", Run: i, Count: q.Count,
-				P50: q.P50, P90: q.P90, P99: q.P99, P999: q.P999, Max: q.Max,
-				GC: q.GC, GCHit: q.GCHit}); err != nil {
-				return err
-			}
+		if rr.Requests != nil {
+			jw.Write(recRequests{T: "slo_requests", Run: i, RequestStats: *rr.Requests})
 		}
 	}
-	return bw.Flush()
+	return jw.Flush()
 }
 
-// ReadJSONL parses a JSONL report, rejecting unknown record types,
-// unknown fields, out-of-order run records, and unknown schema versions.
+// reportFormat is the report stream's structure: every run carries one
+// slo_pauses record and at most one slo_requests record.
+var reportFormat = jsonl.Format{Pkg: "slo", Version: SchemaVersion, Header: "slo_header",
+	Parent: "slo_run", Index: "run", Required: []string{"slo_pauses"}, Once: []string{"slo_requests"}}
+
+// ReadJSONL parses a JSONL report under the strict-record contract of
+// internal/jsonl.
 func ReadJSONL(r io.Reader) (*Report, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	var rep *Report
-	var cur *RunReport
-	lineNo := 0
-	strict := func(line []byte, into any) error {
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		return dec.Decode(into)
-	}
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var probe struct {
-			T   string `json:"t"`
-			Run int    `json:"run"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, fmt.Errorf("slo: line %d: %v", lineNo, err)
-		}
-		if probe.T == "slo_header" {
-			if rep != nil {
-				return nil, fmt.Errorf("slo: line %d: duplicate header", lineNo)
-			}
-			var h recHeader
-			if err := strict(line, &h); err != nil {
-				return nil, fmt.Errorf("slo: line %d: %v", lineNo, err)
-			}
-			if h.Schema != SchemaVersion {
-				return nil, fmt.Errorf("slo: line %d: schema %d, this build reads schema %d", lineNo, h.Schema, SchemaVersion)
-			}
-			rep = &Report{Schema: h.Schema, ClockHz: h.ClockHz, Windows: h.Windows}
-			continue
-		}
-		if rep == nil {
-			return nil, fmt.Errorf("slo: line %d: %q record before header", lineNo, probe.T)
-		}
-		if probe.T == "slo_run" {
-			var rr recRun
-			if err := strict(line, &rr); err != nil {
-				return nil, fmt.Errorf("slo: line %d: %v", lineNo, err)
-			}
-			if rr.Run != len(rep.Runs) {
-				return nil, fmt.Errorf("slo: line %d: run %d out of order (expected %d)", lineNo, rr.Run, len(rep.Runs))
-			}
-			cur = &RunReport{Label: rr.Label, Total: rr.Total, GC: rr.GC,
-				Collections: rr.Collections, Majors: rr.Majors}
-			rep.Runs = append(rep.Runs, cur)
-			continue
-		}
-		if cur == nil {
-			return nil, fmt.Errorf("slo: line %d: %q record before any run record", lineNo, probe.T)
-		}
-		if probe.Run != len(rep.Runs)-1 {
-			return nil, fmt.Errorf("slo: line %d: %q record for run %d inside run %d", lineNo, probe.T, probe.Run, len(rep.Runs)-1)
-		}
-		switch probe.T {
-		case "slo_pauses":
-			var rp recPauses
-			if err := strict(line, &rp); err != nil {
-				return nil, fmt.Errorf("slo: line %d: %v", lineNo, err)
-			}
-			cur.Pauses = PauseStats{Count: rp.Count, Total: rp.Total,
-				P50: rp.P50, P90: rp.P90, P99: rp.P99, P999: rp.P999, Max: rp.Max}
-		case "slo_window":
-			var rw recWindow
-			if err := strict(line, &rw); err != nil {
-				return nil, fmt.Errorf("slo: line %d: %v", lineNo, err)
-			}
-			cur.Windows = append(cur.Windows, WindowStats{Window: rw.Window,
-				MMUppm: rw.MMUppm, AMUppm: rw.AMUppm,
-				WorstStart: rw.WorstStart, WorstPause: rw.WorstPause})
-		case "slo_requests":
-			var rq recRequests
-			if err := strict(line, &rq); err != nil {
-				return nil, fmt.Errorf("slo: line %d: %v", lineNo, err)
-			}
-			cur.Requests = &RequestStats{Count: rq.Count,
-				P50: rq.P50, P90: rq.P90, P99: rq.P99, P999: rq.P999, Max: rq.Max,
-				GC: rq.GC, GCHit: rq.GCHit}
-		default:
-			return nil, fmt.Errorf("slo: line %d: unknown record type %q", lineNo, probe.T)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	var rd reportReader
+	if err := reportFormat.Read(r, &rd); err != nil {
 		return nil, err
 	}
-	if rep == nil {
-		return nil, fmt.Errorf("slo: empty input (no header record)")
+	return rd.rep, nil
+}
+
+// reportReader is the report schema's jsonl.Handler.
+type reportReader struct {
+	rep *Report
+	cur *RunReport
+}
+
+func (rd *reportReader) Header(rec jsonl.Record) (int, int, error) {
+	var h recHeader
+	if err := rec.Decode(&h); err != nil {
+		return 0, 0, err
 	}
-	return rep, nil
+	rd.rep = &Report{Schema: h.Schema, ClockHz: h.ClockHz, Windows: h.Windows}
+	return h.Schema, h.Runs, nil
+}
+
+func (rd *reportReader) Parent(rec jsonl.Record) (int, error) {
+	var rr recRun
+	if err := rec.Decode(&rr); err != nil {
+		return 0, err
+	}
+	rd.cur = &RunReport{Label: rr.Label, Total: rr.Total, GC: rr.GC,
+		Collections: rr.Collections, Majors: rr.Majors}
+	rd.rep.Runs = append(rd.rep.Runs, rd.cur)
+	return -1, nil
+}
+
+func (rd *reportReader) Child(rec jsonl.Record) error {
+	switch rec.T {
+	case "slo_pauses":
+		var rp recPauses
+		if err := rec.Decode(&rp); err != nil {
+			return err
+		}
+		rd.cur.Pauses = rp.PauseStats
+	case "slo_window":
+		var rw recWindow
+		if err := rec.Decode(&rw); err != nil {
+			return err
+		}
+		rd.cur.Windows = append(rd.cur.Windows, rw.WindowStats)
+	case "slo_requests":
+		var rq recRequests
+		if err := rec.Decode(&rq); err != nil {
+			return err
+		}
+		rd.cur.Requests = &rq.RequestStats
+	default:
+		return fmt.Errorf("unknown record type %q", rec.T)
+	}
+	return nil
 }
 
 // Validate checks the report's structural invariants: current schema, a

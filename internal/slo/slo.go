@@ -73,13 +73,13 @@ type RunReport struct {
 // PauseStats are exact nearest-rank percentiles over the run's
 // per-collection pause costs (GC-component cycles).
 type PauseStats struct {
-	Count uint64
-	Total uint64
-	P50   uint64
-	P90   uint64
-	P99   uint64
-	P999  uint64
-	Max   uint64
+	Count uint64 `json:"count"`
+	Total uint64 `json:"total"`
+	P50   uint64 `json:"p50"`
+	P90   uint64 `json:"p90"`
+	P99   uint64 `json:"p99"`
+	P999  uint64 `json:"p999"`
+	Max   uint64 `json:"max"`
 }
 
 // WindowStats is one point on the utilization curves: for sliding windows
@@ -88,25 +88,25 @@ type PauseStats struct {
 // max-pause-density window realizing the minimum — where an SLO would
 // have been violated hardest.
 type WindowStats struct {
-	Window     uint64
-	MMUppm     uint64
-	AMUppm     uint64
-	WorstStart uint64 // start cycle of the worst window
-	WorstPause uint64 // pause cycles inside the worst window
+	Window     uint64 `json:"window"`
+	MMUppm     uint64 `json:"mmu_ppm"`
+	AMUppm     uint64 `json:"amu_ppm"`
+	WorstStart uint64 `json:"worst_start"` // start cycle of the worst window
+	WorstPause uint64 `json:"worst_pause"` // pause cycles inside the worst window
 }
 
 // RequestStats are exact nearest-rank percentiles over request latencies,
 // plus the pause attribution: how many collector cycles landed inside
 // requests, and how many requests absorbed at least one.
 type RequestStats struct {
-	Count uint64
-	P50   uint64
-	P90   uint64
-	P99   uint64
-	P999  uint64
-	Max   uint64
-	GC    uint64 // collector cycles that landed inside requests
-	GCHit uint64 // requests with at least one collector cycle inside
+	Count uint64 `json:"count"`
+	P50   uint64 `json:"p50"`
+	P90   uint64 `json:"p90"`
+	P99   uint64 `json:"p99"`
+	P999  uint64 `json:"p999"`
+	Max   uint64 `json:"max"`
+	GC    uint64 `json:"gc"`     // collector cycles that landed inside requests
+	GCHit uint64 `json:"gc_hit"` // requests with at least one collector cycle inside
 }
 
 // interval is one collection's span on the total-cycle timeline.

@@ -2,6 +2,7 @@ package slo
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"tilgc/internal/costmodel"
@@ -297,5 +298,23 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadJSONL(bytes.NewReader([]byte("{\"t\":\"slo_header\",\"schema\":1,\"clock_hz\":1,\"windows\":[1],\"runs\":0}\n{\"t\":\"bogus\",\"run\":0}\n"))); err == nil {
 		t.Error("unknown record type accepted")
+	}
+
+	// Declared counts and singletons: cut, drop or repeat lines of the
+	// valid stream a (header, slo_run, slo_pauses, windows, slo_requests).
+	lines := strings.SplitAfter(a.String(), "\n")
+	pauses, requests := lines[2], lines[len(lines)-2]
+	if !strings.Contains(pauses, `"slo_pauses"`) || !strings.Contains(requests, `"slo_requests"`) {
+		t.Fatalf("unexpected report layout:\n%s", a.String())
+	}
+	for name, in := range map[string]string{
+		"run count":          strings.Replace(a.String(), `"runs":1`, `"runs":2`, 1),
+		"missing pauses":     strings.Replace(a.String(), pauses, "", 1),
+		"duplicate pauses":   strings.Replace(a.String(), pauses, pauses+pauses, 1),
+		"duplicate requests": a.String() + requests,
+	} {
+		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

@@ -15,7 +15,9 @@ import (
 // duration ratio is exact, and the output stays byte-identical across
 // runs. Counter deltas ride on the gc_end E event's args.
 
-type chromeEvent struct {
+// ChromeEvent is one trace event. Ts (and Dur, on "X" events) carry
+// simulated cycles.
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
 	Pid  int            `json:"pid"`
@@ -25,49 +27,64 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// chromeMeta emits a metadata ("M") record naming a process or thread.
-func chromeMeta(name string, pid, tid int, value string) chromeEvent {
-	return chromeEvent{
-		Name: name, Ph: "M", Pid: pid, Tid: tid,
-		Args: map[string]any{"name": value},
+// ChromeWriter emits one trace-event document: a single process (pid 0)
+// whose threads are runs. The first error sticks; Close returns it.
+type ChromeWriter struct {
+	bw  *bufio.Writer // its write errors are sticky and surface at Flush
+	n   int
+	err error
+}
+
+// NewChromeWriter opens a document on w for the process named process.
+func NewChromeWriter(w io.Writer, process string) *ChromeWriter {
+	cw := &ChromeWriter{bw: bufio.NewWriter(w)}
+	cw.bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
+	cw.Emit(ChromeEvent{Name: "process_name", Ph: "M", Args: map[string]any{"name": process}})
+	return cw
+}
+
+// Thread names thread tid after its run label, or "run <tid>" if unlabeled.
+func (cw *ChromeWriter) Thread(tid int, label string) {
+	if label == "" {
+		label = fmt.Sprintf("run %d", tid)
 	}
+	cw.Emit(ChromeEvent{Name: "thread_name", Ph: "M", Tid: tid, Args: map[string]any{"name": label}})
+}
+
+// Emit appends one event.
+func (cw *ChromeWriter) Emit(e ChromeEvent) {
+	if cw.err != nil {
+		return
+	}
+	if cw.n > 0 {
+		cw.bw.WriteString(",\n")
+	}
+	cw.n++
+	b, err := json.Marshal(e)
+	if err != nil {
+		cw.err = err
+		return
+	}
+	cw.bw.Write(b)
+}
+
+// Close ends the document and flushes it; it does not close w.
+func (cw *ChromeWriter) Close() error {
+	if cw.err != nil {
+		return cw.err
+	}
+	cw.bw.WriteString("\n]}\n")
+	return cw.bw.Flush()
 }
 
 // WriteChrome writes the file as Chrome trace-event JSON.
 func (f *File) WriteChrome(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(e chromeEvent) error {
-		if !first {
-			if _, err := io.WriteString(bw, ",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		_, err = bw.Write(b)
-		return err
-	}
-	if err := emit(chromeMeta("process_name", 0, 0, "gcsim")); err != nil {
-		return err
-	}
+	cw := NewChromeWriter(w, "gcsim")
 	for tid, d := range f.Runs {
-		label := d.Label
-		if label == "" {
-			label = fmt.Sprintf("run %d", tid)
-		}
-		if err := emit(chromeMeta("thread_name", 0, tid, label)); err != nil {
-			return err
-		}
+		cw.Thread(tid, d.Label)
 		openMajor := false
 		for _, e := range d.Events {
-			ce := chromeEvent{Pid: 0, Tid: tid, Ts: uint64(e.At())}
+			ce := ChromeEvent{Tid: tid, Ts: uint64(e.At())}
 			switch e.Kind {
 			case EvGCBegin:
 				openMajor = e.Major
@@ -85,41 +102,27 @@ func (f *File) WriteChrome(w io.Writer) error {
 				ce.Ph = "E"
 				ce.Name = e.Phase.String()
 			}
-			if err := emit(ce); err != nil {
-				return err
-			}
+			cw.Emit(ce)
 		}
 		// Footprint timeline: one counter ("C") track per space, two
 		// series each (live, committed), sampled at every gc_end. Perfetto
 		// renders these as stacked area charts under the run's thread.
 		for _, h := range d.Heap {
 			for _, sp := range h.Spaces {
-				if err := emit(chromeEvent{
-					Name: "heap." + sp.Name, Ph: "C", Pid: 0, Tid: tid,
-					Ts:   uint64(h.Break.Total()),
-					Args: map[string]any{"live": sp.Live, "committed": sp.Committed},
-				}); err != nil {
-					return err
-				}
+				cw.Emit(ChromeEvent{Name: "heap." + sp.Name, Ph: "C", Tid: tid, Ts: uint64(h.Break.Total()),
+					Args: map[string]any{"live": sp.Live, "committed": sp.Committed}})
 			}
 		}
 		// Request spans as complete ("X") events: ts/dur carry the span,
 		// args carry the GC share so slow requests can be attributed to
 		// the pauses that landed inside them without cross-referencing.
 		for _, q := range d.Reqs {
-			if err := emit(chromeEvent{
-				Name: fmt.Sprintf("req %d", q.ID), Ph: "X", Pid: 0, Tid: tid,
+			cw.Emit(ChromeEvent{Name: fmt.Sprintf("req %d", q.ID), Ph: "X", Tid: tid,
 				Ts: uint64(q.Begin.Total()), Dur: uint64(q.Latency()),
-				Args: map[string]any{"gc_cycles": uint64(q.GCCycles())},
-			}); err != nil {
-				return err
-			}
+				Args: map[string]any{"gc_cycles": uint64(q.GCCycles())}})
 		}
 	}
-	if _, err := io.WriteString(bw, "\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return cw.Close()
 }
 
 func gcSpanName(major bool, seq uint64) string {

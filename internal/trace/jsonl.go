@@ -1,13 +1,11 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"tilgc/internal/costmodel"
+	"tilgc/internal/jsonl"
 	"tilgc/internal/obj"
 )
 
@@ -49,17 +47,51 @@ type recRun struct {
 	Label string `json:"label"`
 }
 
-type recEvent struct {
-	T      string `json:"t"`
-	Run    int    `json:"run"`
-	Seq    uint64 `json:"seq"`
-	Major  *bool  `json:"major,omitempty"`
-	Phase  string `json:"phase,omitempty"`
-	At     uint64 `json:"at"`
+// wireMeter is a meter breakdown on the wire. Records embed it (or
+// wireStamp), so its fields flatten in place at the embedding position.
+type wireMeter struct {
 	Client uint64 `json:"client"`
 	Stack  uint64 `json:"stack"`
 	Copy   uint64 `json:"copy"`
 	Adapt  uint64 `json:"adapt,omitempty"`
+}
+
+// wireStamp is a timestamped breakdown: "at" is the breakdown's total.
+type wireStamp struct {
+	At uint64 `json:"at"`
+	wireMeter
+}
+
+func meterOf(b costmodel.Breakdown) wireMeter {
+	return wireMeter{Client: uint64(b.Client), Stack: uint64(b.GCStack),
+		Copy: uint64(b.GCCopy), Adapt: uint64(b.Adapt)}
+}
+
+func stampOf(b costmodel.Breakdown) wireStamp {
+	return wireStamp{At: uint64(b.Total()), wireMeter: meterOf(b)}
+}
+
+func (m wireMeter) breakdown() costmodel.Breakdown {
+	return costmodel.Breakdown{Client: costmodel.Cycles(m.Client), GCStack: costmodel.Cycles(m.Stack),
+		GCCopy: costmodel.Cycles(m.Copy), Adapt: costmodel.Cycles(m.Adapt)}
+}
+
+// check returns the stamp's breakdown, or an error if "at" is not its total.
+func (s wireStamp) check() (costmodel.Breakdown, error) {
+	b := s.breakdown()
+	if costmodel.Cycles(s.At) != b.Total() {
+		return b, fmt.Errorf("at %d != client+stack+copy+adapt %d", s.At, b.Total())
+	}
+	return b, nil
+}
+
+type recEvent struct {
+	T     string `json:"t"`
+	Run   int    `json:"run"`
+	Seq   uint64 `json:"seq"`
+	Major *bool  `json:"major,omitempty"`
+	Phase string `json:"phase,omitempty"`
+	wireStamp
 	// Workers appears on phase_end records of parallel collection phases
 	// only (W > 1), so single-worker streams — including the golden
 	// fixture — are byte-identical to pre-parallel builds.
@@ -68,12 +100,9 @@ type recEvent struct {
 }
 
 type recRunEnd struct {
-	T      string `json:"t"`
-	Run    int    `json:"run"`
-	Client uint64 `json:"client"`
-	Stack  uint64 `json:"stack"`
-	Copy   uint64 `json:"copy"`
-	Adapt  uint64 `json:"adapt,omitempty"`
+	T   string `json:"t"`
+	Run int    `json:"run"`
+	wireMeter
 	// Overlap is the run's hidden parallel-worker cycles (see
 	// RunData.Overlap); omitted when zero, i.e. on every single-worker run.
 	Overlap uint64 `json:"overlap,omitempty"`
@@ -93,11 +122,7 @@ type recAdapt struct {
 	SurvivalPPM uint64 `json:"survival_ppm"`
 	GarbagePPM  uint64 `json:"garbage_ppm"`
 	SampleWords uint64 `json:"sample_words"`
-	At          uint64 `json:"at"`
-	Client      uint64 `json:"client"`
-	Stack       uint64 `json:"stack"`
-	Copy        uint64 `json:"copy"`
-	Adapt       uint64 `json:"adapt,omitempty"`
+	wireStamp
 }
 
 // recHeap is one end-of-collection footprint sample. Like recAdapt it is
@@ -105,21 +130,11 @@ type recAdapt struct {
 // default streams (and the golden fixture) are byte-identical to builds
 // predating it.
 type recHeap struct {
-	T      string         `json:"t"`
-	Run    int            `json:"run"`
-	Seq    uint64         `json:"seq"`
-	At     uint64         `json:"at"`
-	Client uint64         `json:"client"`
-	Stack  uint64         `json:"stack"`
-	Copy   uint64         `json:"copy"`
-	Adapt  uint64         `json:"adapt,omitempty"`
-	Spaces []recHeapSpace `json:"spaces"`
-}
-
-type recHeapSpace struct {
-	Name      string `json:"name"`
-	Live      uint64 `json:"live"`
-	Committed uint64 `json:"committed"`
+	T   string `json:"t"`
+	Run int    `json:"run"`
+	Seq uint64 `json:"seq"`
+	wireStamp
+	Spaces []SpaceOcc `json:"spaces"`
 }
 
 // recReq is one served request span: the full meter breakdown at arrival
@@ -141,17 +156,9 @@ type recReq struct {
 }
 
 type recSite struct {
-	T                 string `json:"t"`
-	Run               int    `json:"run"`
-	Site              uint16 `json:"site"`
-	Name              string `json:"name,omitempty"`
-	AllocObjects      uint64 `json:"alloc_objects"`
-	AllocWords        uint64 `json:"alloc_words"`
-	PretenuredObjects uint64 `json:"pretenured_objects"`
-	PretenuredWords   uint64 `json:"pretenured_words"`
-	CopiedWords       uint64 `json:"copied_words"`
-	TenuredWords      uint64 `json:"tenured_words"`
-	DiedWords         uint64 `json:"died_words"`
+	T   string `json:"t"`
+	Run int    `json:"run"`
+	SiteCounters
 }
 
 type recMetric struct {
@@ -196,26 +203,12 @@ func NewFile(runs ...*RunData) *File {
 
 // WriteJSONL writes the file as schema-versioned JSONL.
 func (f *File) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw) // Encode appends the newline JSONL needs
-	if err := enc.Encode(recHeader{T: "header", Schema: f.Schema, ClockHz: f.ClockHz, Runs: len(f.Runs)}); err != nil {
-		return err
-	}
+	jw := jsonl.NewWriter(w)
+	jw.Write(recHeader{T: "header", Schema: f.Schema, ClockHz: f.ClockHz, Runs: len(f.Runs)})
 	for i, d := range f.Runs {
-		if err := enc.Encode(recRun{T: "run", Run: i, Label: d.Label}); err != nil {
-			return err
-		}
+		jw.Write(recRun{T: "run", Run: i, Label: d.Label})
 		for _, e := range d.Events {
-			rec := recEvent{
-				T:      eventRecName(e.Kind),
-				Run:    i,
-				Seq:    e.Seq,
-				At:     uint64(e.At()),
-				Client: uint64(e.Break.Client),
-				Stack:  uint64(e.Break.GCStack),
-				Copy:   uint64(e.Break.GCCopy),
-				Adapt:  uint64(e.Break.Adapt),
-			}
+			rec := recEvent{T: eventRecName(e.Kind), Run: i, Seq: e.Seq, wireStamp: stampOf(e.Break)}
 			switch e.Kind {
 			case EvGCBegin:
 				major := e.Major
@@ -226,56 +219,30 @@ func (f *File) WriteJSONL(w io.Writer) error {
 				rec.Phase = e.Phase.String()
 				rec.Workers = e.Workers
 			}
-			if err := enc.Encode(rec); err != nil {
-				return err
-			}
+			jw.Write(rec)
 		}
-		end := recRunEnd{T: "run_end", Run: i,
-			Client: uint64(d.Final.Client), Stack: uint64(d.Final.GCStack),
-			Copy: uint64(d.Final.GCCopy), Adapt: uint64(d.Final.Adapt),
-			Overlap: uint64(d.Overlap)}
-		if err := enc.Encode(end); err != nil {
-			return err
-		}
+		jw.Write(recRunEnd{T: "run_end", Run: i, wireMeter: meterOf(d.Final), Overlap: uint64(d.Overlap)})
 		for _, a := range d.Adapt {
-			if err := enc.Encode(recAdapt{T: "adapt", Run: i, Seq: a.Seq,
-				Site: uint16(a.Site), Verb: a.Verb,
+			jw.Write(recAdapt{T: "adapt", Run: i, Seq: a.Seq, Site: uint16(a.Site), Verb: a.Verb,
 				SurvivalPPM: a.SurvivalPPM, GarbagePPM: a.GarbagePPM, SampleWords: a.SampleWords,
-				At:     uint64(a.Break.Total()),
-				Client: uint64(a.Break.Client), Stack: uint64(a.Break.GCStack),
-				Copy: uint64(a.Break.GCCopy), Adapt: uint64(a.Break.Adapt)}); err != nil {
-				return err
-			}
+				wireStamp: stampOf(a.Break)})
 		}
 		for _, h := range d.Heap {
-			spaces := make([]recHeapSpace, len(h.Spaces))
-			for j, sp := range h.Spaces {
-				spaces[j] = recHeapSpace{Name: sp.Name, Live: sp.Live, Committed: sp.Committed}
+			spaces := h.Spaces
+			if spaces == nil {
+				spaces = []SpaceOcc{} // "spaces" is never null on the wire
 			}
-			if err := enc.Encode(recHeap{T: "heap", Run: i, Seq: h.Seq,
-				At:     uint64(h.Break.Total()),
-				Client: uint64(h.Break.Client), Stack: uint64(h.Break.GCStack),
-				Copy: uint64(h.Break.GCCopy), Adapt: uint64(h.Break.Adapt),
-				Spaces: spaces}); err != nil {
-				return err
-			}
+			jw.Write(recHeap{T: "heap", Run: i, Seq: h.Seq, wireStamp: stampOf(h.Break), Spaces: spaces})
 		}
 		for _, q := range d.Reqs {
-			if err := enc.Encode(recReq{T: "req", Run: i, ID: q.ID,
+			jw.Write(recReq{T: "req", Run: i, ID: q.ID,
 				BClient: uint64(q.Begin.Client), BStack: uint64(q.Begin.GCStack),
 				BCopy: uint64(q.Begin.GCCopy), BAdapt: uint64(q.Begin.Adapt),
 				EClient: uint64(q.End.Client), EStack: uint64(q.End.GCStack),
-				ECopy: uint64(q.End.GCCopy), EAdapt: uint64(q.End.Adapt)}); err != nil {
-				return err
-			}
+				ECopy: uint64(q.End.GCCopy), EAdapt: uint64(q.End.Adapt)})
 		}
 		for _, s := range d.Sites {
-			if err := enc.Encode(recSite{T: "site", Run: i, Site: uint16(s.Site), Name: s.Name,
-				AllocObjects: s.AllocObjects, AllocWords: s.AllocWords,
-				PretenuredObjects: s.PretenuredObjects, PretenuredWords: s.PretenuredWords,
-				CopiedWords: s.CopiedWords, TenuredWords: s.TenuredWords, DiedWords: s.DiedWords}); err != nil {
-				return err
-			}
+			jw.Write(recSite{T: "site", Run: i, SiteCounters: s})
 		}
 		for _, m := range d.Metrics {
 			rec := recMetric{T: "metric", Run: i, Name: m.Name, Kind: m.Kind.String()}
@@ -284,213 +251,147 @@ func (f *File) WriteJSONL(w io.Writer) error {
 			} else {
 				rec.Value = m.Value
 			}
-			if err := enc.Encode(rec); err != nil {
-				return err
-			}
+			jw.Write(rec)
 		}
 	}
-	return bw.Flush()
+	return jw.Flush()
 }
 
-// ReadJSONL parses a JSONL trace, rejecting unknown record types, unknown
-// fields, out-of-order run records, and schema versions this build does
-// not understand. Structural soundness beyond record shape (span pairing,
-// monotonic timestamps, reconciliation) is checked by Validate.
+// traceFormat is the trace stream's structure; every run carries exactly
+// one run_end.
+var traceFormat = jsonl.Format{Pkg: "trace", Version: SchemaVersion,
+	Header: "header", Parent: "run", Index: "run", Required: []string{"run_end"}}
+
+// ReadJSONL parses a JSONL trace under the strict-record contract of
+// internal/jsonl, rejecting in addition unknown record kinds, phases,
+// adapt verbs and metric kinds, and breakdown-sum mismatches. Structural
+// soundness beyond record shape (span pairing, monotonic timestamps,
+// reconciliation) is checked by Validate.
 func ReadJSONL(r io.Reader) (*File, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	var f *File
-	var cur *RunData
-	lineNo := 0
-	strict := func(line []byte, into any) error {
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		return dec.Decode(into)
-	}
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var probe struct {
-			T   string `json:"t"`
-			Run int    `json:"run"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-		}
-		if probe.T == "header" {
-			if f != nil {
-				return nil, fmt.Errorf("trace: line %d: duplicate header", lineNo)
-			}
-			var h recHeader
-			if err := strict(line, &h); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-			}
-			if h.Schema != SchemaVersion {
-				return nil, fmt.Errorf("trace: line %d: schema %d, this build reads schema %d", lineNo, h.Schema, SchemaVersion)
-			}
-			f = &File{Schema: h.Schema, ClockHz: h.ClockHz}
-			continue
-		}
-		if f == nil {
-			return nil, fmt.Errorf("trace: line %d: %q record before header", lineNo, probe.T)
-		}
-		if probe.T == "run" {
-			var rr recRun
-			if err := strict(line, &rr); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-			}
-			if rr.Run != len(f.Runs) {
-				return nil, fmt.Errorf("trace: line %d: run %d out of order (expected %d)", lineNo, rr.Run, len(f.Runs))
-			}
-			cur = &RunData{Label: rr.Label}
-			f.Runs = append(f.Runs, cur)
-			continue
-		}
-		if cur == nil {
-			return nil, fmt.Errorf("trace: line %d: %q record before any run record", lineNo, probe.T)
-		}
-		if probe.Run != len(f.Runs)-1 {
-			return nil, fmt.Errorf("trace: line %d: %q record for run %d inside run %d", lineNo, probe.T, probe.Run, len(f.Runs)-1)
-		}
-		switch probe.T {
-		case "gc_begin", "gc_end", "phase_begin", "phase_end":
-			var re recEvent
-			if err := strict(line, &re); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-			}
-			ev, err := re.event(probe.T)
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-			}
-			cur.Events = append(cur.Events, ev)
-		case "run_end":
-			var re recRunEnd
-			if err := strict(line, &re); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-			}
-			cur.Final = costmodel.Breakdown{
-				Client:  costmodel.Cycles(re.Client),
-				GCStack: costmodel.Cycles(re.Stack),
-				GCCopy:  costmodel.Cycles(re.Copy),
-				Adapt:   costmodel.Cycles(re.Adapt),
-			}
-			cur.Overlap = costmodel.Cycles(re.Overlap)
-		case "adapt":
-			var ra recAdapt
-			if err := strict(line, &ra); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-			}
-			b := costmodel.Breakdown{
-				Client:  costmodel.Cycles(ra.Client),
-				GCStack: costmodel.Cycles(ra.Stack),
-				GCCopy:  costmodel.Cycles(ra.Copy),
-				Adapt:   costmodel.Cycles(ra.Adapt),
-			}
-			if costmodel.Cycles(ra.At) != b.Total() {
-				return nil, fmt.Errorf("trace: line %d: at %d != breakdown total %d", lineNo, ra.At, b.Total())
-			}
-			switch ra.Verb {
-			case AdaptPromote, AdaptDemote, AdaptWarm:
-			default:
-				return nil, fmt.Errorf("trace: line %d: unknown adapt verb %q", lineNo, ra.Verb)
-			}
-			cur.Adapt = append(cur.Adapt, AdaptDecision{
-				Seq: ra.Seq, Site: obj.SiteID(ra.Site), Verb: ra.Verb,
-				SurvivalPPM: ra.SurvivalPPM, GarbagePPM: ra.GarbagePPM,
-				SampleWords: ra.SampleWords, Break: b,
-			})
-		case "heap":
-			var rh recHeap
-			if err := strict(line, &rh); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-			}
-			b := costmodel.Breakdown{
-				Client:  costmodel.Cycles(rh.Client),
-				GCStack: costmodel.Cycles(rh.Stack),
-				GCCopy:  costmodel.Cycles(rh.Copy),
-				Adapt:   costmodel.Cycles(rh.Adapt),
-			}
-			if costmodel.Cycles(rh.At) != b.Total() {
-				return nil, fmt.Errorf("trace: line %d: at %d != breakdown total %d", lineNo, rh.At, b.Total())
-			}
-			spaces := make([]SpaceOcc, len(rh.Spaces))
-			for j, sp := range rh.Spaces {
-				spaces[j] = SpaceOcc{Name: sp.Name, Live: sp.Live, Committed: sp.Committed}
-			}
-			cur.Heap = append(cur.Heap, HeapSample{Seq: rh.Seq, Break: b, Spaces: spaces})
-		case "req":
-			var rq recReq
-			if err := strict(line, &rq); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-			}
-			cur.Reqs = append(cur.Reqs, RequestSpan{ID: rq.ID,
-				Begin: costmodel.Breakdown{
-					Client:  costmodel.Cycles(rq.BClient),
-					GCStack: costmodel.Cycles(rq.BStack),
-					GCCopy:  costmodel.Cycles(rq.BCopy),
-					Adapt:   costmodel.Cycles(rq.BAdapt),
-				},
-				End: costmodel.Breakdown{
-					Client:  costmodel.Cycles(rq.EClient),
-					GCStack: costmodel.Cycles(rq.EStack),
-					GCCopy:  costmodel.Cycles(rq.ECopy),
-					Adapt:   costmodel.Cycles(rq.EAdapt),
-				}})
-		case "site":
-			var rs recSite
-			if err := strict(line, &rs); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-			}
-			cur.Sites = append(cur.Sites, SiteCounters{
-				Site: obj.SiteID(rs.Site), Name: rs.Name,
-				AllocObjects: rs.AllocObjects, AllocWords: rs.AllocWords,
-				PretenuredObjects: rs.PretenuredObjects, PretenuredWords: rs.PretenuredWords,
-				CopiedWords: rs.CopiedWords, TenuredWords: rs.TenuredWords, DiedWords: rs.DiedWords,
-			})
-		case "metric":
-			var rm recMetric
-			if err := strict(line, &rm); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
-			}
-			m := Metric{Name: rm.Name, Value: rm.Value,
-				Count: rm.Count, Sum: rm.Sum, Max: rm.Max, Buckets: rm.Buckets}
-			switch rm.Kind {
-			case "counter":
-				m.Kind = KindCounter
-			case "gauge":
-				m.Kind = KindGauge
-			case "hist":
-				m.Kind = KindHistogram
-			default:
-				return nil, fmt.Errorf("trace: line %d: unknown metric kind %q", lineNo, rm.Kind)
-			}
-			cur.Metrics = append(cur.Metrics, m)
-		default:
-			return nil, fmt.Errorf("trace: line %d: unknown record type %q", lineNo, probe.T)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	var fr fileReader
+	if err := traceFormat.Read(r, &fr); err != nil {
 		return nil, err
 	}
-	if f == nil {
-		return nil, fmt.Errorf("trace: empty input (no header record)")
+	return fr.f, nil
+}
+
+// fileReader is the trace schema's jsonl.Handler.
+type fileReader struct {
+	f   *File
+	cur *RunData
+}
+
+func (fr *fileReader) Header(rec jsonl.Record) (int, int, error) {
+	var h recHeader
+	if err := rec.Decode(&h); err != nil {
+		return 0, 0, err
 	}
-	return f, nil
+	fr.f = &File{Schema: h.Schema, ClockHz: h.ClockHz}
+	return h.Schema, h.Runs, nil
+}
+
+func (fr *fileReader) Parent(rec jsonl.Record) (int, error) {
+	var rr recRun
+	if err := rec.Decode(&rr); err != nil {
+		return 0, err
+	}
+	fr.cur = &RunData{Label: rr.Label}
+	fr.f.Runs = append(fr.f.Runs, fr.cur)
+	return -1, nil
+}
+
+func (fr *fileReader) Child(rec jsonl.Record) error {
+	cur := fr.cur
+	switch rec.T {
+	case "gc_begin", "gc_end", "phase_begin", "phase_end":
+		var re recEvent
+		if err := rec.Decode(&re); err != nil {
+			return err
+		}
+		ev, err := re.event(rec.T)
+		if err != nil {
+			return err
+		}
+		cur.Events = append(cur.Events, ev)
+	case "run_end":
+		var re recRunEnd
+		if err := rec.Decode(&re); err != nil {
+			return err
+		}
+		cur.Final = re.breakdown()
+		cur.Overlap = costmodel.Cycles(re.Overlap)
+	case "adapt":
+		var ra recAdapt
+		if err := rec.Decode(&ra); err != nil {
+			return err
+		}
+		b, err := ra.check()
+		if err != nil {
+			return err
+		}
+		switch ra.Verb {
+		case AdaptPromote, AdaptDemote, AdaptWarm:
+		default:
+			return fmt.Errorf("unknown adapt verb %q", ra.Verb)
+		}
+		cur.Adapt = append(cur.Adapt, AdaptDecision{
+			Seq: ra.Seq, Site: obj.SiteID(ra.Site), Verb: ra.Verb,
+			SurvivalPPM: ra.SurvivalPPM, GarbagePPM: ra.GarbagePPM,
+			SampleWords: ra.SampleWords, Break: b,
+		})
+	case "heap":
+		var rh recHeap
+		if err := rec.Decode(&rh); err != nil {
+			return err
+		}
+		b, err := rh.check()
+		if err != nil {
+			return err
+		}
+		cur.Heap = append(cur.Heap, HeapSample{Seq: rh.Seq, Break: b, Spaces: rh.Spaces})
+	case "req":
+		var rq recReq
+		if err := rec.Decode(&rq); err != nil {
+			return err
+		}
+		cur.Reqs = append(cur.Reqs, RequestSpan{ID: rq.ID,
+			Begin: wireMeter{Client: rq.BClient, Stack: rq.BStack, Copy: rq.BCopy, Adapt: rq.BAdapt}.breakdown(),
+			End:   wireMeter{Client: rq.EClient, Stack: rq.EStack, Copy: rq.ECopy, Adapt: rq.EAdapt}.breakdown()})
+	case "site":
+		var rs recSite
+		if err := rec.Decode(&rs); err != nil {
+			return err
+		}
+		cur.Sites = append(cur.Sites, rs.SiteCounters)
+	case "metric":
+		var rm recMetric
+		if err := rec.Decode(&rm); err != nil {
+			return err
+		}
+		m := Metric{Name: rm.Name, Value: rm.Value,
+			Count: rm.Count, Sum: rm.Sum, Max: rm.Max, Buckets: rm.Buckets}
+		switch rm.Kind {
+		case "counter":
+			m.Kind = KindCounter
+		case "gauge":
+			m.Kind = KindGauge
+		case "hist":
+			m.Kind = KindHistogram
+		default:
+			return fmt.Errorf("unknown metric kind %q", rm.Kind)
+		}
+		cur.Metrics = append(cur.Metrics, m)
+	default:
+		return fmt.Errorf("unknown record type %q", rec.T)
+	}
+	return nil
 }
 
 // event converts a wire event record back to the in-memory form.
 func (re recEvent) event(t string) (Event, error) {
-	b := costmodel.Breakdown{
-		Client:  costmodel.Cycles(re.Client),
-		GCStack: costmodel.Cycles(re.Stack),
-		GCCopy:  costmodel.Cycles(re.Copy),
-		Adapt:   costmodel.Cycles(re.Adapt),
-	}
-	if costmodel.Cycles(re.At) != b.Total() {
-		return Event{}, fmt.Errorf("at %d != client+stack+copy+adapt %d", re.At, b.Total())
+	b, err := re.check()
+	if err != nil {
+		return Event{}, err
 	}
 	ev := Event{Seq: re.Seq, Break: b}
 	if len(re.Workers) > 0 && t != "phase_end" {

@@ -58,17 +58,18 @@ type Recorder struct {
 // SiteCounters aggregates one allocation site's telemetry: words allocated
 // (split normal vs pretenured), words copied by collections (and the share
 // copied into the tenured generation), and words that died (observed via
-// the profiler's shadow tables when one is attached).
+// the profiler's shadow tables when one is attached). The JSONL site
+// record embeds it, so the tags are wire names.
 type SiteCounters struct {
-	Site              obj.SiteID
-	Name              string
-	AllocObjects      uint64
-	AllocWords        uint64
-	PretenuredObjects uint64
-	PretenuredWords   uint64
-	CopiedWords       uint64
-	TenuredWords      uint64
-	DiedWords         uint64
+	Site              obj.SiteID `json:"site"`
+	Name              string     `json:"name,omitempty"`
+	AllocObjects      uint64     `json:"alloc_objects"`
+	AllocWords        uint64     `json:"alloc_words"`
+	PretenuredObjects uint64     `json:"pretenured_objects"`
+	PretenuredWords   uint64     `json:"pretenured_words"`
+	CopiedWords       uint64     `json:"copied_words"`
+	TenuredWords      uint64     `json:"tenured_words"`
+	DiedWords         uint64     `json:"died_words"`
 }
 
 // NewRecorder creates a recorder reading timestamps from meter.

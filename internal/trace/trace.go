@@ -211,11 +211,12 @@ type AdaptDecision struct {
 // SpaceOcc is one heap space's occupancy at a sample point: live words
 // still in use after the collection, and committed words the space holds
 // from the simulated OS. Names are stable per collector ("nursery",
-// "aging", "tenured", "los", "semispace").
+// "aging", "tenured", "los", "semispace"). The JSONL heap record carries
+// it as is.
 type SpaceOcc struct {
-	Name      string
-	Live      uint64
-	Committed uint64
+	Name      string `json:"name"`
+	Live      uint64 `json:"live"`
+	Committed uint64 `json:"committed"`
 }
 
 // HeapSample is one end-of-collection footprint snapshot: per-space live

@@ -176,6 +176,7 @@ func TestPhaseNames(t *testing.T) {
 
 // TestReadJSONLRejects: the strict reader refuses malformed streams.
 func TestReadJSONLRejects(t *testing.T) {
+	const runEnd = "{\"t\":\"run_end\",\"run\":0,\"client\":1,\"stack\":0,\"copy\":0}\n"
 	cases := map[string]string{
 		"empty":          "",
 		"no header":      `{"t":"run","run":0,"label":"x"}`,
@@ -186,11 +187,33 @@ func TestReadJSONLRejects(t *testing.T) {
 		"at mismatch": "{\"t\":\"header\",\"schema\":1,\"clock_hz\":1,\"runs\":1}\n" +
 			"{\"t\":\"run\",\"run\":0,\"label\":\"x\"}\n" +
 			"{\"t\":\"gc_begin\",\"run\":0,\"seq\":1,\"major\":false,\"at\":5,\"client\":1,\"stack\":0,\"copy\":0}",
+		"truncated": "{\"t\":\"header\",\"schema\":1,\"clock_hz\":1,\"runs\":3}\n" +
+			"{\"t\":\"run\",\"run\":0,\"label\":\"x\"}\n" + runEnd,
+		"extra run": "{\"t\":\"header\",\"schema\":1,\"clock_hz\":1,\"runs\":0}\n" +
+			"{\"t\":\"run\",\"run\":0,\"label\":\"x\"}\n" + runEnd,
+		"no run_end": "{\"t\":\"header\",\"schema\":1,\"clock_hz\":1,\"runs\":2}\n" +
+			"{\"t\":\"run\",\"run\":0,\"label\":\"x\"}\n" +
+			"{\"t\":\"run\",\"run\":1,\"label\":\"y\"}\n" + strings.Replace(runEnd, `"run":0`, `"run":1`, 1),
+		"last run_end missing": "{\"t\":\"header\",\"schema\":1,\"clock_hz\":1,\"runs\":1}\n" +
+			"{\"t\":\"run\",\"run\":0,\"label\":\"x\"}\n",
+		"duplicate run_end": "{\"t\":\"header\",\"schema\":1,\"clock_hz\":1,\"runs\":1}\n" +
+			"{\"t\":\"run\",\"run\":0,\"label\":\"x\"}\n" + runEnd + runEnd,
 	}
 	for name, in := range cases {
 		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestReadJSONLLineOverflow: a line over the reader's cap is reported
+// with the package prefix and its line number.
+func TestReadJSONLLineOverflow(t *testing.T) {
+	in := "{\"t\":\"header\",\"schema\":1,\"clock_hz\":1,\"runs\":1}\n" +
+		"{\"t\":\"run\",\"run\":0,\"label\":\"" + strings.Repeat("x", 16<<20) + "\"}\n"
+	_, err := ReadJSONL(strings.NewReader(in))
+	if err == nil || !strings.HasPrefix(err.Error(), "trace: line 2: ") {
+		t.Fatalf("overlong line: got %v, want a \"trace: line 2: \" error", err)
 	}
 }
 
