@@ -120,6 +120,8 @@ func main() {
 						descend(d + 1)
 						return
 					}
+					// Raise returns; every body on the way back to the
+					// TryCatch returns at once, as descend's callers do.
 					m.Raise()
 				})
 			}

@@ -26,6 +26,26 @@
 //	m.Call(frame, func() {
 //	    m.ConsInt(1, 42, 1, 1) // cons 42 onto the nil list in slot 1
 //	})
+//
+// Simulated exceptions do not unwind the Go stack. Mutator.Raise unwinds
+// the simulated stack to the most recent handler and returns. Its caller
+// returns at once, and code that calls anything that can raise checks
+// Mutator.Raising after the call and returns while it is set, until the
+// Mutator.TryCatch that installed the handler runs it:
+//
+//	m.TryCatch(func() {
+//	    m.Call(frame, func() { m.Raise() })
+//	    if m.Raising() {
+//	        return
+//	    }
+//	    // reached only when the call did not raise
+//	}, func() {
+//	    // the handler: the simulated stack is back at this frame
+//	})
+//
+// Call, CallArgs, TryCatch, Raise, TakeRet and TakeRetInt panic when
+// entered while an exception is in flight, so a missed check fails
+// loudly instead of acting on the handler's frame.
 package gcsim
 
 import (

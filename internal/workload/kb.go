@@ -172,6 +172,7 @@ func (e *kbEngine) matchBody() {
 				m.LoadField(4, 1, 4)
 				if !e.eqTerms(4, 2) {
 					m.Raise()
+					return
 				}
 				m.RetPtr(3)
 				return
@@ -188,28 +189,40 @@ func (e *kbEngine) matchBody() {
 	case kbConst:
 		if e.tag(2) != kbConst || m.LoadFieldInt(1, 1) != m.LoadFieldInt(2, 1) {
 			m.Raise()
+			return
 		}
 		m.RetPtr(3)
 	case kbInv:
 		if e.tag(2) != kbInv {
 			m.Raise()
+			return
 		}
 		m.LoadField(1, 1, 4)
 		m.LoadField(2, 1, 5)
 		m.CallArgs(e.match, []int{4, 5, 3}, func() { e.matchBody() })
+		if m.Raising() {
+			return
+		}
 		m.TakeRet(3)
 		m.RetPtr(3)
 	case kbMul:
 		if e.tag(2) != kbMul {
 			m.Raise()
+			return
 		}
 		m.LoadField(1, 1, 4)
 		m.LoadField(2, 1, 5)
 		m.CallArgs(e.match, []int{4, 5, 3}, func() { e.matchBody() })
+		if m.Raising() {
+			return
+		}
 		m.TakeRet(3)
 		m.LoadField(1, 2, 4)
 		m.LoadField(2, 2, 5)
 		m.CallArgs(e.match, []int{4, 5, 3}, func() { e.matchBody() })
+		if m.Raising() {
+			return
+		}
 		m.TakeRet(3)
 		m.RetPtr(3)
 	}
@@ -401,6 +414,7 @@ func (e *kbEngine) unifyBody() {
 		}
 		if e.occurs(id, termSlot, 3) {
 			m.Raise()
+			return
 		}
 		a := m.Col.Alloc(obj.Record, 3, kbSiteSubst, 0b110)
 		m.Col.InitField(a, 0, id)
@@ -417,25 +431,36 @@ func (e *kbEngine) unifyBody() {
 		bind(2, 1)
 	case ts != tt:
 		m.Raise()
+		return
 	case ts == kbConst:
 		if m.LoadFieldInt(1, 1) != m.LoadFieldInt(2, 1) {
 			m.Raise()
+			return
 		}
 		m.RetPtr(3)
 	case ts == kbInv:
 		m.LoadField(1, 1, 4)
 		m.LoadField(2, 1, 5)
 		m.CallArgs(e.unify, []int{4, 5, 3}, func() { e.unifyBody() })
+		if m.Raising() {
+			return
+		}
 		m.TakeRet(3)
 		m.RetPtr(3)
 	default: // MUL
 		m.LoadField(1, 1, 4)
 		m.LoadField(2, 1, 5)
 		m.CallArgs(e.unify, []int{4, 5, 3}, func() { e.unifyBody() })
+		if m.Raising() {
+			return
+		}
 		m.TakeRet(3)
 		m.LoadField(1, 2, 4)
 		m.LoadField(2, 2, 5)
 		m.CallArgs(e.unify, []int{4, 5, 3}, func() { e.unifyBody() })
+		if m.Raising() {
+			return
+		}
 		m.TakeRet(3)
 		m.RetPtr(3)
 	}
@@ -464,14 +489,23 @@ func (e *kbEngine) normBody() {
 	case kbInv:
 		m.LoadField(1, 1, 3)
 		m.CallArgs(e.norm, []int{3, 2}, func() { e.normBody() })
+		if m.Raising() {
+			return
+		}
 		m.TakeRet(3)
 		e.mkInv(kbSiteTerm, 3, 1)
 	case kbMul:
 		m.LoadField(1, 1, 3)
 		m.CallArgs(e.norm, []int{3, 2}, func() { e.normBody() })
+		if m.Raising() {
+			return
+		}
 		m.TakeRet(3)
 		m.LoadField(1, 2, 4)
 		m.CallArgs(e.norm, []int{4, 2}, func() { e.normBody() })
+		if m.Raising() {
+			return
+		}
 		m.TakeRet(4)
 		e.mkMul(kbSiteTerm, 3, 4, 1)
 	}
@@ -479,6 +513,7 @@ func (e *kbEngine) normBody() {
 	if e.budget <= 0 {
 		if e.budgetRaise {
 			m.Raise()
+			return
 		}
 		m.RetPtr(1) // budget-starved: NOT stamped (may not be normal)
 		return
@@ -499,6 +534,9 @@ func (e *kbEngine) normBody() {
 		m.TryCatch(func() {
 			m.SetSlotNil(5)
 			m.CallArgs(e.match, []int{4, 1, 5}, func() { e.matchBody() })
+			if m.Raising() {
+				return
+			}
 			m.TakeRet(5) // sigma
 			matched = true
 		}, func() {
@@ -517,6 +555,9 @@ func (e *kbEngine) normBody() {
 	if rewritten {
 		// The rewrite may expose further redexes below the root.
 		m.CallArgs(e.norm, []int{1, 2}, func() { e.normBody() })
+		if m.Raising() {
+			return
+		}
 		m.TakeRet(1)
 	} else {
 		m.SetAux(1, e.epoch)
@@ -747,6 +788,9 @@ func (kbBench) Run(m *Mutator, scale Scale) Result {
 					m.LoadField(5, 0, 5) // the subterm out of its box
 					m.SetSlotNil(8)
 					m.CallArgs(e.unify, []int{5, 7, 8}, func() { e.unifyBody() })
+					if m.Raising() {
+						return
+					}
 					m.TakeRet(8) // σ
 					unified = true
 				}, func() {})
@@ -861,12 +905,18 @@ func (kbBench) Run(m *Mutator, scale Scale) Result {
 			}
 			m.Head(1, 3)
 			m.CallArgs(e.norm, []int{3, 2}, func() { e.normBody() })
+			if m.Raising() {
+				return
+			}
 			m.TakeRet(3)
 			// Keep a long-lived copy of the normal form.
 			m.CallArgs(e.walk, []int{3}, func() { e.copyBody(kbSiteKeep, 0) })
 			m.TakeRet(3)
 			m.Tail(1, 4)
 			m.CallArgs(mapFrame, []int{4, 2}, mapNorm)
+			if m.Raising() {
+				return
+			}
 			m.TakeRet(4)
 			m.ConsPtr(kbSiteRule, 3, 4, 4)
 			m.RetPtr(4)
@@ -887,6 +937,9 @@ func (kbBench) Run(m *Mutator, scale Scale) Result {
 			done := false
 			m.TryCatch(func() {
 				m.CallArgs(mapFrame, []int{3, 1}, mapNorm)
+				if m.Raising() {
+					return
+				}
 				m.TakeRet(2)
 				done = true
 			}, func() {

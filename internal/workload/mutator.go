@@ -37,6 +37,11 @@ type Mutator struct {
 	// wraps Stack. Nil is the single-thread run — workloads must not
 	// change behaviour in that case, so T=1 stays byte-identical.
 	Threads *rt.ThreadSet
+
+	// raising is set by Raise and cleared by the TryCatch that catches
+	// the exception: while it is set, Go frames are returning towards
+	// that TryCatch and the simulated frames they pushed are already gone.
+	raising bool
 }
 
 // NewMutator creates a mutator over the given collector and runtime.
@@ -84,36 +89,42 @@ func (m *Mutator) PtrFrame(name string, n int) *rt.FrameInfo {
 	return m.Frame(name, slots...)
 }
 
-// simException is the panic value used to unwind Go frames in step with a
-// simulated raised exception.
-type simException struct{}
-
 // Call pushes a simulated frame for fi, runs body, and pops the frame.
-// If body raises a simulated exception the simulated frame has already
-// been unwound by Raise, so the pop is skipped (the panic propagates to
-// the enclosing TryCatch).
+// If body raised a simulated exception the frame has already been unwound
+// by Raise, so the pop is skipped and Call returns with Raising() set.
 func (m *Mutator) Call(fi *rt.FrameInfo, body func()) {
+	if m.raising {
+		m.missedRaise("Call")
+	}
 	m.Stack.Call(fi)
 	body()
-	m.Stack.Return()
+	if !m.raising {
+		m.Stack.Return()
+	}
 }
 
 // CallArgs pushes a frame for fi, copies the values of the caller's slots
-// named by srcSlots into the callee's slots 1..len(srcSlots), runs body,
-// and pops the frame. The copy is atomic with respect to collection (no
+// named by srcSlots (at most 8) into the callee's slots
+// 1..len(srcSlots), runs body, and pops the frame — unless body raised,
+// as for Call. The copy is atomic with respect to collection (no
 // allocation can intervene), mirroring argument registers being spilled
 // into the fresh frame by the prologue.
 func (m *Mutator) CallArgs(fi *rt.FrameInfo, srcSlots []int, body func()) {
-	vals := make([]uint64, len(srcSlots))
+	if m.raising {
+		m.missedRaise("CallArgs")
+	}
+	var vals [8]uint64 // a fixed buffer: no heap allocation per call
 	for i, s := range srcSlots {
 		vals[i] = m.Stack.Slot(s)
 	}
 	m.Stack.Call(fi)
-	for i, v := range vals {
-		m.Stack.SetSlot(i+1, v)
+	for i := range srcSlots {
+		m.Stack.SetSlot(i+1, vals[i])
 	}
 	body()
-	m.Stack.Return()
+	if !m.raising {
+		m.Stack.Return()
+	}
 }
 
 // RetPtr places the pointer in the current frame's slot `slot` into the
@@ -126,41 +137,67 @@ func (m *Mutator) RetPtr(slot int) { m.Stack.SetReg(0, m.Slot(slot)) }
 func (m *Mutator) RetInt(v uint64) { m.Stack.SetReg(0, v) }
 
 // TakeRet moves the return register into slot dst of the current frame.
-func (m *Mutator) TakeRet(dst int) { m.Stack.SetSlot(dst, m.Stack.Reg(0)) }
+func (m *Mutator) TakeRet(dst int) {
+	if m.raising {
+		m.missedRaise("TakeRet")
+	}
+	m.Stack.SetSlot(dst, m.Stack.Reg(0))
+}
 
 // TakeRetInt reads the return register as a raw value.
-func (m *Mutator) TakeRetInt() uint64 { return m.Stack.Reg(0) }
+func (m *Mutator) TakeRetInt() uint64 {
+	if m.raising {
+		m.missedRaise("TakeRetInt")
+	}
+	return m.Stack.Reg(0)
+}
 
 // TryCatch installs an exception handler owned by the current simulated
-// frame, runs body, and on a raised exception runs handler with the
-// simulated stack already unwound back to this frame.
+// frame and runs body. If body raised, TryCatch clears the exception and
+// runs handler with the simulated stack already unwound back to this
+// frame; otherwise it removes the handler. A handler may raise again, so
+// a caller whose handler can raise checks Raising() after TryCatch.
 func (m *Mutator) TryCatch(body func(), handler func()) {
-	m.Stack.PushHandler()
-	caught := func() (caught bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(simException); ok {
-					caught = true
-					return
-				}
-				panic(r)
-			}
-		}()
-		body()
-		return false
-	}()
-	if caught {
-		handler()
-	} else {
-		m.Stack.PopHandler()
+	if m.raising {
+		m.missedRaise("TryCatch")
 	}
+	m.Stack.PushHandler()
+	body()
+	if m.raising {
+		m.raising = false
+		handler()
+		return
+	}
+	m.Stack.PopHandler()
 }
 
 // Raise raises a simulated exception: the simulated stack unwinds to the
-// most recent handler, and the Go stack unwinds to the matching TryCatch.
+// most recent handler at once, charging the unwind and lowering the
+// watermark M. Raise then returns, and the Go code must follow it: the
+// caller of Raise returns at once, and every caller of a Call, CallArgs or
+// function that can raise checks Raising() and returns while it is set,
+// until the matching TryCatch runs its handler. Call, CallArgs, TryCatch,
+// Raise, TakeRet and TakeRetInt panic when entered with an exception in
+// flight, so a missed check fails loudly instead of acting on the
+// handler's frame.
 func (m *Mutator) Raise() {
+	if m.raising {
+		m.missedRaise("Raise")
+	}
 	m.Stack.Raise()
-	panic(simException{})
+	m.raising = true
+}
+
+// Raising reports whether a simulated exception is in flight: Raise has
+// run and the TryCatch that catches it has not yet been reached. Code
+// that called anything that can raise returns at once while it is set.
+func (m *Mutator) Raising() bool { return m.raising }
+
+// missedRaise reports an entry point reached with an exception in flight:
+// some caller did not return after Raise or did not check Raising().
+func (m *Mutator) missedRaise(op string) {
+	panic("workload: " + op + " called while a simulated exception is in flight " +
+		"(after Raise, return at once; after any call that can raise, return while Raising() is set)")
 }
 
 // Slot reads slot i of the current frame.

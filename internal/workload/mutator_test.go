@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"tilgc/internal/core"
@@ -8,6 +9,7 @@ import (
 	"tilgc/internal/mem"
 	"tilgc/internal/obj"
 	"tilgc/internal/rt"
+	"tilgc/internal/sanitize"
 )
 
 func newTestMutator(t *testing.T) *Mutator {
@@ -81,11 +83,17 @@ func TestMutatorTryCatchNested(t *testing.T) {
 		m.TryCatch(func() {
 			m.TryCatch(func() {
 				m.Call(f, func() { m.Raise() })
+				if m.Raising() {
+					return
+				}
 				order += "x" // unreachable
 			}, func() {
 				order += "inner"
 				m.Raise() // re-raise to the outer handler
 			})
+			if m.Raising() {
+				return
+			}
 			order += "y" // unreachable
 		}, func() {
 			order += "+outer"
@@ -109,6 +117,128 @@ func TestMutatorTryCatchNormalExitPopsHandler(t *testing.T) {
 			t.Fatal("handler leaked")
 		}
 	})
+}
+
+func TestMutatorCallArgsDoesNotAllocate(t *testing.T) {
+	m := newTestMutator(t)
+	f := m.PtrFrame("f", 5)
+	args := []int{5, 4, 3, 2, 1}
+	body := func() {}
+	m.Call(f, func() {
+		if n := testing.AllocsPerRun(100, func() { m.CallArgs(f, args, body) }); n != 0 {
+			t.Fatalf("CallArgs with 5 arguments allocates %v times per call", n)
+		}
+	})
+}
+
+// TestMutatorMissedRaisingCheckPanics enters each guarded entry point
+// with an exception in flight, as code that forgot to return after Raise
+// or to check Raising() would, and expects a panic naming the contract.
+func TestMutatorMissedRaisingCheckPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(m *Mutator, f *rt.FrameInfo)
+	}{
+		{"Call", func(m *Mutator, f *rt.FrameInfo) { m.Call(f, func() {}) }},
+		{"CallArgs", func(m *Mutator, f *rt.FrameInfo) { m.CallArgs(f, []int{1}, func() {}) }},
+		{"TryCatch", func(m *Mutator, f *rt.FrameInfo) { m.TryCatch(func() {}, func() {}) }},
+		{"Raise", func(m *Mutator, f *rt.FrameInfo) { m.Raise() }},
+		{"TakeRet", func(m *Mutator, f *rt.FrameInfo) { m.TakeRet(1) }},
+		{"TakeRetInt", func(m *Mutator, f *rt.FrameInfo) { m.TakeRetInt() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newTestMutator(t)
+			f := m.PtrFrame("f", 1)
+			var msg string
+			m.Call(f, func() {
+				m.TryCatch(func() {
+					m.Call(f, func() { m.Raise() })
+					func() {
+						defer func() { msg, _ = recover().(string) }()
+						tc.op(m, f)
+					}()
+				}, func() {})
+			})
+			if !strings.Contains(msg, tc.name+" called while a simulated exception is in flight") ||
+				!strings.Contains(msg, "Raising()") {
+				t.Fatalf("missed check panicked with %q", msg)
+			}
+		})
+	}
+}
+
+// TestMutatorDeepUnwindPastMarkers raises from 800 frames deep after the
+// collector has placed stack markers in those frames, then collects with
+// the sanitizer verifying the heap after every collection.
+func TestMutatorDeepUnwindPastMarkers(t *testing.T) {
+	table := rt.NewTraceTable()
+	meter := costmodel.NewMeter()
+	stack := rt.NewStack(table, meter)
+	gen := core.NewGenerational(stack, meter, nil, core.GenConfig{
+		BudgetWords: 1 << 20, NurseryWords: 512, MarkerN: 25,
+	})
+	col := sanitize.Wrap(gen, sanitize.Options{})
+	m := NewMutator(col, stack, table, meter)
+	mainF := m.PtrFrame("main", 3)
+	deep := m.PtrFrame("deep", 1)
+	const depth, cells = 800, 200
+
+	markersAtRaise := uint64(0)
+	caught := false
+	m.Call(mainF, func() {
+		m.SetSlotNil(1)
+		for i := uint64(0); i < cells; i++ {
+			m.ConsInt(9, i, 1, 1)
+		}
+		m.TryCatch(func() {
+			var descend func(d int)
+			descend = func(d int) {
+				m.Call(deep, func() {
+					m.AllocRecord(9, 2, 0, 1)
+					if d < depth {
+						descend(d + 1)
+						return
+					}
+					markersAtRaise = gen.Stats().MarkersPlaced
+					m.Raise()
+				})
+			}
+			descend(0)
+			if m.Raising() {
+				return
+			}
+			t.Error("code after a raising call ran")
+		}, func() {
+			caught = true
+			if m.Stack.Depth() != 1 || m.Stack.HandlerDepth() != 0 || m.Stack.RaiseMark() != 1 {
+				t.Errorf("in handler: depth=%d handlers=%d raise mark=%d, want 1, 0, 1",
+					m.Stack.Depth(), m.Stack.HandlerDepth(), m.Stack.RaiseMark())
+			}
+		})
+		if m.Raising() {
+			t.Fatal("exception still in flight after its handler ran")
+		}
+		col.Collect(false)
+		col.Collect(true)
+		if n := m.ListLen(1, 2); n != cells {
+			t.Fatalf("list length after deep unwind = %d, want %d", n, cells)
+		}
+	})
+	if !caught {
+		t.Fatal("exception not caught")
+	}
+	if markersAtRaise == 0 {
+		t.Fatal("no stack markers placed before the raise")
+	}
+	if vs := col.Check(); len(vs) != 0 {
+		t.Fatalf("sanitizer violations after deep unwind: %v", vs)
+	}
+	if col.Checks() < 3 {
+		t.Fatalf("sanitizer ran %d checks, want one per collection", col.Checks())
+	}
+	if m.Stack.Depth() != 0 || m.Stack.HandlerDepth() != 0 {
+		t.Fatalf("after return: depth=%d handlers=%d", m.Stack.Depth(), m.Stack.HandlerDepth())
+	}
 }
 
 func TestMutatorConsListHelpers(t *testing.T) {
