@@ -295,6 +295,35 @@ func TestLOSSweepFreesDeadLargeObjects(t *testing.T) {
 	c.Heap().Load(dead)
 }
 
+// TestLOSArenasSizedToObject: each large object gets its own fresh
+// arena, so the arena must cost the Go heap about the object's size — at
+// most the 2x power-of-two headroom — not a fixed minimum arena per
+// object. (Minor collections only: a major returns the old tenured arena
+// to the heap's pool, and a large object may then recycle it.)
+func TestLOSArenasSizedToObject(t *testing.T) {
+	e := newEnv(4)
+	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512, LargeObjectWords: 64})
+	for i := 0; i < 24; i++ {
+		a := c.Alloc(obj.RawArray, 100, 1, 0)
+		if i%3 == 0 {
+			e.stack.SetSlot(1+i%4, uint64(a))
+		}
+		if i%8 == 7 {
+			c.Collect(false)
+		}
+	}
+	in := c.Inspect()
+	if len(in.LOSSpaces) == 0 {
+		t.Fatal("no large-object spaces")
+	}
+	size := obj.SizeWords(obj.RawArray, 100)
+	for _, id := range in.LOSSpaces {
+		if got := uint64(cap(c.Heap().Space(id).Raw())); got > 2*size {
+			t.Errorf("LOS space %d: arena of %d words for a %d-word object, want <= %d", id, got, size, 2*size)
+		}
+	}
+}
+
 func TestFreshLOSPointerArrayKeepsYoungTargets(t *testing.T) {
 	e := newEnv(4)
 	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512, LargeObjectWords: 64})

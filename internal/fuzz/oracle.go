@@ -3,6 +3,7 @@ package fuzz
 import (
 	"bytes"
 	"fmt"
+	"io"
 
 	"tilgc/internal/adapt"
 	"tilgc/internal/core"
@@ -60,10 +61,25 @@ type runOutput struct {
 }
 
 // execute runs the program once under cfg. traced attaches the
-// recorder (and captures trace JSONL bytes); sanitized wraps the
-// collector with every invariant pass after every collection,
-// collecting violations instead of panicking.
-func execute(p *Program, cfg Config, traced, sanitized bool) (out runOutput) {
+// recorder and captures the trace JSONL bytes in traceRaw (nil on a
+// trace error); sanitized wraps the collector with every invariant pass
+// after every collection, collecting violations instead of panicking.
+func execute(p *Program, cfg Config, traced, sanitized bool) runOutput {
+	if !traced {
+		return executeTo(p, cfg, sanitized, nil)
+	}
+	var buf bytes.Buffer
+	out := executeTo(p, cfg, sanitized, &buf)
+	if out.panicked == nil && out.traceErr == nil {
+		out.traceRaw = buf.Bytes()
+	}
+	return out
+}
+
+// executeTo is execute with the trace JSONL streamed to traceTo; a nil
+// traceTo runs untraced. traceRaw is left nil.
+func executeTo(p *Program, cfg Config, sanitized bool, traceTo io.Writer) (out runOutput) {
+	traced := traceTo != nil
 	defer func() {
 		if r := recover(); r != nil {
 			out.panicked = r
@@ -179,8 +195,7 @@ func execute(p *Program, cfg Config, traced, sanitized bool) (out runOutput) {
 			return out
 		}
 		f := trace.NewFile(rec.Data(cfg.Name))
-		var buf bytes.Buffer
-		if err := f.WriteJSONL(&buf); err != nil {
+		if err := f.WriteJSONL(traceTo); err != nil {
 			out.traceErr = err
 			return out
 		}
@@ -188,10 +203,32 @@ func execute(p *Program, cfg Config, traced, sanitized bool) (out runOutput) {
 			out.traceErr = err
 			return out
 		}
-		out.traceRaw = buf.Bytes()
 	}
 	return out
 }
+
+// traceComparer is the io.Writer the run-twice oracle streams the second
+// run's trace JSONL into: it compares each write against the first run's
+// bytes instead of buffering a second copy. It accepts every write, so a
+// mismatch is a verdict, never a trace-encoding error.
+type traceComparer struct {
+	want []byte
+	n    int  // bytes written so far
+	diff bool // a written byte differed from want, or ran past its end
+}
+
+// Write implements io.Writer. While no byte has differed, n <= len(want).
+func (c *traceComparer) Write(p []byte) (int, error) {
+	if !c.diff {
+		rest := c.want[c.n:]
+		c.diff = len(p) > len(rest) || !bytes.Equal(p, rest[:len(p)])
+	}
+	c.n += len(p)
+	return len(p), nil
+}
+
+// equal reports whether the bytes written so far are exactly want.
+func (c *traceComparer) equal() bool { return !c.diff && c.n == len(c.want) }
 
 // checkConfig runs every per-config oracle for one matrix entry and
 // returns (failures, primary output). The primary output is only
@@ -215,8 +252,16 @@ func checkConfig(p *Program, cfg Config) ([]Failure, runOutput) {
 		fails = append(fails, fail(FailTrace, "%v", out.traceErr))
 	}
 
-	// Run-twice byte-identity under the identical configuration.
-	out2 := execute(p, cfg, true, true)
+	// Run-twice byte-identity under the identical configuration. The
+	// second run streams its trace through a comparer against the first
+	// run's bytes rather than buffering a copy. A run whose trace errored
+	// has no bytes, so the verdict is the one a buffered comparison gives.
+	cmp := traceComparer{want: out.traceRaw}
+	out2 := executeTo(p, cfg, true, &cmp)
+	sameTrace := cmp.equal()
+	if out2.traceErr != nil {
+		sameTrace = len(out.traceRaw) == 0
+	}
 	switch {
 	case out2.panicked != nil:
 		fails = append(fails, fail(FailRunTwice, "second run panicked: %v", out2.panicked))
@@ -226,7 +271,7 @@ func checkConfig(p *Program, cfg Config) ([]Failure, runOutput) {
 		fails = append(fails, fail(FailRunTwice, "checksum %s vs %s", fmtHash(out.checksum), fmtHash(out2.checksum)))
 	case out2.stats != out.stats:
 		fails = append(fails, fail(FailRunTwice, "GC stats differ: %+v vs %+v", out.stats, out2.stats))
-	case !bytes.Equal(out2.traceRaw, out.traceRaw):
+	case !sameTrace:
 		fails = append(fails, fail(FailRunTwice, "trace JSONL bytes differ"))
 	}
 

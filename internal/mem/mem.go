@@ -233,10 +233,12 @@ func (h *Heap) newSpace(id SpaceID, capacity uint64) *Space {
 	return NewSpace(id, capacity)
 }
 
-// arenaCap rounds a fresh arena request up to the next power of two (at
-// least 4K words), bounding slack at 2x.
+// arenaCap rounds a fresh arena request up to the next power of two,
+// bounding slack at 2x. There is no floor: a one-object large-object
+// space or an empty reserved space costs the Go heap about what it
+// holds, not a minimum arena.
 func arenaCap(need uint64) uint64 {
-	c := uint64(4096)
+	c := uint64(1)
 	for c < need {
 		c <<= 1
 	}

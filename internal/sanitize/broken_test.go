@@ -55,127 +55,133 @@ func consList(c core.Collector, e *env, slot, n int, site obj.SiteID) {
 	}
 }
 
-// TestBrokenCollectors corrupts one invariant at a time — going around the
-// collector's own APIs, the way a real collector bug would — and checks
-// that exactly the matching sanitizer pass reports it and the other passes
+// brokenCase corrupts one invariant of a freshly built collector, going
+// around the collector's own APIs the way a real collector bug would;
+// pass names the sanitizer pass that must report it.
+type brokenCase struct {
+	pass    string
+	build   func(e *env) core.Collector
+	corrupt func(t *testing.T, c core.Collector, e *env)
+}
+
+// brokenCases holds one corruption per invariant pass. Corruptions use
+// root slots 1 and 2 only.
+var brokenCases = []brokenCase{
+	{
+		// A pointer-mask bit at an index >= the record length: object
+		// traversal never looks there, so only the structural pass sees it.
+		pass:  "headers",
+		build: func(e *env) core.Collector { return newGen(e, core.GenConfig{}) },
+		corrupt: func(t *testing.T, c core.Collector, e *env) {
+			a := c.Alloc(obj.Record, 2, 1, 0b01)
+			c.InitField(a, 0, uint64(mem.Nil))
+			e.stack.SetSlot(1, uint64(a))
+			o := obj.Decode(c.Heap(), a)
+			c.Heap().Store(o.PayloadAddr(0)-1, 0b100)
+		},
+	},
+	{
+		// A root pointing past a live space's allocation frontier — a
+		// dangling pointer the next evacuation would copy garbage from.
+		pass:  "fromspace",
+		build: func(e *env) core.Collector { return newGen(e, core.GenConfig{}) },
+		corrupt: func(t *testing.T, c core.Collector, e *env) {
+			a := c.Alloc(obj.Record, 2, 1, 0)
+			sp := c.Heap().SpaceOf(a)
+			e.stack.SetSlot(2, uint64(mem.MakeAddr(a.Space(), sp.Used()+64)))
+		},
+	},
+	{
+		// An old-to-young edge written without the barrier: both objects
+		// are live and well-formed, so only remembered-set completeness
+		// can notice the next minor GC would miss this edge.
+		pass:  "remembered",
+		build: func(e *env) core.Collector { return newGen(e, core.GenConfig{}) },
+		corrupt: func(t *testing.T, c core.Collector, e *env) {
+			consList(c, e, 1, 5, 1)
+			c.Collect(false) // promote the list (immediate promotion)
+			young := c.Alloc(obj.Record, 1, 2, 0)
+			c.InitField(young, 0, 7)
+			e.stack.SetSlot(2, uint64(young))
+			head := mem.Addr(e.stack.Slot(1))
+			o := obj.Decode(c.Heap(), head)
+			c.Heap().Store(o.PayloadAddr(1), uint64(young))
+		},
+	},
+	{
+		// An orphan marker stub in a collector that has markers disabled:
+		// returning through it would panic in the stub dispatcher.
+		pass:  "markers",
+		build: func(e *env) core.Collector { return newGen(e, core.GenConfig{}) },
+		corrupt: func(t *testing.T, c core.Collector, e *env) {
+			fi := e.table.Register("victim", make([]rt.SlotTrace, 3), nil)
+			e.stack.Call(fi)
+			e.stack.SetRawSlot(e.stack.FrameBase(1), uint64(rt.StubKey))
+		},
+	},
+	{
+		// A pretenured-region object whose site the policy never tenured —
+		// the silent misclassification the region invariant exists to catch.
+		pass: "pretenure",
+		build: func(e *env) core.Collector {
+			pol := core.NewPretenurePolicy(map[obj.SiteID]core.PretenureDecision{3: {}})
+			return newGen(e, core.GenConfig{Pretenure: pol})
+		},
+		corrupt: func(t *testing.T, c core.Collector, e *env) {
+			a := c.Alloc(obj.Record, 2, 3, 0)
+			c.InitField(a, 0, 1)
+			c.InitField(a, 1, 2)
+			e.stack.SetSlot(1, uint64(a))
+			c.Heap().Store(a, obj.PackHeader(obj.Record, 2, 9))
+		},
+	},
+	{
+		// A flipped mark/allocation bit: the heap, free lists, and roots
+		// are all intact, so only the bitmap cross-check can see the
+		// lost mark the next sweep would turn into a reclaimed live object.
+		pass: "oldbitmap",
+		build: func(e *env) core.Collector {
+			return newGen(e, core.GenConfig{OldCollector: core.OldMarkSweep})
+		},
+		corrupt: func(t *testing.T, c core.Collector, e *env) {
+			consList(c, e, 1, 20, 1)
+			c.Collect(true) // tenure the list under a fresh bitmap
+			head := mem.Addr(e.stack.Slot(1))
+			c.(*core.Generational).FlipOldMarkBit(head.Offset())
+		},
+	},
+	{
+		// A skewed free-word counter, as a dropped span-accounting update
+		// would produce: spans and heap agree with each other but not
+		// with the counter, so only the free-list pass fires.
+		pass: "freelist",
+		build: func(e *env) core.Collector {
+			return newGen(e, core.GenConfig{OldCollector: core.OldMarkSweep})
+		},
+		corrupt: func(t *testing.T, c core.Collector, e *env) {
+			consList(c, e, 1, 20, 1)
+			c.Collect(true)
+			c.(*core.Generational).SkewOldFreeWords(3)
+		},
+	},
+	{
+		// Statistics that stopped reconciling: more major collections
+		// than collections, as a dropped counter increment would produce.
+		pass:  "costs",
+		build: func(e *env) core.Collector { return newGen(e, core.GenConfig{}) },
+		corrupt: func(t *testing.T, c core.Collector, e *env) {
+			consList(c, e, 1, 10, 1)
+			c.Stats().NumMajor = c.Stats().NumGC + 3
+		},
+	},
+}
+
+// TestBrokenCollectors corrupts one invariant at a time and checks that
+// exactly the matching sanitizer pass reports it and the other passes
 // stay quiet. The quiet half is as load-bearing as the loud half: a pass
 // that misfires on someone else's corruption would bury real signals.
 func TestBrokenCollectors(t *testing.T) {
-	cases := []struct {
-		pass    string
-		build   func(e *env) core.Collector
-		corrupt func(t *testing.T, c core.Collector, e *env)
-	}{
-		{
-			// A pointer-mask bit at an index >= the record length: object
-			// traversal never looks there, so only the structural pass sees it.
-			pass:  "headers",
-			build: func(e *env) core.Collector { return newGen(e, core.GenConfig{}) },
-			corrupt: func(t *testing.T, c core.Collector, e *env) {
-				a := c.Alloc(obj.Record, 2, 1, 0b01)
-				c.InitField(a, 0, uint64(mem.Nil))
-				e.stack.SetSlot(1, uint64(a))
-				o := obj.Decode(c.Heap(), a)
-				c.Heap().Store(o.PayloadAddr(0)-1, 0b100)
-			},
-		},
-		{
-			// A root pointing past a live space's allocation frontier — a
-			// dangling pointer the next evacuation would copy garbage from.
-			pass:  "fromspace",
-			build: func(e *env) core.Collector { return newGen(e, core.GenConfig{}) },
-			corrupt: func(t *testing.T, c core.Collector, e *env) {
-				a := c.Alloc(obj.Record, 2, 1, 0)
-				sp := c.Heap().SpaceOf(a)
-				e.stack.SetSlot(2, uint64(mem.MakeAddr(a.Space(), sp.Used()+64)))
-			},
-		},
-		{
-			// An old-to-young edge written without the barrier: both objects
-			// are live and well-formed, so only remembered-set completeness
-			// can notice the next minor GC would miss this edge.
-			pass:  "remembered",
-			build: func(e *env) core.Collector { return newGen(e, core.GenConfig{}) },
-			corrupt: func(t *testing.T, c core.Collector, e *env) {
-				consList(c, e, 1, 5, 1)
-				c.Collect(false) // promote the list (immediate promotion)
-				young := c.Alloc(obj.Record, 1, 2, 0)
-				c.InitField(young, 0, 7)
-				e.stack.SetSlot(2, uint64(young))
-				head := mem.Addr(e.stack.Slot(1))
-				o := obj.Decode(c.Heap(), head)
-				c.Heap().Store(o.PayloadAddr(1), uint64(young))
-			},
-		},
-		{
-			// An orphan marker stub in a collector that has markers disabled:
-			// returning through it would panic in the stub dispatcher.
-			pass:  "markers",
-			build: func(e *env) core.Collector { return newGen(e, core.GenConfig{}) },
-			corrupt: func(t *testing.T, c core.Collector, e *env) {
-				fi := e.table.Register("victim", make([]rt.SlotTrace, 3), nil)
-				e.stack.Call(fi)
-				e.stack.SetRawSlot(e.stack.FrameBase(1), uint64(rt.StubKey))
-			},
-		},
-		{
-			// A pretenured-region object whose site the policy never tenured —
-			// the silent misclassification the region invariant exists to catch.
-			pass: "pretenure",
-			build: func(e *env) core.Collector {
-				pol := core.NewPretenurePolicy(map[obj.SiteID]core.PretenureDecision{3: {}})
-				return newGen(e, core.GenConfig{Pretenure: pol})
-			},
-			corrupt: func(t *testing.T, c core.Collector, e *env) {
-				a := c.Alloc(obj.Record, 2, 3, 0)
-				c.InitField(a, 0, 1)
-				c.InitField(a, 1, 2)
-				e.stack.SetSlot(1, uint64(a))
-				c.Heap().Store(a, obj.PackHeader(obj.Record, 2, 9))
-			},
-		},
-		{
-			// A flipped mark/allocation bit: the heap, free lists, and roots
-			// are all intact, so only the bitmap cross-check can see the
-			// lost mark the next sweep would turn into a reclaimed live object.
-			pass: "oldbitmap",
-			build: func(e *env) core.Collector {
-				return newGen(e, core.GenConfig{OldCollector: core.OldMarkSweep})
-			},
-			corrupt: func(t *testing.T, c core.Collector, e *env) {
-				consList(c, e, 1, 20, 1)
-				c.Collect(true) // tenure the list under a fresh bitmap
-				head := mem.Addr(e.stack.Slot(1))
-				c.(*core.Generational).FlipOldMarkBit(head.Offset())
-			},
-		},
-		{
-			// A skewed free-word counter, as a dropped span-accounting update
-			// would produce: spans and heap agree with each other but not
-			// with the counter, so only the free-list pass fires.
-			pass: "freelist",
-			build: func(e *env) core.Collector {
-				return newGen(e, core.GenConfig{OldCollector: core.OldMarkSweep})
-			},
-			corrupt: func(t *testing.T, c core.Collector, e *env) {
-				consList(c, e, 1, 20, 1)
-				c.Collect(true)
-				c.(*core.Generational).SkewOldFreeWords(3)
-			},
-		},
-		{
-			// Statistics that stopped reconciling: more major collections
-			// than collections, as a dropped counter increment would produce.
-			pass:  "costs",
-			build: func(e *env) core.Collector { return newGen(e, core.GenConfig{}) },
-			corrupt: func(t *testing.T, c core.Collector, e *env) {
-				consList(c, e, 1, 10, 1)
-				c.Stats().NumMajor = c.Stats().NumGC + 3
-			},
-		},
-	}
-
-	for _, tc := range cases {
+	for _, tc := range brokenCases {
 		t.Run(tc.pass, func(t *testing.T) {
 			e := newEnv(8)
 			c := tc.build(e)

@@ -38,13 +38,14 @@ func (ck *checker) oldBitSet(off uint64) bool {
 	return ck.in.OldBitmap[w]>>(i&63)&1 == 1
 }
 
-// oldFreeStarts indexes the free spans by starting offset.
+// oldFreeStarts indexes the free spans by starting offset, once per check.
 func (ck *checker) oldFreeStarts() map[uint64]uint64 {
-	m := make(map[uint64]uint64, len(ck.in.OldFreeSpans))
-	for _, s := range ck.in.OldFreeSpans {
-		m[s.Start] = s.Size
+	if len(ck.free) == 0 {
+		for _, s := range ck.in.OldFreeSpans {
+			ck.free[s.Start] = s.Size
+		}
 	}
-	return m
+	return ck.free
 }
 
 // checkOldBitmap verifies the mark/allocation bitmap against the heap.
@@ -106,14 +107,16 @@ func (ck *checker) checkOldBitmap() {
 }
 
 // reachableOldOffsets re-derives reachability from the stack roots and
-// returns the offsets of reached objects in the old space id. Malformed
+// returns the offsets of reached objects in the old space id (a scratch
+// set, valid until the next traversal in this check). Malformed
 // or forwarded objects terminate their branch silently — the headers and
 // fromspace passes own reporting those.
 func (ck *checker) reachableOldOffsets(id mem.SpaceID) map[uint64]bool {
 	heap := ck.in.Heap
-	seen := make(map[mem.Addr]bool)
-	reach := make(map[uint64]bool)
-	var queue []mem.Addr
+	seen, reach := ck.seen, ck.reach
+	clear(seen)
+	clear(reach)
+	queue := ck.queue[:0]
 	push := func(v uint64) {
 		a := mem.Addr(v)
 		if a.IsNil() || seen[a] {
@@ -134,7 +137,8 @@ func (ck *checker) reachableOldOffsets(id mem.SpaceID) map[uint64]bool {
 		queue = append(queue, a)
 	}
 	ck.eachRootStack(func(_ int, st *rt.Stack) {
-		for _, v := range stackRoots(st) {
+		ck.roots = stackRoots(ck.roots[:0], st)
+		for _, v := range ck.roots {
 			push(v)
 		}
 	})
@@ -151,6 +155,7 @@ func (ck *checker) reachableOldOffsets(id mem.SpaceID) map[uint64]bool {
 			}
 		}
 	}
+	ck.queue = queue
 	return reach
 }
 

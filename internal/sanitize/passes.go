@@ -78,8 +78,9 @@ func (ck *checker) validateSpace(id mem.SpaceID, gen string) int {
 // forwarding headers — i.e. no from-space pointer survived an evacuation.
 func (ck *checker) checkFromspace() {
 	heap := ck.in.Heap
-	seen := make(map[mem.Addr]bool)
-	var queue []mem.Addr
+	seen := ck.seen
+	clear(seen)
+	queue := ck.queue[:0]
 
 	checkPtr := func(v uint64, gen string, from mem.Addr) {
 		a := mem.Addr(v)
@@ -128,7 +129,8 @@ func (ck *checker) checkFromspace() {
 	}
 
 	ck.eachRootStack(func(_ int, st *rt.Stack) {
-		for _, v := range stackRoots(st) {
+		ck.roots = stackRoots(ck.roots[:0], st)
+		for _, v := range ck.roots {
 			checkPtr(v, "stack", mem.Nil)
 		}
 	})
@@ -147,6 +149,7 @@ func (ck *checker) checkFromspace() {
 			checkPtr(heap.Load(o.PayloadAddr(i)), gen, o.PayloadAddr(i))
 		}
 	}
+	ck.queue = queue
 }
 
 // checkRemembered verifies remembered-set completeness for generational
@@ -322,7 +325,9 @@ func (ck *checker) checkMarkersStack(threadID int, st *rt.Stack) {
 func (ck *checker) checkPretenure() {
 	heap := ck.in.Heap
 	for _, r := range ck.in.PretenuredRegions {
-		for _, o := range ck.walkRange(r.Space, r.Start, r.End) {
+		lo := len(ck.objs)
+		ck.objs = ck.walkRange(ck.objs, r.Space, r.Start, r.End)
+		for _, o := range ck.objs[lo:] {
 			d, ok := ck.in.Policy.Lookup(o.Site)
 			if !ok {
 				ck.report(Violation{Pass: "pretenure", Gen: "old", Addr: o.Addr, Site: o.Site,

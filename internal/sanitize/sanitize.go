@@ -94,6 +94,13 @@ func Check(c core.Collector) []Violation {
 // Unknown pass names are themselves reported as violations, so a typo in a
 // pass list cannot silently disable checking.
 func CheckPasses(c core.Collector, names []string) []Violation {
+	return checkPasses(c, names, new(scratch))
+}
+
+// checkPasses is CheckPasses over caller-owned working storage: a Wrapper
+// passes the scratch it keeps across its checks, the one-shot entry
+// points a fresh one.
+func checkPasses(c core.Collector, names []string, sc *scratch) []Violation {
 	if w, ok := c.(*Wrapper); ok {
 		c = w.Unwrap()
 	}
@@ -102,7 +109,7 @@ func CheckPasses(c core.Collector, names []string) []Violation {
 		return []Violation{{Pass: "inspect",
 			Msg: fmt.Sprintf("collector %T does not support inspection", c)}}
 	}
-	ck := newChecker(insp.Inspect())
+	ck := newChecker(insp.Inspect(), sc)
 	if len(names) == 0 {
 		for _, p := range passes {
 			p.run(ck)
@@ -126,33 +133,66 @@ func CheckPasses(c core.Collector, names []string) []Violation {
 	return ck.violations
 }
 
-// checker carries one check's state: the collector snapshot, the space
-// classification as lookup sets, and the violations accumulated so far.
+// scratch is the working storage of one check: the space classification
+// sets, the traversal state, the stack-root buffer, and a memo of each
+// space's object walk. The heap does not change during a check, so the
+// passes share one decode per space instead of walking it once each. A
+// Wrapper keeps one scratch across its checks; reset empties every part,
+// so nothing one check saw can reach the next.
+type scratch struct {
+	young, old, los map[mem.SpaceID]bool
+	seen            map[mem.Addr]bool
+	reach           map[uint64]bool
+	queue           []mem.Addr
+	roots           []uint64
+	// walks maps a space id to its memoized walk, objs[lo:hi].
+	walks map[mem.SpaceID][2]int
+	objs  []obj.Object
+	// free indexes the old generation's free spans by start offset,
+	// built on first use in a check.
+	free map[uint64]uint64
+}
+
+// reset empties the scratch for a new check.
+func (sc *scratch) reset() {
+	if sc.young == nil {
+		sc.young = make(map[mem.SpaceID]bool)
+		sc.old = make(map[mem.SpaceID]bool)
+		sc.los = make(map[mem.SpaceID]bool)
+		sc.seen = make(map[mem.Addr]bool)
+		sc.reach = make(map[uint64]bool)
+		sc.walks = make(map[mem.SpaceID][2]int)
+		sc.free = make(map[uint64]uint64)
+	}
+	clear(sc.young)
+	clear(sc.old)
+	clear(sc.los)
+	clear(sc.walks)
+	clear(sc.free)
+	sc.objs = sc.objs[:0]
+}
+
+// checker carries one check's state: the collector snapshot, the scratch
+// holding the space classification and traversal storage, and the
+// violations accumulated so far.
 type checker struct {
-	in         core.Inspection
-	young      map[mem.SpaceID]bool
-	old        map[mem.SpaceID]bool
-	los        map[mem.SpaceID]bool
+	in core.Inspection
+	*scratch
 	violations []Violation
 }
 
-func newChecker(in core.Inspection) *checker {
-	ck := &checker{
-		in:    in,
-		young: make(map[mem.SpaceID]bool, len(in.YoungSpaces)),
-		old:   make(map[mem.SpaceID]bool, len(in.OldSpaces)),
-		los:   make(map[mem.SpaceID]bool, len(in.LOSSpaces)),
-	}
+func newChecker(in core.Inspection, sc *scratch) *checker {
+	sc.reset()
 	for _, id := range in.YoungSpaces {
-		ck.young[id] = true
+		sc.young[id] = true
 	}
 	for _, id := range in.OldSpaces {
-		ck.old[id] = true
+		sc.old[id] = true
 	}
 	for _, id := range in.LOSSpaces {
-		ck.los[id] = true
+		sc.los[id] = true
 	}
-	return ck
+	return &checker{in: in, scratch: sc}
 }
 
 func (ck *checker) report(v Violation) {
@@ -194,41 +234,48 @@ func (ck *checker) eachRootStack(fn func(threadID int, st *rt.Stack)) {
 	}
 }
 
-// walkRange decodes the objects tiling words [start, end) of space id,
-// stopping early (without reporting) at a forwarded or malformed header —
-// the headers pass owns reporting those, so other passes just see the
-// well-formed prefix.
-func (ck *checker) walkRange(id mem.SpaceID, start, end uint64) []obj.Object {
-	sp := ck.in.Heap.Space(id)
-	if sp == nil {
-		return nil
+// walkRange appends to dst the objects tiling words [start, end) of
+// space id, stopping early (without reporting) at a forwarded or
+// malformed header — the headers pass owns reporting those, so other
+// passes just see the well-formed prefix.
+func (ck *checker) walkRange(dst []obj.Object, id mem.SpaceID, start, end uint64) []obj.Object {
+	if ck.in.Heap.Space(id) == nil {
+		return dst
 	}
-	var out []obj.Object
 	off := start
 	for off < end {
 		a := mem.MakeAddr(id, off)
 		if obj.HeaderKind(ck.in.Heap.Load(a)) == obj.Forwarded {
-			return out
+			return dst
 		}
 		o := obj.Decode(ck.in.Heap, a)
 		if o.Kind == obj.Record && o.Len > obj.MaxRecordFields {
-			return out
+			return dst
 		}
 		size := o.SizeWords()
 		if off+size > end {
-			return out
+			return dst
 		}
-		out = append(out, o)
+		dst = append(dst, o)
 		off += size
 	}
-	return out
+	return dst
 }
 
-// walkSpace decodes every object in a linearly-allocated space.
+// walkSpace decodes every object in a linearly-allocated space, once per
+// check: later calls for the same space return the memoized walk. The
+// result is read-only and valid until the check ends.
 func (ck *checker) walkSpace(id mem.SpaceID) []obj.Object {
+	if w, ok := ck.walks[id]; ok {
+		return ck.objs[w[0]:w[1]:w[1]]
+	}
 	sp := ck.in.Heap.Space(id)
 	if sp == nil {
 		return nil
 	}
-	return ck.walkRange(id, 1, sp.Used()+1)
+	lo := len(ck.objs)
+	ck.objs = ck.walkRange(ck.objs, id, 1, sp.Used()+1)
+	hi := len(ck.objs)
+	ck.walks[id] = [2]int{lo, hi}
+	return ck.objs[lo:hi:hi]
 }

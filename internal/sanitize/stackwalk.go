@@ -12,14 +12,15 @@ import (
 // costs. The fromspace pass treats the returned values as the ground-truth
 // roots; the markers pass separately checks that the stored return-key
 // chain agrees with the bookkeeping, so a corrupted chain surfaces there
-// instead of cascading into bogus reachability reports here.
-func stackRoots(st *rt.Stack) []uint64 {
+// instead of cascading into bogus reachability reports here. The roots
+// are appended to dst.
+func stackRoots(dst []uint64, st *rt.Stack) []uint64 {
 	depth := st.FrameCount()
 	if depth == 0 {
-		return nil
+		return dst
 	}
 	table := st.Table()
-	var roots []uint64
+	roots := dst
 	var regStatus uint32
 	for i := 0; i < depth; i++ {
 		fi := table.Lookup(st.FrameKey(i))

@@ -28,12 +28,18 @@ type Options struct {
 // them internally), the configured passes re-verify the heap. The wrapper
 // delegates Name, Stats, and all cost-charged operations unchanged, so a
 // sanitized run produces byte-identical tables to an unwrapped one.
+//
+// The wrapper keeps one scratch (classification sets, traversal state,
+// root buffer, per-space walk memo) and reuses it across its checks, so
+// a check after every collection does not rebuild that storage each
+// time; each check resets it before use.
 type Wrapper struct {
 	inner  core.Collector
 	opts   Options
 	lastGC uint64 // inner NumGC at the last check boundary
 	due    uint64 // collections observed since the last automatic check
 	checks uint64 // total checks performed
+	sc     scratch
 }
 
 // Wrap decorates c with the sanitizer. The collector must be inspectable
@@ -57,7 +63,7 @@ func (w *Wrapper) Checks() uint64 { return w.checks }
 // on-demand entry point for tests and tools.
 func (w *Wrapper) Check() []Violation {
 	w.checks++
-	return CheckPasses(w.inner, w.opts.Passes)
+	return checkPasses(w.inner, w.opts.Passes, &w.sc)
 }
 
 // afterOp runs the automatic check when enough collections have completed.
@@ -73,7 +79,7 @@ func (w *Wrapper) afterOp() {
 	}
 	w.due = 0
 	w.checks++
-	vs := CheckPasses(w.inner, w.opts.Passes)
+	vs := checkPasses(w.inner, w.opts.Passes, &w.sc)
 	if len(vs) == 0 {
 		return
 	}
