@@ -26,6 +26,7 @@ import (
 
 // benchScale keeps each table bench in the seconds range while preserving
 // every effect (see EXPERIMENTS.md for the scale's validation).
+// TestWorkloadSimFacts pins exact simulated facts at this scale.
 var benchScale = workload.Scale{Repeat: 0.01, Depth: 0.5}
 
 // reportSim attaches the simulated measurements to the bench output.

@@ -74,19 +74,6 @@ func main() {
 	metrics := flag.Bool("metrics", false,
 		"print every run's metrics registry (counters, gauges, pause histogram) after the experiment")
 	list := flag.Bool("list", false, "list benchmarks and experiments")
-	bench := flag.Bool("bench", false,
-		"run the wall-clock benchmark suite (the simulator's own speed; simulated results are unaffected)")
-	benchJSON := flag.String("bench-json", "",
-		"write benchmark results as JSON to FILE (implies -bench)")
-	benchBaseline := flag.String("bench-baseline", "",
-		"compare benchmark results against the committed baseline FILE and fail on regression (implies -bench)")
-	benchGate := flag.Float64("bench-gate", 10,
-		"allowed wall-clock regression percentage against -bench-baseline")
-	benchSpeedup := flag.Float64("bench-min-speedup", 1.5,
-		"required mini-sweep speedup of the optimized kernels over the reference kernels (0 disables)")
-	benchReps := flag.Int("bench-reps", 5, "benchmark repetitions (best-of)")
-	benchRef := flag.Bool("bench-ref", true,
-		"also measure the reference (pre-optimization) kernels for the speedup ratio")
 	fuzzRun := flag.Bool("fuzz", false,
 		"run the differential fuzzing fleet: corpus replay plus a seed sweep over the collector matrix")
 	fuzzSeeds := flag.String("fuzz-seeds", "0..256",
@@ -98,11 +85,6 @@ func main() {
 	fuzzVerbose := flag.Bool("fuzz-verbose", false,
 		"print one report line per seed (deterministic at any -parallel; CI byte-compares this)")
 	flag.Parse()
-
-	if *bench || *benchJSON != "" || *benchBaseline != "" {
-		runBenchCLI(*benchJSON, *benchBaseline, *benchGate, *benchSpeedup, *benchReps, *benchRef)
-		return
-	}
 
 	if *fuzzRun {
 		//lint:ignore detflow -parallel defaults to NumCPU but only sizes the worker pool; fuzz reports are assembled in seed order and CI byte-compares them at every -parallel level

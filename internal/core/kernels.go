@@ -6,14 +6,17 @@ import "tilgc/internal/mem"
 // the collector hot paths: the first-draft copy/scan kernels, per-GC
 // evacuator allocation, the cloning store-buffer drain, and eager arena
 // zeroing. The reference and optimized paths are observationally
-// identical — same simulated cycles, traces, stats, and heap images; the
-// kernel-equivalence tests in kernel_equiv_test.go enforce this — so the
-// flag exists only so benchmarks can measure what the optimized kernels
-// buy on the same machine (gcbench -bench reports the ref/opt ratio).
+// identical — same simulated cycles, traces, stats, and heap images. The
+// flag exists so tests can prove that: TestKernelEquivalence (heap
+// images, stats and cycles across the kernel mini-sweep),
+// TestReferenceKernelsObservationallyIdentical (end to end through the
+// harness), and the fuzz fleet's reference-kernel oracle
+// (fuzz.CheckRefKernels) all run the same program under both modes and
+// compare.
 //
 // The flag is process-global and read on collector hot paths without
-// synchronization: set it only while no collector is running (benchmarks
-// and tests toggle it between serial runs).
+// synchronization: set it only while no collector is running (tests
+// toggle it between serial runs).
 var refKernels bool
 
 // SetReferenceKernels switches every subsequently-running collector
@@ -23,6 +26,3 @@ func SetReferenceKernels(on bool) {
 	refKernels = on
 	mem.SetEagerZeroing(on)
 }
-
-// ReferenceKernels reports the current kernel mode.
-func ReferenceKernels() bool { return refKernels }

@@ -11,10 +11,11 @@ import (
 
 // This file preserves the first-draft ("reference") copy/scan kernels
 // verbatim. They are never used in production — SetReferenceKernels
-// selects them so that the kernel-equivalence tests can prove the
-// optimized kernels observationally identical, and so gcbench -bench can
-// measure the speedup on the same machine. Every meter charge here is
-// issued in exactly the same order and amount as the optimized kernels.
+// selects them so that TestKernelEquivalence,
+// TestReferenceKernelsObservationallyIdentical and the fuzz fleet's
+// reference-kernel oracle can prove the optimized kernels observationally
+// identical. Every meter charge here is issued in exactly the same order
+// and amount as the optimized kernels.
 
 // refDrain is the reference Cheney scan: like drain, but each gray object
 // is decoded twice (once to scan, once to advance the frontier).

@@ -176,6 +176,164 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 }
 
+// kernelSweepCollectors is the kernel-stress sweep's configuration
+// matrix: the six collector variants of the paper's copying collectors,
+// each with a distinct kernel path, at a budget large enough that the
+// stress program's whole live list is re-copied by every major.
+func kernelSweepCollectors() []func(e *testEnv) Collector {
+	gen := func(cfg GenConfig) func(e *testEnv) Collector {
+		return func(e *testEnv) Collector { return NewGenerational(e.stack, e.meter, nil, cfg) }
+	}
+	pol := NewPretenurePolicy(map[obj.SiteID]PretenureDecision{
+		12: {},
+		50: {OnlyOldRefs: true},
+	})
+	budget, nursery := uint64(1<<20), uint64(16*1024)
+	return []func(e *testEnv) Collector{
+		func(e *testEnv) Collector {
+			return NewSemispace(e.stack, e.meter, nil, SemispaceConfig{
+				BudgetWords: budget, InitialWords: 64 * 1024,
+			})
+		},
+		gen(GenConfig{BudgetWords: budget, NurseryWords: nursery}),
+		gen(GenConfig{BudgetWords: budget, NurseryWords: nursery, UseCardTable: true}),
+		gen(GenConfig{BudgetWords: budget, NurseryWords: nursery, MarkerN: 5}),
+		gen(GenConfig{BudgetWords: budget, NurseryWords: nursery, AgingMinors: 2}),
+		gen(GenConfig{
+			BudgetWords: budget, NurseryWords: nursery, MarkerN: 5,
+			Pretenure: pol, ScanElision: true,
+		}),
+	}
+}
+
+// kernelSweepFacts are the deterministic outputs of one kernel-stress
+// sweep: a checksum folding every surviving list cell plus the aggregate
+// collector statistics and simulated collector cycles across all
+// configurations. They are a pure function of the sweep definition and
+// identical under the optimized and reference kernels.
+type kernelSweepFacts struct {
+	configs                             int
+	check, numGC, bytesCopied, gcCycles uint64
+}
+
+// fnv1a folds v into the running FNV-1a hash h.
+func fnv1a(h, v uint64) uint64 {
+	const prime = 1099511628211
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= prime
+		v >>= 8
+	}
+	return h
+}
+
+// runKernelSweep drives the kernel-stress mutator through every sweep
+// configuration under the active kernel mode and folds the facts.
+func runKernelSweep(tb testing.TB) kernelSweepFacts {
+	const offsetBasis = 14695981039346656037
+	facts := kernelSweepFacts{check: offsetBasis}
+	for _, mk := range kernelSweepCollectors() {
+		facts.configs++
+		e := newEnv(3)
+		c := mk(e)
+		runKernelStress(tb, c, e)
+
+		// Fold the surviving list: cell count and every stored value.
+		n := uint64(0)
+		for a := mem.Addr(e.stack.Slot(1)); !a.IsNil(); a = mem.Addr(c.LoadField(a, 1)) {
+			n++
+			facts.check = fnv1a(facts.check, c.LoadField(a, 0))
+		}
+		facts.check = fnv1a(facts.check, n)
+		st := c.Stats()
+		facts.numGC += st.NumGC
+		facts.bytesCopied += st.BytesCopied
+		facts.gcCycles += uint64(e.meter.Snapshot().GC())
+		facts.check = fnv1a(facts.check, st.ObjectsCopied)
+		facts.check = fnv1a(facts.check, st.SSBProcessed)
+	}
+	return facts
+}
+
+// runKernelStress is the sweep's mutator program: long-lived cons
+// bursts, write barriers into an old pointer array, LOS raw/pointer
+// arrays, nursery churn, and repeated minor and major collections each
+// round. Unlike a paper workload, whose time goes to simulating the
+// mutator, it keeps the collectors hot: the live list is built once per
+// round but re-copied by every later major (and, for the semispace
+// collector, every collection).
+func runKernelStress(tb testing.TB, c Collector, e *testEnv) {
+	const rounds = 8
+	e.stack.SetSlot(1, uint64(mem.Nil))
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < 1000; i++ {
+			cell := c.Alloc(obj.Record, 2, obj.SiteID(10+round%6), 0b10)
+			c.InitField(cell, 0, uint64(round*10000+i))
+			c.InitField(cell, 1, e.stack.Slot(1))
+			e.stack.SetSlot(1, uint64(cell))
+		}
+		// Pointer-free record from the OnlyOldRefs site (scan elision).
+		c.InitField(c.Alloc(obj.Record, 4, 50, 0), 0, uint64(round))
+
+		// An old pointer array reachable across collections.
+		arr := c.Alloc(obj.PtrArray, 64, 20, 0)
+		e.stack.SetSlot(2, uint64(arr))
+		c.Collect(false)
+
+		// Large raw and pointer arrays through the mark-sweep LOS; the
+		// pointer array references the list so LOS scanning has work. The
+		// previous round's arrays die.
+		big := c.Alloc(obj.RawArray, 4096, 30, 0)
+		c.InitField(big, 0, 42)
+		lp := c.Alloc(obj.PtrArray, 2000, 31, 0)
+		c.StoreField(lp, 0, e.stack.Slot(1), true)
+		e.stack.SetSlot(3, uint64(lp))
+
+		// Barrier-mutate-and-collect inner rounds: each stores young
+		// pointers into the old array (SSB or card traffic), churns the
+		// nursery a little, and collects — three minors re-scanning the
+		// remembered set, then a major re-copying the whole live list.
+		for k := 0; k < 4; k++ {
+			for i := 0; i < 64; i++ {
+				young := c.Alloc(obj.Record, 2, 21, 0)
+				c.InitField(young, 0, uint64(i))
+				c.StoreField(mem.Addr(e.stack.Slot(2)), uint64(i), uint64(young), true)
+			}
+			for i := 0; i < 200; i++ {
+				c.Alloc(obj.Record, 3, 40, 0b110)
+			}
+			c.Collect(k == 3)
+		}
+	}
+	// The full list must have survived every collection.
+	n := 0
+	for a := mem.Addr(e.stack.Slot(1)); !a.IsNil(); a = mem.Addr(c.LoadField(a, 1)) {
+		n++
+	}
+	if n != rounds*1000 {
+		tb.Fatalf("kernel sweep list has %d cells, want %d", n, rounds*1000)
+	}
+}
+
+// TestKernelSweepFacts pins the kernel-stress sweep's simulated facts
+// exactly, under the optimized kernels and again under the reference
+// kernels. The sweep keeps every copying kernel path hot, so a change to
+// any collector charge, copy or barrier drain moves at least one fact.
+func TestKernelSweepFacts(t *testing.T) {
+	want := kernelSweepFacts{
+		configs: 6, check: 10419385559500701569, numGC: 240,
+		bytesCopied: 13743936, gcCycles: 17708779,
+	}
+	for _, ref := range []bool{false, true} {
+		SetReferenceKernels(ref)
+		got := runKernelSweep(t)
+		SetReferenceKernels(false)
+		if got != want {
+			t.Errorf("ref=%v: kernel sweep facts %+v, want %+v", ref, got, want)
+		}
+	}
+}
+
 // fillNurseryGarbage allocates dead records filling most of a 4K-word
 // nursery (800 cells × 4 words) without triggering an implicit collection.
 func fillNurseryGarbage(c Collector) {
@@ -282,13 +440,13 @@ func BenchmarkScanObject(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelSweep measures the full kernel-stress sweep behind
-// `gcbench -bench` (one iteration = every configuration).
+// BenchmarkKernelSweep measures the full kernel-stress sweep of
+// TestKernelSweepFacts (one iteration = every configuration).
 func BenchmarkKernelSweep(b *testing.B) {
 	benchKernels(b, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			RunKernelSweep()
+			runKernelSweep(b)
 		}
 	})
 }

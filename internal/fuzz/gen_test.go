@@ -114,6 +114,10 @@ func TestParseRejects(t *testing.T) {
 		"bad operand": formatHeader + "\nseed 1\nwork x 0 0 0\n",
 		"bad seed":    formatHeader + "\nseed zebra\n",
 		"empty":       "",
+		"seed suffix": formatHeader + "\nseed 12abc\n",
+		"op suffix":   formatHeader + "\nseed 1\nwork 0 0 0 4x\n",
+		"two seeds":   formatHeader + "\nseed 1\nwork 0 0 0 0\nseed 2\n",
+		"A overflow":  formatHeader + "\nseed 1\nwork 65536 0 0 0\n",
 	}
 	for name, in := range cases {
 		if _, err := ParseString(in); err == nil {

@@ -28,6 +28,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"tilgc/internal/obj"
@@ -224,12 +225,15 @@ func (p *Program) Format() string {
 	return b.String()
 }
 
-// Parse reads a program in the corpus text format.
+// Parse reads a program in the corpus text format. It is strict: every
+// number must be a whole decimal field in range for its operand (16 bits
+// for A, B and C; 64 for V and the seed), and at most one seed line may
+// appear.
 func Parse(r io.Reader) (*Program, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	line := 0
-	sawHeader := false
+	sawHeader, sawSeed := false, false
 	p := &Program{}
 	for sc.Scan() {
 		line++
@@ -249,9 +253,14 @@ func Parse(r io.Reader) (*Program, error) {
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("fuzz: line %d: malformed seed line", line)
 			}
-			if _, err := fmt.Sscanf(fields[1], "%d", &p.Seed); err != nil {
+			if sawSeed {
+				return nil, fmt.Errorf("fuzz: line %d: duplicate seed line", line)
+			}
+			seed, err := strconv.ParseUint(fields[1], 10, 64)
+			if err != nil {
 				return nil, fmt.Errorf("fuzz: line %d: bad seed: %v", line, err)
 			}
+			p.Seed, sawSeed = seed, true
 			continue
 		}
 		if len(fields) != 5 {
@@ -261,13 +270,19 @@ func Parse(r io.Reader) (*Program, error) {
 		if !ok {
 			return nil, fmt.Errorf("fuzz: line %d: unknown op %q", line, fields[0])
 		}
-		var a, b, c uint16
-		var v uint64
-		if _, err := fmt.Sscanf(fields[1]+" "+fields[2]+" "+fields[3]+" "+fields[4],
-			"%d %d %d %d", &a, &b, &c, &v); err != nil {
-			return nil, fmt.Errorf("fuzz: line %d: bad operands: %v", line, err)
+		var operands [4]uint64
+		for i, bits := range [4]int{16, 16, 16, 64} {
+			x, err := strconv.ParseUint(fields[1+i], 10, bits)
+			if err != nil {
+				return nil, fmt.Errorf("fuzz: line %d: bad operand: %v", line, err)
+			}
+			operands[i] = x
 		}
-		p.Ops = append(p.Ops, Op{Kind: kind, A: a, B: b, C: c, V: v})
+		p.Ops = append(p.Ops, Op{
+			Kind: kind,
+			A:    uint16(operands[0]), B: uint16(operands[1]), C: uint16(operands[2]),
+			V: operands[3],
+		})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("fuzz: %v", err)

@@ -90,12 +90,14 @@ type Space struct {
 }
 
 // eagerZero restores the reference behaviour of zeroing every reserved
-// word on every allocation; see core.SetReferenceKernels.
+// word on every allocation. It is part of the reference-kernel mode that
+// core.SetReferenceKernels selects for the kernel-equivalence tests and
+// the fuzz fleet's reference-kernel oracle.
 var eagerZero bool
 
 // SetEagerZeroing toggles the reference eager-zeroing allocation path.
-// Benchmark/test plumbing only; must not be flipped while allocations are
-// in flight.
+// Test plumbing only; must not be flipped while allocations are in
+// flight.
 func SetEagerZeroing(on bool) { eagerZero = on }
 
 // NewSpace creates a space holding capacity words of usable storage.
