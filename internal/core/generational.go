@@ -765,6 +765,9 @@ func (c *Generational) minorGC() {
 	c.endParallelPhase(trace.PhaseCopy)
 	if c.prof != nil {
 		c.prof.OnSpaceCondemned(c.nursery.ID())
+		if agingTo != nil {
+			c.prof.OnSpaceCondemned(c.aging.ID())
+		}
 		c.prof.OnGCEnd()
 	}
 	c.nursery.Reset()

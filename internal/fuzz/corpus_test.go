@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -115,5 +116,42 @@ func TestWriteLoadCorpusRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadCorpus(dir); err == nil {
 		t.Fatal("corrupt corpus file loaded without error")
+	}
+}
+
+// TestEveryObjectDiesOnce replays every committed corpus program, and
+// the generated programs of a dozen seeds, under every matrix config with
+// the profiler attached: after Finalize each allocated object has died
+// exactly once, and no site has more first-collection survivors than
+// allocations. A condemned space the collector never reported to the
+// profiler loses its deaths. The corpus programs allocate too little to
+// reach the aging space's dead; half of the seeds do.
+func TestEveryObjectDiesOnce(t *testing.T) {
+	entries, err := LoadCorpus("corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 12; seed++ {
+		entries = append(entries, CorpusEntry{Name: fmt.Sprintf("seed %d", seed), Program: Generate(seed)})
+	}
+	for _, e := range entries {
+		for _, cfg := range Matrix() {
+			out := execute(e.Program, cfg, true, false)
+			if out.panicked != nil || out.traceErr != nil {
+				t.Fatalf("%s [%s]: panic %v, trace error %v", e.Name, cfg.Name, out.panicked, out.traceErr)
+			}
+			var allocs, deaths uint64
+			for _, s := range out.prof.Sites() {
+				allocs += s.AllocCount
+				deaths += s.Deaths
+				if s.SurvivedFirst > s.AllocCount {
+					t.Errorf("%s [%s]: site %d survived first %d > allocated %d",
+						e.Name, cfg.Name, s.Site, s.SurvivedFirst, s.AllocCount)
+				}
+			}
+			if deaths != allocs {
+				t.Errorf("%s [%s]: %d deaths for %d allocations", e.Name, cfg.Name, deaths, allocs)
+			}
+		}
 	}
 }

@@ -56,8 +56,9 @@ type runOutput struct {
 	stats    core.GCStats
 	traceRaw []byte
 	sanViol  []string
-	panicked any   // recovered panic value, nil when clean
-	traceErr error // VerifyReconciled / Validate error
+	panicked any            // recovered panic value, nil when clean
+	traceErr error          // VerifyReconciled / Validate error
+	prof     *prof.Profiler // finalized profiler of a traced or adapt run
 }
 
 // execute runs the program once under cfg. traced attaches the
@@ -181,6 +182,7 @@ func executeTo(p *Program, cfg Config, sanitized bool, traceTo io.Writer) (out r
 
 	if profiler != nil {
 		profiler.Finalize()
+		out.prof = profiler
 	}
 	if engine != nil {
 		engine.Seal()
