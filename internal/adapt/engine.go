@@ -27,7 +27,7 @@
 package adapt
 
 import (
-	"sort"
+	"slices"
 
 	"tilgc/internal/costmodel"
 	"tilgc/internal/obj"
@@ -143,7 +143,7 @@ type Engine struct {
 	meter  *costmodel.Meter
 	tr     *trace.Recorder // nil-safe, like every recorder call site
 
-	sites   map[obj.SiteID]*siteState
+	sites   []*siteState // indexed by site id; nil until the site is seen
 	touched []obj.SiteID // sites with epoch deltas, deduped via touched flag
 
 	epoch      uint64
@@ -162,13 +162,15 @@ func New(meter *costmodel.Meter, tr *trace.Recorder, params Params) *Engine {
 		params: params,
 		meter:  meter,
 		tr:     tr,
-		sites:  make(map[obj.SiteID]*siteState),
 	}
 }
 
 func (e *Engine) state(site obj.SiteID) *siteState {
-	st, ok := e.sites[site]
-	if !ok {
+	if int(site) >= len(e.sites) {
+		e.sites = append(e.sites, make([]*siteState, int(site)+1-len(e.sites))...)
+	}
+	st := e.sites[site]
+	if st == nil {
 		st = &siteState{site: site}
 		e.sites[site] = st
 	}
@@ -193,6 +195,9 @@ func (e *Engine) sample() {
 // pays for the advisor even when the answer is no.
 func (e *Engine) ShouldPretenure(site obj.SiteID) bool {
 	e.meter.Charge(costmodel.Adapt, costmodel.AdaptProbe)
+	if int(site) >= len(e.sites) {
+		return false
+	}
 	st := e.sites[site]
 	return st != nil && st.pretenured
 }
@@ -254,9 +259,10 @@ func (e *Engine) ObserveGCEnd() {
 
 // fold absorbs the epoch's raw deltas into the decayed accumulators and
 // (when decide is set) re-evaluates promotion and demotion for every
-// touched site. Sites are visited in ascending id order so the decision
-// sequence — and therefore every downstream trace and store byte — is
-// independent of map iteration order.
+// touched site. Sites are visited in ascending id order, not the order
+// the event stream touched them, so the decision sequence — and therefore
+// every downstream trace and store byte — depends only on the per-site
+// totals.
 func (e *Engine) fold(decide bool) {
 	if decide {
 		e.epoch++
@@ -264,7 +270,7 @@ func (e *Engine) fold(decide bool) {
 	if len(e.touched) == 0 {
 		return
 	}
-	sort.Slice(e.touched, func(i, j int) bool { return e.touched[i] < e.touched[j] })
+	slices.Sort(e.touched)
 	for _, id := range e.touched {
 		st := e.sites[id]
 		st.touched = false
@@ -418,14 +424,11 @@ type Snapshot struct {
 
 // Snapshot freezes the engine's state.
 func (e *Engine) Snapshot() *Snapshot {
-	ids := make([]obj.SiteID, 0, len(e.sites))
-	for id := range e.sites {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	sites := make([]SiteState, 0, len(ids))
-	for _, id := range ids {
-		st := e.sites[id]
+	sites := make([]SiteState, 0, len(e.sites))
+	for _, st := range e.sites {
+		if st == nil {
+			continue
+		}
 		sites = append(sites, SiteState{
 			Site: st.site, Pretenured: st.pretenured,
 			SurvWords: st.survWords, DeadWords: st.deadWords,

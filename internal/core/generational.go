@@ -475,7 +475,7 @@ func (c *Generational) Alloc(k obj.Kind, length uint64, site obj.SiteID, mask ui
 	// The online advisor (§9) decides per allocation; its answers change
 	// at collection boundaries as sites are promoted and demoted.
 	if c.cfg.Advisor != nil && c.cfg.Advisor.ShouldPretenure(site) {
-		c.advPolicy.sites[site] = PretenureDecision{}
+		c.advPolicy.set(site, PretenureDecision{})
 		return c.allocPretenured(k, length, site, mask, size)
 	}
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"tilgc/internal/mem"
 	"tilgc/internal/obj"
 )
@@ -20,27 +18,50 @@ type PretenureDecision struct {
 // PretenurePolicy maps allocation sites to pretenuring decisions. Sites
 // absent from the policy allocate normally (in the nursery). Policies are
 // built from heap profiles (internal/prof) using the paper's old% cutoff.
+// The decisions are a dense table indexed by site id, so the per-
+// allocation Lookup is one bounds check and one load.
 type PretenurePolicy struct {
-	sites map[obj.SiteID]PretenureDecision
+	sites []policySite // indexed by site id
+	n     int          // sites selected
+}
+
+type policySite struct {
+	d  PretenureDecision
+	on bool
 }
 
 // NewPretenurePolicy builds a policy from explicit per-site decisions.
 func NewPretenurePolicy(sites map[obj.SiteID]PretenureDecision) *PretenurePolicy {
-	cp := make(map[obj.SiteID]PretenureDecision, len(sites))
-	for k, v := range sites {
-		cp[k] = v
+	size := 0
+	for id := range sites {
+		size = max(size, int(id)+1)
 	}
-	return &PretenurePolicy{sites: cp}
+	p := &PretenurePolicy{sites: make([]policySite, size), n: len(sites)}
+	for id, d := range sites {
+		p.sites[id] = policySite{d: d, on: true}
+	}
+	return p
+}
+
+// set selects site with decision d.
+func (p *PretenurePolicy) set(site obj.SiteID, d PretenureDecision) {
+	if int(site) >= len(p.sites) {
+		p.sites = append(p.sites, make([]policySite, int(site)+1-len(p.sites))...)
+	}
+	if !p.sites[site].on {
+		p.n++
+	}
+	p.sites[site] = policySite{d: d, on: true}
 }
 
 // Lookup returns the decision for a site and whether the site is
 // pretenured at all.
 func (p *PretenurePolicy) Lookup(site obj.SiteID) (PretenureDecision, bool) {
-	if p == nil {
+	if p == nil || int(site) >= len(p.sites) {
 		return PretenureDecision{}, false
 	}
-	d, ok := p.sites[site]
-	return d, ok
+	e := p.sites[site]
+	return e.d, e.on
 }
 
 // Len returns the number of pretenured sites.
@@ -48,7 +69,7 @@ func (p *PretenurePolicy) Len() int {
 	if p == nil {
 		return 0
 	}
-	return len(p.sites)
+	return p.n
 }
 
 // Sites returns the pretenured site ids in ascending order.
@@ -56,18 +77,20 @@ func (p *PretenurePolicy) Sites() []obj.SiteID {
 	if p == nil {
 		return nil
 	}
-	ids := make([]obj.SiteID, 0, len(p.sites))
-	for id := range p.sites {
-		ids = append(ids, id)
+	ids := make([]obj.SiteID, 0, p.n)
+	for id, e := range p.sites {
+		if e.on {
+			ids = append(ids, obj.SiteID(id))
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
-// mergePolicies returns the union of two policies (either may be nil).
-// When only one is non-nil it is returned as-is; the merged copy is only
-// built when both contribute, so the common static-only and advisor-only
-// configurations pay nothing.
+// mergePolicies returns the union of two policies (either may be nil),
+// b's decision winning where both select a site. When only one is
+// non-empty it is returned as-is; the merged copy is only built when both
+// contribute, so the common static-only and advisor-only configurations
+// pay nothing.
 func mergePolicies(a, b *PretenurePolicy) *PretenurePolicy {
 	if b.Len() == 0 {
 		return a
@@ -75,14 +98,15 @@ func mergePolicies(a, b *PretenurePolicy) *PretenurePolicy {
 	if a.Len() == 0 {
 		return b
 	}
-	m := make(map[obj.SiteID]PretenureDecision, a.Len()+b.Len())
-	for k, v := range a.sites {
-		m[k] = v
+	m := &PretenurePolicy{}
+	for _, p := range []*PretenurePolicy{a, b} {
+		for id, e := range p.sites {
+			if e.on {
+				m.set(obj.SiteID(id), e.d)
+			}
+		}
 	}
-	for k, v := range b.sites {
-		m[k] = v
-	}
-	return &PretenurePolicy{sites: m}
+	return m
 }
 
 // region is a contiguous range of tenured words allocated into directly

@@ -228,7 +228,6 @@ const DefaultPretenureCutoff = 80
 type calibration struct {
 	maxLiveWords uint64
 	policy       *core.PretenurePolicy
-	profiler     *prof.Profiler
 }
 
 // calEntry is one singleflight slot in the calibration cache: the first
@@ -329,7 +328,6 @@ func calibrate(name string, scale workload.Scale, cutoffPct float64) (*calibrati
 	c := &calibration{
 		maxLiveWords: maxLive / mem.WordSize,
 		policy:       core.NewPretenurePolicy(sites),
-		profiler:     profiler,
 	}
 	if c.maxLiveWords < 256 {
 		c.maxLiveWords = 256
@@ -383,7 +381,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	var profiler *prof.Profiler
 	var profHook core.Profiler
 	if cfg.Profile || cfg.Trace || cfg.Adapt {
-		// Traced runs borrow the profiler's shadow tables for per-site
+		// Traced runs borrow the profiler's lifetime records for per-site
 		// death accounting; the profiler charges nothing to the meter, so
 		// attaching it does not perturb the simulated measurements.
 		// Adaptive runs need it too: its lifetime event stream is the

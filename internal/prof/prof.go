@@ -4,30 +4,108 @@
 // average age at death, and the bytes copied over all collections — the
 // data from which Figure 2's reports and the pretenuring policy are built.
 //
-// The paper's profiler works by prepending a site identifier to each
-// object and scanning the allocation area after each collection to find
-// dead objects; ours shadows every live object in per-space tables updated
-// on the collector's move/condemn callbacks, which observes exactly the
-// same events. Profiled runs are slower (the paper reports 50-200%
-// overhead; the shadow tables cost about that here too).
+// The paper's profiler prepends a site identifier to each object and
+// scans the allocation area after each collection to find the dead. Ours
+// keeps the same per-object facts beside the heap: each space has a
+// lifetime record per object, held in ascending address order, because
+// bump allocation and Cheney copying both hand out ascending addresses and
+// mark-compact slides keep the order. A move tombstones the source record
+// (found by binary search) and appends one in the destination space; a
+// condemned space's deaths are its untombstoned records, walked once in
+// address order. Spaces that allocate from free lists append out of order
+// and are sorted once before their next lookup or walk. No Go map is
+// touched per allocation, move or death.
 package prof
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"tilgc/internal/core"
 	"tilgc/internal/mem"
 	"tilgc/internal/obj"
 )
 
-// objRec tracks one live object.
+// objRec is one object's lifetime record in its space's table.
 type objRec struct {
-	site       obj.SiteID
-	sizeBytes  uint64
+	off        uint64 // word offset in the space
 	birth      uint64 // allocation clock (total bytes allocated) at birth
-	survived   bool   // has survived at least one collection
-	pretenured bool   // was allocated directly into the tenured generation
+	sizeBytes  uint64
+	site       obj.SiteID
+	survived   bool // has survived at least one collection
+	pretenured bool // was allocated directly into the tenured generation
+	gone       bool // tombstone: the object moved out or died
+}
+
+// spaceRecs is one space's lifetime records. Unless unsorted is set,
+// their offsets, tombstones included, strictly ascend: a record is found
+// by binary search and a walk visits the space in address order.
+type spaceRecs struct {
+	recs     []objRec
+	gone     int  // tombstones in recs
+	unsorted bool // an append landed at or below the last offset
+}
+
+func (t *spaceRecs) add(r objRec) {
+	if n := len(t.recs); n > 0 && t.recs[n-1].off >= r.off {
+		t.unsorted = true
+	}
+	t.recs = append(t.recs, r)
+}
+
+// settle drops the tombstones and, when a free-list allocation appended
+// out of order, sorts the records back into address order.
+func (t *spaceRecs) settle() {
+	t.dropGone()
+	if t.unsorted {
+		slices.SortFunc(t.recs, func(a, b objRec) int { return cmp.Compare(a.off, b.off) })
+		t.unsorted = false
+	}
+}
+
+func (t *spaceRecs) dropGone() {
+	if t.gone > 0 {
+		t.recs = slices.DeleteFunc(t.recs, func(r objRec) bool { return r.gone })
+		t.gone = 0
+	}
+}
+
+// find returns the index of the live record at off, or -1.
+func (t *spaceRecs) find(off uint64) int {
+	if t.unsorted {
+		t.settle()
+	}
+	lo, hi := 0, len(t.recs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.recs[m].off < off {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(t.recs) || t.recs[lo].off != off || t.recs[lo].gone {
+		return -1
+	}
+	return lo
+}
+
+// kill tombstones record i. Once more than half the table is tombstones
+// they are dropped, so a non-moving space that reclaims in place never
+// accumulates its dead, at amortized constant cost per death.
+func (t *spaceRecs) kill(i int) {
+	t.recs[i].gone = true
+	t.gone++
+	if 2*t.gone > len(t.recs) {
+		t.dropGone()
+	}
+}
+
+// reset empties the table, keeping its capacity for the space's next use.
+func (t *spaceRecs) reset() {
+	t.recs = t.recs[:0]
+	t.gone = 0
+	t.unsorted = false
 }
 
 // DeathClass tells an Observer where an object was in its generational
@@ -51,8 +129,10 @@ const (
 // pretenuring engine (internal/adapt) consumes: allocations (with the
 // pretenured bit), first-collection survivals (with age at survival, in
 // bytes of allocation), classified deaths, and collection boundaries.
-// Events fire in the profiler's deterministic order (deaths in sorted
-// address order). A nil observer costs one branch per event.
+// Events fire in the profiler's deterministic order: a condemned space's
+// deaths in ascending address order, in-place reclamations in the order
+// the collector reports them, and end-of-run deaths by space id, then
+// address. A nil observer costs one branch per event.
 type Observer interface {
 	ObserveAlloc(site obj.SiteID, words uint64, pretenured bool)
 	ObserveSurvive(site obj.SiteID, words uint64, ageBytes uint64)
@@ -99,61 +179,51 @@ func (s *SiteStats) CopyRatio() float64 {
 
 // Profiler implements core.Profiler.
 type Profiler struct {
-	sites     map[obj.SiteID]*SiteStats
+	sites     []*SiteStats // indexed by site id; nil until the site is seen
 	siteNames map[obj.SiteID]string
-	live      map[mem.SpaceID]map[uint64]*objRec // space → offset → record
-	clock     uint64                             // total bytes allocated
+	spaces    []spaceRecs // indexed by space id
+	clock     uint64      // total bytes allocated
 
-	// pendingMoves buffers OnMove destinations within one collection so
-	// that OnSpaceCondemned of the source space doesn't double-process.
-	// movedAt indexes the buffer by current destination so an object moved
-	// twice in one collection — promoted into the tenured space and then
-	// slid by mark-compact — re-targets its pending record instead of
-	// leaving it homed at the stale pre-slide address.
-	moved   []movedRec
-	movedAt map[mem.Addr]int
-
-	// deathSink, when set, receives every recorded death. Deaths fire in
-	// sorted address order (see OnSpaceCondemned), so the callback
-	// sequence is deterministic.
+	// deathSink, when set, receives every recorded death, in the same
+	// deterministic order as the observer's deaths.
 	deathSink func(site obj.SiteID, bytes uint64)
 
 	// observer, when set, receives the online lifetime event stream (§9).
 	observer Observer
 }
 
-type movedRec struct {
-	to  mem.Addr
-	rec *objRec
-}
-
 // New creates an empty profiler. siteNames is optional documentation for
 // report rendering (may be nil).
 func New(siteNames map[obj.SiteID]string) *Profiler {
-	return &Profiler{
-		sites:     make(map[obj.SiteID]*SiteStats),
-		siteNames: siteNames,
-		live:      make(map[mem.SpaceID]map[uint64]*objRec),
-		movedAt:   make(map[mem.Addr]int),
-	}
+	return &Profiler{siteNames: siteNames}
 }
 
 func (p *Profiler) site(id obj.SiteID) *SiteStats {
-	s, ok := p.sites[id]
-	if !ok {
+	if int(id) >= len(p.sites) {
+		p.sites = append(p.sites, make([]*SiteStats, int(id)+1-len(p.sites))...)
+	}
+	s := p.sites[id]
+	if s == nil {
 		s = &SiteStats{Site: id, Name: p.siteNames[id]}
 		p.sites[id] = s
 	}
 	return s
 }
 
-func (p *Profiler) spaceTable(id mem.SpaceID) map[uint64]*objRec {
-	t, ok := p.live[id]
-	if !ok {
-		t = make(map[uint64]*objRec)
-		p.live[id] = t
+// table returns space id's records, growing the index on first use.
+func (p *Profiler) table(id mem.SpaceID) *spaceRecs {
+	if int(id) >= len(p.spaces) {
+		p.spaces = append(p.spaces, make([]spaceRecs, int(id)+1-len(p.spaces))...)
 	}
-	return t
+	return &p.spaces[id]
+}
+
+// lookup returns space id's records, or nil if the space never had any.
+func (p *Profiler) lookup(id mem.SpaceID) *spaceRecs {
+	if int(id) >= len(p.spaces) {
+		return nil
+	}
+	return &p.spaces[id]
 }
 
 // OnAlloc implements core.Profiler.
@@ -163,36 +233,35 @@ func (p *Profiler) OnAlloc(addr mem.Addr, site obj.SiteID, k obj.Kind, words uin
 	s.AllocBytes += bytes
 	s.AllocCount++
 	p.clock += bytes
-	p.spaceTable(addr.Space())[addr.Offset()] = &objRec{
-		site: site, sizeBytes: bytes, birth: p.clock, pretenured: pretenured,
-	}
+	p.table(addr.Space()).add(objRec{
+		off: addr.Offset(), site: site, sizeBytes: bytes, birth: p.clock, pretenured: pretenured,
+	})
 	if p.observer != nil {
 		p.observer.ObserveAlloc(site, words, pretenured)
 	}
 }
 
 // OnMove implements core.Profiler: the object moved (promotion or tenured
-// copy); it survived and its bytes were copied.
+// copy); it survived and its bytes were copied. A move to another space
+// tombstones the source record and appends it at the destination, which
+// no collector condemns in the collection that fills it. A move within one
+// space is a mark-compact slide, which keeps the live objects' order: the
+// record is re-addressed in place, so an object promoted and then slid in
+// the same collection is found again at its promoted address.
 func (p *Profiler) OnMove(from, to mem.Addr) {
-	var rec *objRec
-	if i, ok := p.movedAt[from]; ok {
-		// Second move within one collection: the record is already pending
-		// at from; re-target it rather than mis-homing it at OnGCEnd.
-		rec = p.moved[i].rec
-		p.moved[i].to = to
-		delete(p.movedAt, from)
-		p.movedAt[to] = i
-	} else {
-		t := p.spaceTable(from.Space())
-		r, ok := t[from.Offset()]
-		if !ok {
-			return // object predates profiling
-		}
-		rec = r
-		delete(t, from.Offset())
-		p.movedAt[to] = len(p.moved)
-		p.moved = append(p.moved, movedRec{to: to, rec: rec})
+	t := p.lookup(from.Space())
+	if t == nil {
+		return // object predates profiling
 	}
+	sameSpace := from.Space() == to.Space()
+	if sameSpace && t.gone > 0 {
+		t.settle() // in-place re-addressing needs a table without tombstones
+	}
+	i := t.find(from.Offset())
+	if i < 0 {
+		return // object predates profiling
+	}
+	rec := &t.recs[i]
 	s := p.site(rec.site)
 	s.CopiedBytes += rec.sizeBytes
 	if !rec.survived {
@@ -202,54 +271,63 @@ func (p *Profiler) OnMove(from, to mem.Addr) {
 			p.observer.ObserveSurvive(rec.site, rec.sizeBytes/mem.WordSize, p.clock-rec.birth)
 		}
 	}
-}
-
-// OnSpaceCondemned implements core.Profiler: records still tabled in the
-// space did not move out — they are dead. Deaths are recorded in ascending
-// offset order: recordDeath accumulates a float age sum, and float addition
-// is not associative, so map iteration order would make profile output
-// depend on the run's hash seeds.
-func (p *Profiler) OnSpaceCondemned(id mem.SpaceID) {
-	t, ok := p.live[id]
-	if !ok {
+	if sameSpace {
+		rec.off = to.Offset()
+		if i > 0 && t.recs[i-1].off >= rec.off || i+1 < len(t.recs) && t.recs[i+1].off <= rec.off {
+			t.unsorted = true
+		}
 		return
 	}
-	for _, off := range sortedOffsets(t) {
-		p.recordDeath(t[off])
-	}
-	delete(p.live, id)
+	moved := *rec
+	moved.off = to.Offset()
+	t.kill(i)
+	p.table(to.Space()).add(moved)
 }
 
-// sortedOffsets returns the live-table keys in ascending order.
-func sortedOffsets(t map[uint64]*objRec) []uint64 {
-	offs := make([]uint64, 0, len(t))
-	for off := range t {
-		offs = append(offs, off)
+// OnSpaceCondemned implements core.Profiler: records still live in the
+// space did not move out — they are dead. Deaths are recorded in
+// ascending address order: recordDeath accumulates a float age sum, and
+// float addition is not associative, so the order is part of the output.
+func (p *Profiler) OnSpaceCondemned(id mem.SpaceID) {
+	t := p.lookup(id)
+	if t == nil {
+		return
 	}
-	slices.Sort(offs)
-	return offs
+	p.condemn(t)
+}
+
+// condemn records every live record in t as dead, in address order, and
+// empties the table.
+func (p *Profiler) condemn(t *spaceRecs) {
+	if t.unsorted {
+		t.settle()
+	}
+	for i := range t.recs {
+		if !t.recs[i].gone {
+			p.recordDeath(&t.recs[i])
+		}
+	}
+	t.reset()
 }
 
 // OnLOSDead implements core.Profiler.
 func (p *Profiler) OnLOSDead(addr mem.Addr) {
-	t := p.spaceTable(addr.Space())
-	rec, ok := t[addr.Offset()]
-	if !ok {
+	t := p.lookup(addr.Space())
+	if t == nil {
 		return
 	}
-	delete(t, addr.Offset())
-	p.recordDeath(rec)
+	i := t.find(addr.Offset())
+	if i < 0 {
+		return
+	}
+	rec := t.recs[i]
+	t.kill(i)
+	p.recordDeath(&rec)
 }
 
-// OnGCEnd implements core.Profiler: re-home objects moved this cycle.
-// Large objects that survived a sweep count as survivors of their first
-// collection too.
+// OnGCEnd implements core.Profiler: the collection boundary the observer
+// decides at. Moved records were re-homed as they moved.
 func (p *Profiler) OnGCEnd() {
-	for _, m := range p.moved {
-		p.spaceTable(m.to.Space())[m.to.Offset()] = m.rec
-	}
-	p.moved = p.moved[:0]
-	clear(p.movedAt)
 	if p.observer != nil {
 		p.observer.ObserveGCEnd()
 	}
@@ -290,22 +368,15 @@ func (p *Profiler) SetObserver(o Observer) {
 
 // Finalize treats every object still live as dying at the end of the run,
 // charging its age, as the paper's end-of-run profile accounting does.
-// Call once, after the workload completes. Spaces and offsets are visited
-// in ascending order for the same float-summation reason as
-// OnSpaceCondemned.
+// Call once, after the workload completes. Spaces are visited in
+// ascending id order and each in address order, for the same
+// float-summation reason as OnSpaceCondemned. The record tables are
+// released; the per-site statistics stay.
 func (p *Profiler) Finalize() {
-	ids := make([]mem.SpaceID, 0, len(p.live))
-	for id := range p.live {
-		ids = append(ids, id)
+	for i := range p.spaces {
+		p.condemn(&p.spaces[i])
 	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		t := p.live[id]
-		for _, off := range sortedOffsets(t) {
-			p.recordDeath(t[off])
-		}
-	}
-	p.live = make(map[mem.SpaceID]map[uint64]*objRec)
+	p.spaces = nil
 }
 
 // Clock returns total bytes allocated so far.
@@ -315,7 +386,9 @@ func (p *Profiler) Clock() uint64 { return p.clock }
 func (p *Profiler) TotalCopied() uint64 {
 	var n uint64
 	for _, s := range p.sites {
-		n += s.CopiedBytes
+		if s != nil {
+			n += s.CopiedBytes
+		}
 	}
 	return n
 }
@@ -324,23 +397,25 @@ func (p *Profiler) TotalCopied() uint64 {
 func (p *Profiler) TotalAllocated() uint64 {
 	var n uint64
 	for _, s := range p.sites {
-		n += s.AllocBytes
+		if s != nil {
+			n += s.AllocBytes
+		}
 	}
 	return n
 }
 
-// Sites returns per-site statistics sorted by descending allocation.
+// Sites returns per-site statistics sorted by descending allocation, ties
+// by ascending site id.
 func (p *Profiler) Sites() []*SiteStats {
 	out := make([]*SiteStats, 0, len(p.sites))
 	for _, s := range p.sites {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].AllocBytes != out[j].AllocBytes {
-			return out[i].AllocBytes > out[j].AllocBytes
+		if s != nil {
+			out = append(out, s)
 		}
-		return out[i].Site < out[j].Site
-	})
+	}
+	// The dense table is in ascending id order, so a stable sort keeps the
+	// tie-break.
+	slices.SortStableFunc(out, func(a, b *SiteStats) int { return cmp.Compare(b.AllocBytes, a.AllocBytes) })
 	return out
 }
 
@@ -350,9 +425,9 @@ func (p *Profiler) Sites() []*SiteStats {
 // noise.
 func (p *Profiler) Policy(cutoffPct float64, minObjects uint64) *core.PretenurePolicy {
 	sites := make(map[obj.SiteID]core.PretenureDecision)
-	for id, s := range p.sites {
-		if s.AllocCount >= minObjects && s.OldPct() >= cutoffPct {
-			sites[id] = core.PretenureDecision{}
+	for _, s := range p.sites {
+		if s != nil && s.AllocCount >= minObjects && s.OldPct() >= cutoffPct {
+			sites[s.Site] = core.PretenureDecision{}
 		}
 	}
 	return core.NewPretenurePolicy(sites)
@@ -364,6 +439,9 @@ func (p *Profiler) Policy(cutoffPct float64, minObjects uint64) *core.PretenureP
 func (p *Profiler) CutoffSummary(cutoffPct float64) (copiedPct, allocPct float64) {
 	var copied, alloc, tc, ta uint64
 	for _, s := range p.sites {
+		if s == nil {
+			continue
+		}
 		tc += s.CopiedBytes
 		ta += s.AllocBytes
 		if s.OldPct() >= cutoffPct {

@@ -33,10 +33,10 @@ func TestProfilerAllocMoveDeath(t *testing.T) {
 	p := New(nil)
 	a := mem.MakeAddr(1, 10)
 	b := mem.MakeAddr(1, 20)
-	p.OnAlloc(a, 5, obj.Record, 4, false)  // 32 bytes
-	p.OnAlloc(b, 5, obj.Record, 2, false)  // 16 bytes
-	p.OnMove(a, mem.MakeAddr(2, 1)) // a survives, copied
-	p.OnSpaceCondemned(1)           // b dies
+	p.OnAlloc(a, 5, obj.Record, 4, false) // 32 bytes
+	p.OnAlloc(b, 5, obj.Record, 2, false) // 16 bytes
+	p.OnMove(a, mem.MakeAddr(2, 1))       // a survives, copied
+	p.OnSpaceCondemned(1)                 // b dies
 	p.OnGCEnd()
 
 	s := p.sites[5]
@@ -129,9 +129,9 @@ func TestPolicyCutoff(t *testing.T) {
 
 func TestCutoffSummary(t *testing.T) {
 	p := New(nil)
-	p.sites[1] = &SiteStats{Site: 1, AllocBytes: 100, AllocCount: 10,
+	*p.site(1) = SiteStats{Site: 1, AllocBytes: 100, AllocCount: 10,
 		SurvivedFirst: 10, CopiedBytes: 900}
-	p.sites[2] = &SiteStats{Site: 2, AllocBytes: 900, AllocCount: 90,
+	*p.site(2) = SiteStats{Site: 2, AllocBytes: 900, AllocCount: 90,
 		SurvivedFirst: 0, CopiedBytes: 100}
 	copied, alloc := p.CutoffSummary(80)
 	if copied != 90 || alloc != 10 {
@@ -272,7 +272,7 @@ func TestDeathOnlySiteInReport(t *testing.T) {
 		p.OnAlloc(mem.MakeAddr(1, uint64(1+i*4)), 7, obj.Record, 4, false)
 	}
 	// The death-only site, seeded directly as a warm-started run would.
-	p.sites[42] = &SiteStats{Site: 42, Name: "seeded sink", Deaths: 3, SumDeathAgeKB: 1.5}
+	*p.site(42) = SiteStats{Site: 42, Name: "seeded sink", Deaths: 3, SumDeathAgeKB: 1.5}
 
 	s := p.sites[42]
 	if got := s.OldPct(); got != 0 {
@@ -295,5 +295,78 @@ func TestDeathOnlySiteInReport(t *testing.T) {
 		if strings.Contains(out, bad) {
 			t.Fatalf("report contains %s:\n%s", bad, out)
 		}
+	}
+}
+
+// profilerCycle drives one collection's worth of profiler traffic the way
+// a semispace-style collector does: n allocations into the nursery (space
+// 1), every other one of the old objects in from (packed at offsets
+// 1, 5, 9, ...) and every third nursery object moved into to, both source
+// spaces condemned, then the collection boundary. It returns the number
+// of objects now in to, the old count of the next cycle with the spaces
+// swapped.
+func profilerCycle(p *Profiler, n, old uint64, from, to mem.SpaceID) uint64 {
+	for i := uint64(0); i < n; i++ {
+		p.OnAlloc(mem.MakeAddr(1, 1+4*i), obj.SiteID(1+i%7), obj.Record, 4, i%11 == 0)
+	}
+	var moved uint64
+	for i := uint64(0); i < old; i += 2 {
+		p.OnMove(mem.MakeAddr(from, 1+4*i), mem.MakeAddr(to, 1+4*moved))
+		moved++
+	}
+	for i := uint64(0); i < n; i += 3 {
+		p.OnMove(mem.MakeAddr(1, 1+4*i), mem.MakeAddr(to, 1+4*moved))
+		moved++
+	}
+	p.OnSpaceCondemned(1)
+	p.OnSpaceCondemned(from)
+	p.OnGCEnd()
+	return moved
+}
+
+// TestProfilerCycleAllocatesNothing: once its tables have grown to the
+// working set, the profiler's allocate → move → condemn → OnGCEnd cycle
+// makes no Go allocation — every table is a reused slice, and no map is
+// touched.
+func TestProfilerCycleAllocatesNothing(t *testing.T) {
+	p := New(nil)
+	var old uint64
+	cycle := func() {
+		old = profilerCycle(p, 512, old, 2, 3)
+		old = profilerCycle(p, 512, old, 3, 2)
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("warm profiler cycle made %g Go allocations, want 0", allocs)
+	}
+	p.Finalize()
+	if p.spaces != nil {
+		t.Fatal("Finalize kept the record tables")
+	}
+	var allocated, died uint64
+	for _, s := range p.Sites() {
+		allocated += s.AllocCount
+		died += s.Deaths
+	}
+	if allocated == 0 || died != allocated {
+		t.Fatalf("%d deaths for %d allocations", died, allocated)
+	}
+}
+
+// BenchmarkProfilerCycle measures one profiler cycle of 4096 allocations
+// (see profilerCycle); ns/op divided by 4096 is the per-object cost.
+func BenchmarkProfilerCycle(b *testing.B) {
+	p := New(nil)
+	var old uint64
+	spaces := [2]mem.SpaceID{2, 3}
+	for i := 0; i < 8; i++ {
+		old = profilerCycle(p, 4096, old, spaces[i%2], spaces[1-i%2])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		old = profilerCycle(p, 4096, old, spaces[i%2], spaces[1-i%2])
 	}
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"tilgc/internal/costmodel"
 	"tilgc/internal/obj"
@@ -21,7 +20,7 @@ type Recorder struct {
 	reg   *Registry
 
 	events    []Event
-	sites     map[obj.SiteID]*SiteCounters
+	sites     []*SiteCounters // indexed by site id; nil until the site is seen
 	siteNames map[obj.SiteID]string
 
 	seq       uint64
@@ -58,7 +57,7 @@ type Recorder struct {
 // SiteCounters aggregates one allocation site's telemetry: words allocated
 // (split normal vs pretenured), words copied by collections (and the share
 // copied into the tenured generation), and words that died (observed via
-// the profiler's shadow tables when one is attached). The JSONL site
+// the profiler's lifetime records when one is attached). The JSONL site
 // record embeds it, so the tags are wire names.
 type SiteCounters struct {
 	Site              obj.SiteID `json:"site"`
@@ -77,7 +76,6 @@ func NewRecorder(meter *costmodel.Meter) *Recorder {
 	r := &Recorder{
 		meter: meter,
 		reg:   NewRegistry(),
-		sites: make(map[obj.SiteID]*SiteCounters),
 	}
 	r.gcCount = r.reg.Counter(MetricGCCount)
 	r.gcMajors = r.reg.Counter(MetricGCMajors)
@@ -177,8 +175,11 @@ func (r *Recorder) EndPhaseWorkers(p Phase, workers []costmodel.Cycles) {
 }
 
 func (r *Recorder) site(id obj.SiteID) *SiteCounters {
-	s, ok := r.sites[id]
-	if !ok {
+	if int(id) >= len(r.sites) {
+		r.sites = append(r.sites, make([]*SiteCounters, int(id)+1-len(r.sites))...)
+	}
+	s := r.sites[id]
+	if s == nil {
 		s = &SiteCounters{Site: id, Name: r.siteNames[id]}
 		r.sites[id] = s
 	}
@@ -357,14 +358,11 @@ func (r *Recorder) Data(label string) *RunData {
 		final = r.meter.Snapshot()
 		overlap = r.meter.Overlap()
 	}
-	ids := make([]obj.SiteID, 0, len(r.sites))
-	for id := range r.sites {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	sites := make([]SiteCounters, len(ids))
-	for i, id := range ids {
-		sites[i] = *r.sites[id]
+	sites := make([]SiteCounters, 0, len(r.sites))
+	for _, s := range r.sites {
+		if s != nil {
+			sites = append(sites, *s)
+		}
 	}
 	return &RunData{
 		Label:   label,
