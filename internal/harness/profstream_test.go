@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"testing"
@@ -122,33 +120,18 @@ func TestProfilerStreamsPinned(t *testing.T) {
 		}
 		return
 	}
-	f, err := os.Open(streamDigestPath)
+	want, err := os.ReadFile(streamDigestPath)
 	if err != nil {
 		t.Fatalf("%v (run with -update-golden to create it)", err)
 	}
-	defer f.Close()
-	want := map[string]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		digest, label, ok := strings.Cut(sc.Text(), "\t")
-		if !ok {
-			t.Fatalf("%s: malformed line %q", streamDigestPath, sc.Text())
-		}
-		want[label] = digest
+	gotLines := strings.Split(got.String(), "\n")
+	wantLines := strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d configs, %s pins %d", len(gotLines)-1, streamDigestPath, len(wantLines)-1)
 	}
-	if err := sc.Err(); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(got.String(), "\n"), "\n")
-	if len(lines) != len(want) {
-		t.Errorf("%d configs, %s pins %d", len(lines), streamDigestPath, len(want))
-	}
-	for _, line := range lines {
-		digest, label, _ := strings.Cut(line, "\t")
-		if w, ok := want[label]; !ok {
-			t.Errorf("%s: no pinned digest", label)
-		} else if w != digest {
-			t.Errorf("%s: profiler-fed streams changed (digest %s, pinned %s)", label, digest[:12], w[:12])
+	for i, line := range gotLines {
+		if line != wantLines[i] {
+			t.Errorf("profiler-fed streams changed:\n got  %s\n pin  %s", line, wantLines[i])
 		}
 	}
 }
