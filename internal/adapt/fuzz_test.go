@@ -1,33 +1,21 @@
 package adapt
 
 import (
-	"bytes"
 	"testing"
+
+	"tilgc/internal/jsonl"
+	"tilgc/internal/jsonloracle"
 )
 
-// FuzzReadStore: the reader never panics, and a store it accepts writes,
-// reads back and rewrites to the same bytes. Seeds live in
-// testdata/fuzz/FuzzReadStore (a small written store); plain `go test`
-// replays only those.
+// FuzzReadStore: the reader never panics and agrees with encoding/json,
+// the decoder it replaced, on every input (see jsonloracle.Schema.Check).
+// Seeds live in testdata/fuzz/FuzzReadStore (a small written store and
+// one line per tightening); plain `go test` replays only those.
 func FuzzReadStore(f *testing.F) {
+	schema := jsonloracle.Schema[*Store]{Format: storeFormat,
+		Handler: func() jsonl.Handler { return new(storeReader) },
+		Read:    ReadJSONL, Write: (*Store).WriteJSONL}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		s, err := ReadJSONL(bytes.NewReader(in))
-		if err != nil {
-			return
-		}
-		var a, b bytes.Buffer
-		if err := s.WriteJSONL(&a); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadJSONL(bytes.NewReader(a.Bytes()))
-		if err != nil {
-			t.Fatalf("written store rejected: %v\n%s", err, a.Bytes())
-		}
-		if err := back.WriteJSONL(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("write -> read -> write not byte-identical:\n%s\nvs\n%s", a.Bytes(), b.Bytes())
-		}
+		schema.Check(t, in)
 	})
 }

@@ -75,6 +75,12 @@ type storeHeader struct {
 	Profiles int    `json:"profiles"`
 }
 
+func (r *storeHeader) Fields(c *jsonl.Codec) {
+	c.Str("t", &r.T)
+	c.Int("schema", &r.Schema)
+	c.Int("profiles", &r.Profiles)
+}
+
 type storeProfile struct {
 	T        string `json:"t"`
 	Profile  int    `json:"profile"`
@@ -83,20 +89,55 @@ type storeProfile struct {
 	Sites    int    `json:"sites"`
 }
 
+func (r *storeProfile) Fields(c *jsonl.Codec) {
+	c.Str("t", &r.T)
+	c.Int("profile", &r.Profile)
+	c.Str("label", &r.Label)
+	c.Str("workload", &r.Workload)
+	c.Int("sites", &r.Sites)
+}
+
 type storeSite struct {
 	T       string `json:"t"`
 	Profile int    `json:"profile"`
 	SiteSeed
 }
 
+func (r *storeSite) Fields(c *jsonl.Codec) {
+	c.Str("t", &r.T)
+	c.Int("profile", &r.Profile)
+	s := &r.SiteSeed
+	c.Uint16("site", (*uint16)(&s.Site))
+	c.StrOmit("name", &s.Name)
+	c.Uint("surv_words", &s.SurvWords)
+	c.Uint("dead_words", &s.DeadWords)
+	c.Uint("age_bytes", &s.AgeBytes)
+	c.Uint("age_samples", &s.AgeSamples)
+	c.Uint("pret_placed", &s.PretPlaced)
+	c.Uint("pret_died", &s.PretDied)
+	c.Bool("pretenured", &s.Pretenured)
+}
+
+// storeRecords holds one of each record, reused line to line by the
+// reader and the writer.
+type storeRecords struct {
+	header  storeHeader
+	profile storeProfile
+	site    storeSite
+}
+
 // WriteJSONL writes the store as schema-versioned JSONL.
 func (s *Store) WriteJSONL(w io.Writer) error {
 	jw := jsonl.NewWriter(w)
-	jw.Write(storeHeader{T: "header", Schema: StoreSchemaVersion, Profiles: len(s.Profiles)})
+	r := new(storeRecords)
+	r.header = storeHeader{T: "header", Schema: StoreSchemaVersion, Profiles: len(s.Profiles)}
+	jw.Write(&r.header)
 	for i, p := range s.Profiles {
-		jw.Write(storeProfile{T: "profile", Profile: i, Label: p.Label, Workload: p.Workload, Sites: len(p.Sites)})
+		r.profile = storeProfile{T: "profile", Profile: i, Label: p.Label, Workload: p.Workload, Sites: len(p.Sites)}
+		jw.Write(&r.profile)
 		for _, seed := range p.Sites {
-			jw.Write(storeSite{T: "site", Profile: i, SiteSeed: seed})
+			r.site = storeSite{T: "site", Profile: i, SiteSeed: seed}
+			jw.Write(&r.site)
 		}
 	}
 	return jw.Flush()
@@ -119,37 +160,38 @@ func ReadJSONL(r io.Reader) (*Store, error) {
 
 // storeReader is the store schema's jsonl.Handler.
 type storeReader struct {
+	storeRecords
 	s   *Store
 	cur *RunProfile
 }
 
-func (sr *storeReader) Header(rec jsonl.Record) (int, int, error) {
-	var h storeHeader
-	if err := rec.Decode(&h); err != nil {
-		return 0, 0, err
+func (sr *storeReader) Record(t string) jsonl.Fields {
+	switch t {
+	case "header":
+		return &sr.header
+	case "profile":
+		return &sr.profile
+	case "site":
+		return &sr.site
 	}
+	return nil
+}
+
+func (sr *storeReader) Header(rec jsonl.Fields) (int, int, error) {
+	h := rec.(*storeHeader)
 	sr.s = &Store{}
 	return h.Schema, h.Profiles, nil
 }
 
-func (sr *storeReader) Parent(rec jsonl.Record) (int, error) {
-	var rp storeProfile
-	if err := rec.Decode(&rp); err != nil {
-		return 0, err
-	}
+func (sr *storeReader) Parent(rec jsonl.Fields) (int, error) {
+	rp := rec.(*storeProfile)
 	sr.cur = &RunProfile{Label: rp.Label, Workload: rp.Workload}
 	sr.s.Profiles = append(sr.s.Profiles, sr.cur)
 	return rp.Sites, nil
 }
 
-func (sr *storeReader) Child(rec jsonl.Record) error {
-	if rec.T != "site" {
-		return fmt.Errorf("unknown record type %q", rec.T)
-	}
-	var rs storeSite
-	if err := rec.Decode(&rs); err != nil {
-		return err
-	}
+func (sr *storeReader) Child(rec jsonl.Fields) error {
+	rs := rec.(*storeSite)
 	cur := sr.cur
 	if n := len(cur.Sites); n > 0 && cur.Sites[n-1].Site >= rs.Site {
 		return fmt.Errorf("site %d out of order", rs.Site)

@@ -70,12 +70,26 @@ func TestStoreRejectsMalformed(t *testing.T) {
 			"{\"t\":\"profile\",\"profile\":0,\"label\":\"x\",\"workload\":\"y\",\"sites\":2}\n" +
 			"{\"t\":\"site\",\"profile\":0,\"site\":5,\"surv_words\":0,\"dead_words\":0,\"age_bytes\":0,\"age_samples\":0,\"pret_placed\":0,\"pret_died\":0,\"pretenured\":false}\n" +
 			"{\"t\":\"site\",\"profile\":0,\"site\":3,\"surv_words\":0,\"dead_words\":0,\"age_bytes\":0,\"age_samples\":0,\"pret_placed\":0,\"pret_died\":0,\"pretenured\":false}",
+		// The strict reader rejects what encoding/json let through.
+		"duplicate key": withSite(`{"t":"site","profile":0,"site":5,"surv_words":1,"surv_words":2}`),
+		"folded key":    withSite(`{"t":"site","profile":0,"site":5,"SURV_WORDS":1}`),
+		"folded tag":    withSite(`{"T":"site","profile":0,"site":5}`),
+		"null integer":  withSite(`{"t":"site","profile":0,"site":5,"dead_words":null}`),
+	}
+	if _, err := ReadJSONL(strings.NewReader(withSite(`{"t":"site","profile":0,"site":5}`))); err != nil {
+		t.Fatalf("the valid base of the cases below is rejected: %v", err)
 	}
 	for name, in := range cases {
 		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// withSite returns a one-profile store whose one site record is line.
+func withSite(line string) string {
+	return "{\"t\":\"header\",\"schema\":1,\"profiles\":1}\n" +
+		"{\"t\":\"profile\",\"profile\":0,\"label\":\"x\",\"workload\":\"y\",\"sites\":1}\n" + line + "\n"
 }
 
 func TestStoreFindLastWins(t *testing.T) {

@@ -1,24 +1,60 @@
 // Package jsonl is the strict-record codec under every JSONL format the
 // simulator writes: traces (internal/trace), SLO reports (internal/slo)
 // and cross-run profile stores (internal/adapt). Each format is a schema
-// over it; the codec owns the line handling, strict decoding and
+// over it; the codec owns the line handling, the field codec and the
 // structural checks they share.
 //
 // A stream is one JSON object per line, typed by its "t" field. The
 // header comes first and exactly once, pins the schema version, and
 // declares how many parent records follow. Parents carry their index
 // 0..N-1 in order; every other record is a child of the parent before it
-// and repeats that parent's index. The reader rejects unknown fields,
-// trailing data, misordered or orphaned records, repeated singletons, and
-// any stream whose record counts disagree with what its header and
-// parents declare, so a truncated file never reads back as a shorter
-// valid one.
+// and repeats that parent's index. The reader rejects misordered or
+// orphaned records, repeated singletons, and any stream whose record
+// counts disagree with what its header and parents declare, so a
+// truncated file never reads back as a shorter valid one.
+//
+// Each record type declares its fields once, in wire order, in a Fields
+// method: c.Uint("b_client", &r.BClient) appends the field when c
+// encodes and matches the key when c decodes. An embedded struct is
+// declared by calling its declaration in place, so its fields flatten
+// into the record as encoding/json flattens them. The writer's output
+// is byte for byte what encoding/json's Encoder writes for the same
+// struct and tags: fields in declaration order, the Omit variants
+// dropping zero values as omitempty does, strings HTML-escaped with
+// U+2028 and U+2029 escaped and invalid UTF-8 written as \ufffd.
+//
+// The reader scans each line once. The grammar it accepts is:
+//
+//   - Blank lines are skipped. Other lines are trimmed of leading and
+//     trailing white space (bytes.TrimSpace) and hold exactly one JSON
+//     object; between tokens only space, tab, CR and LF may appear.
+//   - The first key of the object is "t", and its value names a record
+//     type the format declares.
+//   - Every key is written without escapes, matches a declared field of
+//     the object exactly (case included), and appears at most once. Keys
+//     may come in any order; a declared field that is absent reads as
+//     its zero value.
+//   - A string field holds a JSON string, unescaped as encoding/json
+//     does (invalid UTF-8 and unpaired surrogates read as U+FFFD).
+//   - An unsigned field holds a decimal integer without sign, fraction
+//     or exponent, in range for the field; a signed field may also carry
+//     a minus sign ("-0" reads as 0). A boolean field holds true or false.
+//   - An object field holds an object, read by the same rules.
+//   - An array field holds an array of its element type, or null, which
+//     reads as a nil slice; [] reads as an empty one. null is accepted
+//     nowhere else.
+//
+// Against encoding/json with DisallowUnknownFields, which this reader
+// replaced, that grammar is tighter in exactly these ways: a duplicate
+// key is an error rather than last-wins; a key that matches a field only
+// when case is ignored is unknown; null for a string, number, boolean or
+// object field, or for an array element, is an error rather than a
+// no-op; the type tag must come first; and escaped keys are rejected.
 package jsonl
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -43,41 +79,25 @@ type Format struct {
 // Handler converts one format's records to its in-memory form. The
 // reader calls it in stream order, after the structural checks.
 type Handler interface {
-	// Header decodes the header record and returns its schema version and
-	// the number of parent records it declares.
-	Header(rec Record) (schema, parents int, err error)
-	// Parent decodes the next parent record and returns the number of
+	// Record returns the record a line of type t decodes into, or nil if
+	// the format has no such record type. The reader sets every field, so
+	// the handler may return the same record for every line of a type.
+	Record(t string) Fields
+	// Header converts the header record and returns its schema version
+	// and the number of parent records it declares.
+	Header(rec Fields) (schema, parents int, err error)
+	// Parent converts the next parent record and returns the number of
 	// child records it declares, or -1 when the format declares none.
-	Parent(rec Record) (children int, err error)
-	// Child decodes one child record of the latest parent.
-	Child(rec Record) error
+	Parent(rec Fields) (children int, err error)
+	// Child converts one child record of the latest parent.
+	Child(rec Fields) error
 }
 
-// Record is one non-blank line and its record type.
-type Record struct {
-	T    string
-	line []byte
-}
-
-// Decode decodes the record into v, rejecting fields v does not have.
-func (r Record) Decode(v any) error {
-	dec := json.NewDecoder(bytes.NewReader(r.line))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
-// probe is the lenient first parse of every line. Unlike Decode it
-// rejects trailing data after the object.
-type probe struct {
-	T       string `json:"t"`
-	Run     int    `json:"run"`
-	Profile int    `json:"profile"`
-}
-
-// reader is the structural state of one Read.
+// reader is the state of one Read.
 type reader struct {
 	Format
 	h        Handler
+	c        Codec
 	header   bool     // header read
 	parents  int      // declared by the header
 	n        int      // parent records read
@@ -92,7 +112,8 @@ func (f Format) Read(r io.Reader, h Handler) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), MaxLine)
 	single := append(slices.Clip(f.Required), f.Once...)
-	rd := &reader{Format: f, h: h, single: single, seen: make([]bool, len(single))}
+	rd := &reader{Format: f, h: h, single: single, seen: make([]bool, len(single)),
+		c: Codec{index: f.Index, strs: map[string]string{}}}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -123,16 +144,19 @@ func (f Format) Read(r io.Reader, h Handler) error {
 }
 
 func (rd *reader) line(line []byte) error {
-	var p probe
-	if err := json.Unmarshal(line, &p); err != nil {
+	t, err := rd.c.typeTag(line)
+	if err != nil {
 		return err
 	}
-	rec := Record{T: p.T, line: line}
-	idx := p.Run
-	if rd.Index == "profile" {
-		idx = p.Profile
+	rec := rd.h.Record(t)
+	if rec == nil {
+		return fmt.Errorf("unknown record type %q", t)
 	}
-	if p.T == rd.Header {
+	idx, err := rd.c.decode(line, rec)
+	if err != nil {
+		return fmt.Errorf("%s record: %w", t, err)
+	}
+	if t == rd.Header {
 		if rd.header {
 			return errors.New("duplicate header")
 		}
@@ -147,9 +171,9 @@ func (rd *reader) line(line []byte) error {
 		return nil
 	}
 	if !rd.header {
-		return fmt.Errorf("%q record before header", p.T)
+		return fmt.Errorf("%q record before header", t)
 	}
-	if p.T == rd.Parent {
+	if t == rd.Parent {
 		if idx != rd.n {
 			return fmt.Errorf("%s %d out of order (expected %d)", rd.Parent, idx, rd.n)
 		}
@@ -166,14 +190,14 @@ func (rd *reader) line(line []byte) error {
 		return nil
 	}
 	if rd.n == 0 {
-		return fmt.Errorf("%q record before any %s record", p.T, rd.Parent)
+		return fmt.Errorf("%q record before any %s record", t, rd.Parent)
 	}
 	if idx != rd.n-1 {
-		return fmt.Errorf("%q record for %s %d inside %s %d", p.T, rd.Parent, idx, rd.Parent, rd.n-1)
+		return fmt.Errorf("%q record for %s %d inside %s %d", t, rd.Parent, idx, rd.Parent, rd.n-1)
 	}
-	if i := slices.Index(rd.single, p.T); i >= 0 {
+	if i := slices.Index(rd.single, t); i >= 0 {
 		if rd.seen[i] {
-			return fmt.Errorf("duplicate %s record in %s %d", p.T, rd.Parent, rd.n-1)
+			return fmt.Errorf("duplicate %s record in %s %d", t, rd.Parent, rd.n-1)
 		}
 		rd.seen[i] = true
 	}
@@ -198,31 +222,46 @@ func (rd *reader) closeParent() error {
 	return nil
 }
 
-// Writer encodes records one per line. The first error sticks: later
-// writes are dropped and Flush returns it.
+// flushAt is the buffered size at which a Writer passes its lines on.
+const flushAt = 16 << 10
+
+// Writer encodes records one per line. The first write error sticks:
+// later records are dropped and Flush returns it.
 type Writer struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
+	w   io.Writer
+	c   Codec
 	err error
 }
 
 // NewWriter returns a Writer buffering onto w.
 func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriter(w)
-	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
+	return &Writer{w: w, c: Codec{buf: make([]byte, 0, 2*flushAt)}}
 }
 
 // Write encodes rec as one line.
-func (w *Writer) Write(rec any) {
-	if w.err == nil {
-		w.err = w.enc.Encode(rec) // Encode appends the newline JSONL needs
+func (w *Writer) Write(rec Fields) {
+	if w.err != nil {
+		return
 	}
+	c := &w.c
+	c.buf = append(c.buf, '{')
+	c.comma = false
+	rec.Fields(c)
+	c.buf = append(c.buf, '}', '\n')
+	if len(c.buf) >= flushAt {
+		w.flush()
+	}
+}
+
+func (w *Writer) flush() {
+	_, w.err = w.w.Write(w.c.buf)
+	w.c.buf = w.c.buf[:0]
 }
 
 // Flush writes any buffered lines and returns the first error.
 func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
+	if w.err == nil && len(w.c.buf) > 0 {
+		w.flush()
 	}
-	return w.bw.Flush()
+	return w.err
 }

@@ -1,47 +1,65 @@
 package jsonl
 
 import (
-	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
 
 // toy is a minimal schema: header {"t":"h","schema":1,"n":N}, parents
-// {"t":"p","i":..,"k":K} declaring K children, children
-// {"t":"c"|"end"|"opt","i":..}; every parent needs one "end" and may
+// {"t":"p","run":..,"k":K} declaring K children, children
+// {"t":"c"|"end"|"opt","run":..}; every parent needs one "end" and may
 // carry one "opt".
 var toy = Format{Pkg: "toy", Version: 1, Header: "h", Parent: "p", Index: "run",
 	Required: []string{"end"}, Once: []string{"opt"}}
 
-type toyHandler struct{ children int }
-
-func (h *toyHandler) Header(rec Record) (int, int, error) {
-	var v struct {
-		T      string `json:"t"`
-		Schema int    `json:"schema"`
-		N      int    `json:"n"`
-	}
-	err := rec.Decode(&v)
-	return v.Schema, v.N, err
+type toyHeader struct {
+	T         string
+	Schema, N int
 }
 
-func (h *toyHandler) Parent(rec Record) (int, error) {
-	var v struct {
-		T   string `json:"t"`
-		Run int    `json:"run"`
-		K   int    `json:"k"`
-	}
-	err := rec.Decode(&v)
-	return v.K, err
+func (r *toyHeader) Fields(c *Codec) {
+	c.Str("t", &r.T)
+	c.Int("schema", &r.Schema)
+	c.Int("n", &r.N)
 }
 
-func (h *toyHandler) Child(rec Record) error {
-	var v struct {
-		T   string `json:"t"`
-		Run int    `json:"run"`
+type toyRecord struct {
+	T      string
+	Run, K int
+}
+
+func (r *toyRecord) Fields(c *Codec) {
+	c.Str("t", &r.T)
+	c.Int("run", &r.Run)
+	c.Int("k", &r.K)
+}
+
+type toyHandler struct {
+	header   toyHeader
+	rec      toyRecord
+	children int
+}
+
+func (h *toyHandler) Record(t string) Fields {
+	switch t {
+	case "h":
+		return &h.header
+	case "p", "c", "end", "opt":
+		return &h.rec
 	}
+	return nil
+}
+
+func (h *toyHandler) Header(rec Fields) (int, int, error) {
+	return h.header.Schema, h.header.N, nil
+}
+
+func (h *toyHandler) Parent(rec Fields) (int, error) { return h.rec.K, nil }
+
+func (h *toyHandler) Child(rec Fields) error {
 	h.children++
-	return rec.Decode(&v)
+	return nil
 }
 
 func TestReadContract(t *testing.T) {
@@ -65,8 +83,8 @@ func TestReadContract(t *testing.T) {
 	for name, c := range map[string]struct{ in, err string }{
 		"schema":         {`{"t":"h","schema":2,"n":0}`, "toy: line 1: schema 2, this build reads schema 1"},
 		"duplicate":      {"{\"t\":\"h\",\"schema\":1,\"n\":0}\n{\"t\":\"h\",\"schema\":1,\"n\":0}", "toy: line 2: duplicate header"},
-		"trailing data":  {`{"t":"h","schema":1,"n":0} {}`, "toy: line 1: "},
-		"unknown field":  {`{"t":"h","schema":1,"n":0,"x":1}`, "toy: line 1: "},
+		"trailing data":  {`{"t":"h","schema":1,"n":0} {}`, "toy: line 1: h record: data after the record"},
+		"unknown field":  {`{"t":"h","schema":1,"n":0,"x":1}`, `toy: line 1: h record: unknown field "x"`},
 		"empty":          {"\n\n", "toy: empty input (no header record)"},
 		"parent count":   {ok[:strings.Index(ok, `{"t":"p","run":1`)], "toy: end of input: header declares 2 p records, read 1"},
 		"child count":    {strings.Replace(ok, `"k":3`, `"k":4`, 1), "toy: end of input: p 1 declares 4 child records, read 3"},
@@ -76,6 +94,16 @@ func TestReadContract(t *testing.T) {
 		"orphan child":   {"{\"t\":\"h\",\"schema\":1,\"n\":0}\n{\"t\":\"c\",\"run\":0}", `"c" record before any p record`},
 		"parent order":   {"{\"t\":\"h\",\"schema\":1,\"n\":1}\n{\"t\":\"p\",\"run\":1,\"k\":0}", "p 1 out of order (expected 0)"},
 		"before header":  {`{"t":"p","run":0,"k":0}`, `toy: line 1: "p" record before header`},
+		"unknown type":   {`{"t":"q","run":0}`, `toy: line 1: unknown record type "q"`},
+		"bad value":      {`{"t":"h","schema":"1","n":0}`, `toy: line 1: h record: field "schema": want an integer`},
+		// Tightenings over encoding/json, which accepted each of these.
+		"duplicate key": {`{"t":"h","schema":1,"n":0,"n":1}`, `toy: line 1: h record: duplicate field "n"`},
+		"duplicate tag": {`{"t":"h","t":"h","schema":1,"n":0}`, `toy: line 1: h record: duplicate field "t"`},
+		"folded key":    {`{"t":"h","SCHEMA":1,"n":0}`, `toy: line 1: h record: unknown field "SCHEMA"`},
+		"folded tag":    {`{"T":"h","schema":1,"n":0}`, `toy: line 1: first field is "T", not "t"`},
+		"tag not first": {`{"schema":1,"t":"h","n":0}`, `toy: line 1: first field is "schema", not "t"`},
+		"escaped key":   {`{"t":"h","sch\u0065ma":1,"n":0}`, `toy: line 1: h record: escaped key`},
+		"null integer":  {`{"t":"h","schema":1,"n":null}`, `toy: line 1: h record: field "n": want an integer`},
 	} {
 		err := toy.Read(strings.NewReader(c.in), &toyHandler{})
 		if err == nil || !strings.Contains(err.Error(), c.err) {
@@ -84,18 +112,28 @@ func TestReadContract(t *testing.T) {
 	}
 }
 
-// TestWriterStickyError: the first encode error is kept and returned by
-// Flush, and nothing after it is written.
+// failWriter accepts nothing: every write fails.
+type failWriter struct{ writes int }
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return 0, errors.New("disk full")
+}
+
+// TestWriterStickyError: the first write error is kept and returned by
+// Flush, and nothing after it reaches the underlying writer.
 func TestWriterStickyError(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Write(map[string]int{"a": 1})
-	w.Write(func() {}) // unencodable
-	w.Write(map[string]int{"b": 2})
-	if err := w.Flush(); err == nil {
-		t.Fatal("Flush lost the encode error")
+	fw := &failWriter{}
+	w := NewWriter(fw)
+	rec := &toyRecord{T: "c"}
+	w.Write(rec)
+	if err := w.Flush(); err == nil || err.Error() != "disk full" {
+		t.Fatalf("Flush = %v, want the write error", err)
 	}
-	if buf.Len() != 0 {
-		t.Fatalf("wrote %q after an error", buf.String())
+	for range flushAt {
+		w.Write(rec)
+	}
+	if err := w.Flush(); err == nil || fw.writes != 1 {
+		t.Fatalf("after the error: Flush = %v and %d writes, want the error and 1 write", err, fw.writes)
 	}
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // JSONL report sink, a schema over internal/jsonl like the trace sink:
-// strict reader, read -> write byte-identity. Record kinds, in stream
-// order:
+// each record type declares its fields once in its Fields method, the
+// reader is strict, and read -> write is byte-identical. Record kinds, in
+// stream order:
 //
 //	{"t":"slo_header","schema":1,"clock_hz":150000000,"windows":[...],"runs":N}
 //	{"t":"slo_run","run":i,"label":..,"total":..,"gc":..,"collections":..,"majors":..}
@@ -30,6 +31,14 @@ type recHeader struct {
 	Runs    int      `json:"runs"`
 }
 
+func (r *recHeader) Fields(c *jsonl.Codec) {
+	c.Str("t", &r.T)
+	c.Int("schema", &r.Schema)
+	c.Uint("clock_hz", &r.ClockHz)
+	c.Uints("windows", &r.Windows)
+	c.Int("runs", &r.Runs)
+}
+
 type recRun struct {
 	T           string `json:"t"`
 	Run         int    `json:"run"`
@@ -38,6 +47,16 @@ type recRun struct {
 	GC          uint64 `json:"gc"`
 	Collections uint64 `json:"collections"`
 	Majors      uint64 `json:"majors"`
+}
+
+func (r *recRun) Fields(c *jsonl.Codec) {
+	c.Str("t", &r.T)
+	c.Int("run", &r.Run)
+	c.Str("label", &r.Label)
+	c.Uint("total", &r.Total)
+	c.Uint("gc", &r.GC)
+	c.Uint("collections", &r.Collections)
+	c.Uint("majors", &r.Majors)
 }
 
 // The stats records embed the in-memory stats types, whose tags are the
@@ -49,10 +68,34 @@ type recPauses struct {
 	PauseStats
 }
 
+func (r *recPauses) Fields(c *jsonl.Codec) {
+	c.Str("t", &r.T)
+	c.Int("run", &r.Run)
+	p := &r.PauseStats
+	c.Uint("count", &p.Count)
+	c.Uint("total", &p.Total)
+	c.Uint("p50", &p.P50)
+	c.Uint("p90", &p.P90)
+	c.Uint("p99", &p.P99)
+	c.Uint("p999", &p.P999)
+	c.Uint("max", &p.Max)
+}
+
 type recWindow struct {
 	T   string `json:"t"`
 	Run int    `json:"run"`
 	WindowStats
+}
+
+func (r *recWindow) Fields(c *jsonl.Codec) {
+	c.Str("t", &r.T)
+	c.Int("run", &r.Run)
+	w := &r.WindowStats
+	c.Uint("window", &w.Window)
+	c.Uint("mmu_ppm", &w.MMUppm)
+	c.Uint("amu_ppm", &w.AMUppm)
+	c.Uint("worst_start", &w.WorstStart)
+	c.Uint("worst_pause", &w.WorstPause)
 }
 
 type recRequests struct {
@@ -61,19 +104,49 @@ type recRequests struct {
 	RequestStats
 }
 
+func (r *recRequests) Fields(c *jsonl.Codec) {
+	c.Str("t", &r.T)
+	c.Int("run", &r.Run)
+	q := &r.RequestStats
+	c.Uint("count", &q.Count)
+	c.Uint("p50", &q.P50)
+	c.Uint("p90", &q.P90)
+	c.Uint("p99", &q.P99)
+	c.Uint("p999", &q.P999)
+	c.Uint("max", &q.Max)
+	c.Uint("gc", &q.GC)
+	c.Uint("gc_hit", &q.GCHit)
+}
+
+// records holds one of each record, reused line to line by the reader
+// and the writer.
+type records struct {
+	header   recHeader
+	run      recRun
+	pauses   recPauses
+	window   recWindow
+	requests recRequests
+}
+
 // WriteJSONL writes the report as schema-versioned JSONL.
 func (r *Report) WriteJSONL(w io.Writer) error {
 	jw := jsonl.NewWriter(w)
-	jw.Write(recHeader{T: "slo_header", Schema: r.Schema, ClockHz: r.ClockHz, Windows: r.Windows, Runs: len(r.Runs)})
+	rec := new(records)
+	rec.header = recHeader{T: "slo_header", Schema: r.Schema, ClockHz: r.ClockHz, Windows: r.Windows, Runs: len(r.Runs)}
+	jw.Write(&rec.header)
 	for i, rr := range r.Runs {
-		jw.Write(recRun{T: "slo_run", Run: i, Label: rr.Label,
-			Total: rr.Total, GC: rr.GC, Collections: rr.Collections, Majors: rr.Majors})
-		jw.Write(recPauses{T: "slo_pauses", Run: i, PauseStats: rr.Pauses})
+		rec.run = recRun{T: "slo_run", Run: i, Label: rr.Label,
+			Total: rr.Total, GC: rr.GC, Collections: rr.Collections, Majors: rr.Majors}
+		jw.Write(&rec.run)
+		rec.pauses = recPauses{T: "slo_pauses", Run: i, PauseStats: rr.Pauses}
+		jw.Write(&rec.pauses)
 		for _, ws := range rr.Windows {
-			jw.Write(recWindow{T: "slo_window", Run: i, WindowStats: ws})
+			rec.window = recWindow{T: "slo_window", Run: i, WindowStats: ws}
+			jw.Write(&rec.window)
 		}
 		if rr.Requests != nil {
-			jw.Write(recRequests{T: "slo_requests", Run: i, RequestStats: *rr.Requests})
+			rec.requests = recRequests{T: "slo_requests", Run: i, RequestStats: *rr.Requests}
+			jw.Write(&rec.requests)
 		}
 	}
 	return jw.Flush()
@@ -96,52 +169,50 @@ func ReadJSONL(r io.Reader) (*Report, error) {
 
 // reportReader is the report schema's jsonl.Handler.
 type reportReader struct {
+	records
 	rep *Report
 	cur *RunReport
 }
 
-func (rd *reportReader) Header(rec jsonl.Record) (int, int, error) {
-	var h recHeader
-	if err := rec.Decode(&h); err != nil {
-		return 0, 0, err
+func (rd *reportReader) Record(t string) jsonl.Fields {
+	switch t {
+	case "slo_header":
+		return &rd.header
+	case "slo_run":
+		return &rd.run
+	case "slo_pauses":
+		return &rd.pauses
+	case "slo_window":
+		return &rd.window
+	case "slo_requests":
+		return &rd.requests
 	}
+	return nil
+}
+
+func (rd *reportReader) Header(rec jsonl.Fields) (int, int, error) {
+	h := rec.(*recHeader)
 	rd.rep = &Report{Schema: h.Schema, ClockHz: h.ClockHz, Windows: h.Windows}
 	return h.Schema, h.Runs, nil
 }
 
-func (rd *reportReader) Parent(rec jsonl.Record) (int, error) {
-	var rr recRun
-	if err := rec.Decode(&rr); err != nil {
-		return 0, err
-	}
+func (rd *reportReader) Parent(rec jsonl.Fields) (int, error) {
+	rr := rec.(*recRun)
 	rd.cur = &RunReport{Label: rr.Label, Total: rr.Total, GC: rr.GC,
 		Collections: rr.Collections, Majors: rr.Majors}
 	rd.rep.Runs = append(rd.rep.Runs, rd.cur)
 	return -1, nil
 }
 
-func (rd *reportReader) Child(rec jsonl.Record) error {
-	switch rec.T {
-	case "slo_pauses":
-		var rp recPauses
-		if err := rec.Decode(&rp); err != nil {
-			return err
-		}
-		rd.cur.Pauses = rp.PauseStats
-	case "slo_window":
-		var rw recWindow
-		if err := rec.Decode(&rw); err != nil {
-			return err
-		}
-		rd.cur.Windows = append(rd.cur.Windows, rw.WindowStats)
-	case "slo_requests":
-		var rq recRequests
-		if err := rec.Decode(&rq); err != nil {
-			return err
-		}
-		rd.cur.Requests = &rq.RequestStats
-	default:
-		return fmt.Errorf("unknown record type %q", rec.T)
+func (rd *reportReader) Child(rec jsonl.Fields) error {
+	switch r := rec.(type) {
+	case *recPauses:
+		rd.cur.Pauses = r.PauseStats
+	case *recWindow:
+		rd.cur.Windows = append(rd.cur.Windows, r.WindowStats)
+	case *recRequests:
+		q := r.RequestStats
+		rd.cur.Requests = &q
 	}
 	return nil
 }

@@ -312,6 +312,11 @@ func TestReportRoundTrip(t *testing.T) {
 		"missing pauses":     strings.Replace(a.String(), pauses, "", 1),
 		"duplicate pauses":   strings.Replace(a.String(), pauses, pauses+pauses, 1),
 		"duplicate requests": a.String() + requests,
+		// The strict reader rejects what encoding/json let through.
+		"duplicate key": strings.Replace(a.String(), pauses, strings.Replace(pauses, `"run":0,`, `"run":1,"run":0,`, 1), 1),
+		"folded key":    strings.Replace(a.String(), pauses, strings.Replace(pauses, `"p50"`, `"P50"`, 1), 1),
+		"folded tag":    strings.Replace(a.String(), pauses, strings.Replace(pauses, `{"t":`, `{"T":`, 1), 1),
+		"null integer":  strings.Replace(a.String(), pauses, strings.Replace(pauses, `"run":0,`, `"run":null,`, 1), 1),
 	} {
 		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)

@@ -9,8 +9,11 @@ import (
 	"tilgc/internal/obj"
 )
 
-// JSONL sink: one record per line, schema-versioned. Record kinds, in
-// stream order:
+// JSONL sink: one record per line, schema-versioned, over internal/jsonl.
+// Each record type below declares its fields once, in wire order, in its
+// Fields method; that one declaration writes the record and reads it
+// back, and its keys are the struct's json tags. Record kinds, in stream
+// order:
 //
 //	{"t":"header","schema":1,"clock_hz":150000000,"runs":N}
 //	{"t":"run","run":i,"label":"Life/gen+markers k=2"}       per run, then:
@@ -41,10 +44,23 @@ type recHeader struct {
 	Runs    int    `json:"runs"`
 }
 
+func (r *recHeader) Fields(c *jsonl.Codec) {
+	c.Str("t", &r.T)
+	c.Int("schema", &r.Schema)
+	c.Uint("clock_hz", &r.ClockHz)
+	c.Int("runs", &r.Runs)
+}
+
 type recRun struct {
 	T     string `json:"t"`
 	Run   int    `json:"run"`
 	Label string `json:"label"`
+}
+
+func (r *recRun) Fields(c *jsonl.Codec) {
+	c.Str("t", &r.T)
+	c.Int("run", &r.Run)
+	c.Str("label", &r.Label)
 }
 
 // wireMeter is a meter breakdown on the wire. Records embed it (or
@@ -56,10 +72,22 @@ type wireMeter struct {
 	Adapt  uint64 `json:"adapt,omitempty"`
 }
 
+func (m *wireMeter) fields(c *jsonl.Codec) {
+	c.Uint("client", &m.Client)
+	c.Uint("stack", &m.Stack)
+	c.Uint("copy", &m.Copy)
+	c.UintOmit("adapt", &m.Adapt)
+}
+
 // wireStamp is a timestamped breakdown: "at" is the breakdown's total.
 type wireStamp struct {
 	At uint64 `json:"at"`
 	wireMeter
+}
+
+func (s *wireStamp) fields(c *jsonl.Codec) {
+	c.Uint("at", &s.At)
+	s.wireMeter.fields(c)
 }
 
 func meterOf(b costmodel.Breakdown) wireMeter {
@@ -99,6 +127,35 @@ type recEvent struct {
 	Counters *GCCounters `json:"counters,omitempty"`
 }
 
+func (r *recEvent) Fields(c *jsonl.Codec) {
+	c.Str("t", &r.T)
+	c.Int("run", &r.Run)
+	c.Uint("seq", &r.Seq)
+	c.BoolPtr("major", &r.Major)
+	c.StrOmit("phase", &r.Phase)
+	r.wireStamp.fields(c)
+	c.UintsOmit("workers", &r.Workers)
+	jsonl.Object(c, "counters", &r.Counters, (*GCCounters).fields)
+}
+
+func (g *GCCounters) fields(c *jsonl.Codec) {
+	c.Uint("majors", &g.Majors)
+	c.Uint("frames_decoded", &g.FramesDecoded)
+	c.Uint("frames_reused", &g.FramesReused)
+	c.Uint("markers_placed", &g.MarkersPlaced)
+	c.Uint("roots_found", &g.RootsFound)
+	c.Uint("bytes_copied", &g.BytesCopied)
+	c.Uint("bytes_scanned", &g.BytesScanned)
+	c.Uint("objects_copied", &g.ObjectsCopied)
+	c.Uint("ssb_processed", &g.SSBProcessed)
+	c.Uint("los_swept", &g.LOSSwept)
+	c.Uint("pretenured", &g.Pretenured)
+	c.UintOmit("objects_marked", &g.ObjectsMarked)
+	c.UintOmit("words_marked", &g.WordsMarked)
+	c.UintOmit("words_swept", &g.WordsSwept)
+	c.UintOmit("words_slid", &g.WordsSlid)
+}
+
 type recRunEnd struct {
 	T   string `json:"t"`
 	Run int    `json:"run"`
@@ -106,6 +163,13 @@ type recRunEnd struct {
 	// Overlap is the run's hidden parallel-worker cycles (see
 	// RunData.Overlap); omitted when zero, i.e. on every single-worker run.
 	Overlap uint64 `json:"overlap,omitempty"`
+}
+
+func (r *recRunEnd) Fields(c *jsonl.Codec) {
+	c.Str("t", &r.T)
+	c.Int("run", &r.Run)
+	r.wireMeter.fields(c)
+	c.UintOmit("overlap", &r.Overlap)
 }
 
 // recAdapt is one advisor decision. It appears only in adaptive runs'
@@ -125,6 +189,18 @@ type recAdapt struct {
 	wireStamp
 }
 
+func (r *recAdapt) Fields(c *jsonl.Codec) {
+	c.Str("t", &r.T)
+	c.Int("run", &r.Run)
+	c.Uint("seq", &r.Seq)
+	c.Uint16("site", &r.Site)
+	c.Str("verb", &r.Verb)
+	c.Uint("survival_ppm", &r.SurvivalPPM)
+	c.Uint("garbage_ppm", &r.GarbagePPM)
+	c.Uint("sample_words", &r.SampleWords)
+	r.wireStamp.fields(c)
+}
+
 // recHeap is one end-of-collection footprint sample. Like recAdapt it is
 // gated — emitted only when the producing run enabled heap sampling — so
 // default streams (and the golden fixture) are byte-identical to builds
@@ -135,6 +211,20 @@ type recHeap struct {
 	Seq uint64 `json:"seq"`
 	wireStamp
 	Spaces []SpaceOcc `json:"spaces"`
+}
+
+func (r *recHeap) Fields(c *jsonl.Codec) {
+	c.Str("t", &r.T)
+	c.Int("run", &r.Run)
+	c.Uint("seq", &r.Seq)
+	r.wireStamp.fields(c)
+	jsonl.List(c, "spaces", &r.Spaces, (*SpaceOcc).fields)
+}
+
+func (s *SpaceOcc) fields(c *jsonl.Codec) {
+	c.Str("name", &s.Name)
+	c.Uint("live", &s.Live)
+	c.Uint("committed", &s.Committed)
 }
 
 // recReq is one served request span: the full meter breakdown at arrival
@@ -155,10 +245,39 @@ type recReq struct {
 	EAdapt  uint64 `json:"e_adapt,omitempty"`
 }
 
+func (r *recReq) Fields(c *jsonl.Codec) {
+	c.Str("t", &r.T)
+	c.Int("run", &r.Run)
+	c.Uint("id", &r.ID)
+	c.Uint("b_client", &r.BClient)
+	c.Uint("b_stack", &r.BStack)
+	c.Uint("b_copy", &r.BCopy)
+	c.UintOmit("b_adapt", &r.BAdapt)
+	c.Uint("e_client", &r.EClient)
+	c.Uint("e_stack", &r.EStack)
+	c.Uint("e_copy", &r.ECopy)
+	c.UintOmit("e_adapt", &r.EAdapt)
+}
+
 type recSite struct {
 	T   string `json:"t"`
 	Run int    `json:"run"`
 	SiteCounters
+}
+
+func (r *recSite) Fields(c *jsonl.Codec) {
+	c.Str("t", &r.T)
+	c.Int("run", &r.Run)
+	s := &r.SiteCounters
+	c.Uint16("site", (*uint16)(&s.Site))
+	c.StrOmit("name", &s.Name)
+	c.Uint("alloc_objects", &s.AllocObjects)
+	c.Uint("alloc_words", &s.AllocWords)
+	c.Uint("pretenured_objects", &s.PretenuredObjects)
+	c.Uint("pretenured_words", &s.PretenuredWords)
+	c.Uint("copied_words", &s.CopiedWords)
+	c.Uint("tenured_words", &s.TenuredWords)
+	c.Uint("died_words", &s.DiedWords)
 }
 
 type recMetric struct {
@@ -171,6 +290,33 @@ type recMetric struct {
 	Sum     uint64   `json:"sum,omitempty"`
 	Max     uint64   `json:"max,omitempty"`
 	Buckets []uint64 `json:"buckets,omitempty"`
+}
+
+func (r *recMetric) Fields(c *jsonl.Codec) {
+	c.Str("t", &r.T)
+	c.Int("run", &r.Run)
+	c.Str("name", &r.Name)
+	c.Str("kind", &r.Kind)
+	c.UintOmit("value", &r.Value)
+	c.UintOmit("count", &r.Count)
+	c.UintOmit("sum", &r.Sum)
+	c.UintOmit("max", &r.Max)
+	c.UintsOmit("buckets", &r.Buckets)
+}
+
+// records holds one of each record, reused line to line by the reader
+// and the writer so that neither allocates per record.
+type records struct {
+	header recHeader
+	run    recRun
+	event  recEvent
+	major  bool // what event.Major points at while writing
+	runEnd recRunEnd
+	adapt  recAdapt
+	heap   recHeap
+	req    recReq
+	site   recSite
+	metric recMetric
 }
 
 // eventRecName maps event kinds to wire record names.
@@ -204,54 +350,62 @@ func NewFile(runs ...*RunData) *File {
 // WriteJSONL writes the file as schema-versioned JSONL.
 func (f *File) WriteJSONL(w io.Writer) error {
 	jw := jsonl.NewWriter(w)
-	jw.Write(recHeader{T: "header", Schema: f.Schema, ClockHz: f.ClockHz, Runs: len(f.Runs)})
+	r := new(records)
+	r.header = recHeader{T: "header", Schema: f.Schema, ClockHz: f.ClockHz, Runs: len(f.Runs)}
+	jw.Write(&r.header)
 	for i, d := range f.Runs {
-		jw.Write(recRun{T: "run", Run: i, Label: d.Label})
+		r.run = recRun{T: "run", Run: i, Label: d.Label}
+		jw.Write(&r.run)
 		for _, e := range d.Events {
-			rec := recEvent{T: eventRecName(e.Kind), Run: i, Seq: e.Seq, wireStamp: stampOf(e.Break)}
+			r.event = recEvent{T: eventRecName(e.Kind), Run: i, Seq: e.Seq, wireStamp: stampOf(e.Break)}
 			switch e.Kind {
 			case EvGCBegin:
-				major := e.Major
-				rec.Major = &major
+				r.major = e.Major
+				r.event.Major = &r.major
 			case EvGCEnd:
-				rec.Counters = e.Counters
+				r.event.Counters = e.Counters
 			case EvPhaseBegin, EvPhaseEnd:
-				rec.Phase = e.Phase.String()
-				rec.Workers = e.Workers
+				r.event.Phase = e.Phase.String()
+				r.event.Workers = e.Workers
 			}
-			jw.Write(rec)
+			jw.Write(&r.event)
 		}
-		jw.Write(recRunEnd{T: "run_end", Run: i, wireMeter: meterOf(d.Final), Overlap: uint64(d.Overlap)})
+		r.runEnd = recRunEnd{T: "run_end", Run: i, wireMeter: meterOf(d.Final), Overlap: uint64(d.Overlap)}
+		jw.Write(&r.runEnd)
 		for _, a := range d.Adapt {
-			jw.Write(recAdapt{T: "adapt", Run: i, Seq: a.Seq, Site: uint16(a.Site), Verb: a.Verb,
+			r.adapt = recAdapt{T: "adapt", Run: i, Seq: a.Seq, Site: uint16(a.Site), Verb: a.Verb,
 				SurvivalPPM: a.SurvivalPPM, GarbagePPM: a.GarbagePPM, SampleWords: a.SampleWords,
-				wireStamp: stampOf(a.Break)})
+				wireStamp: stampOf(a.Break)}
+			jw.Write(&r.adapt)
 		}
 		for _, h := range d.Heap {
 			spaces := h.Spaces
 			if spaces == nil {
 				spaces = []SpaceOcc{} // "spaces" is never null on the wire
 			}
-			jw.Write(recHeap{T: "heap", Run: i, Seq: h.Seq, wireStamp: stampOf(h.Break), Spaces: spaces})
+			r.heap = recHeap{T: "heap", Run: i, Seq: h.Seq, wireStamp: stampOf(h.Break), Spaces: spaces}
+			jw.Write(&r.heap)
 		}
 		for _, q := range d.Reqs {
-			jw.Write(recReq{T: "req", Run: i, ID: q.ID,
+			r.req = recReq{T: "req", Run: i, ID: q.ID,
 				BClient: uint64(q.Begin.Client), BStack: uint64(q.Begin.GCStack),
 				BCopy: uint64(q.Begin.GCCopy), BAdapt: uint64(q.Begin.Adapt),
 				EClient: uint64(q.End.Client), EStack: uint64(q.End.GCStack),
-				ECopy: uint64(q.End.GCCopy), EAdapt: uint64(q.End.Adapt)})
+				ECopy: uint64(q.End.GCCopy), EAdapt: uint64(q.End.Adapt)}
+			jw.Write(&r.req)
 		}
 		for _, s := range d.Sites {
-			jw.Write(recSite{T: "site", Run: i, SiteCounters: s})
+			r.site = recSite{T: "site", Run: i, SiteCounters: s}
+			jw.Write(&r.site)
 		}
 		for _, m := range d.Metrics {
-			rec := recMetric{T: "metric", Run: i, Name: m.Name, Kind: m.Kind.String()}
+			r.metric = recMetric{T: "metric", Run: i, Name: m.Name, Kind: m.Kind.String()}
 			if m.Kind == KindHistogram {
-				rec.Count, rec.Sum, rec.Max, rec.Buckets = m.Count, m.Sum, m.Max, m.Buckets
+				r.metric.Count, r.metric.Sum, r.metric.Max, r.metric.Buckets = m.Count, m.Sum, m.Max, m.Buckets
 			} else {
-				rec.Value = m.Value
+				r.metric.Value = m.Value
 			}
-			jw.Write(rec)
+			jw.Write(&r.metric)
 		}
 	}
 	return jw.Flush()
@@ -277,100 +431,90 @@ func ReadJSONL(r io.Reader) (*File, error) {
 
 // fileReader is the trace schema's jsonl.Handler.
 type fileReader struct {
+	records
 	f   *File
 	cur *RunData
 }
 
-func (fr *fileReader) Header(rec jsonl.Record) (int, int, error) {
-	var h recHeader
-	if err := rec.Decode(&h); err != nil {
-		return 0, 0, err
+func (fr *fileReader) Record(t string) jsonl.Fields {
+	switch t {
+	case "header":
+		return &fr.header
+	case "run":
+		return &fr.run
+	case "gc_begin", "gc_end", "phase_begin", "phase_end":
+		return &fr.event
+	case "run_end":
+		return &fr.runEnd
+	case "adapt":
+		return &fr.adapt
+	case "heap":
+		return &fr.heap
+	case "req":
+		return &fr.req
+	case "site":
+		return &fr.site
+	case "metric":
+		return &fr.metric
 	}
+	return nil
+}
+
+func (fr *fileReader) Header(rec jsonl.Fields) (int, int, error) {
+	h := rec.(*recHeader)
 	fr.f = &File{Schema: h.Schema, ClockHz: h.ClockHz}
 	return h.Schema, h.Runs, nil
 }
 
-func (fr *fileReader) Parent(rec jsonl.Record) (int, error) {
-	var rr recRun
-	if err := rec.Decode(&rr); err != nil {
-		return 0, err
-	}
-	fr.cur = &RunData{Label: rr.Label}
+func (fr *fileReader) Parent(rec jsonl.Fields) (int, error) {
+	fr.cur = &RunData{Label: rec.(*recRun).Label}
 	fr.f.Runs = append(fr.f.Runs, fr.cur)
 	return -1, nil
 }
 
-func (fr *fileReader) Child(rec jsonl.Record) error {
+func (fr *fileReader) Child(rec jsonl.Fields) error {
 	cur := fr.cur
-	switch rec.T {
-	case "gc_begin", "gc_end", "phase_begin", "phase_end":
-		var re recEvent
-		if err := rec.Decode(&re); err != nil {
-			return err
-		}
-		ev, err := re.event(rec.T)
+	switch r := rec.(type) {
+	case *recEvent:
+		ev, err := r.event()
 		if err != nil {
 			return err
 		}
 		cur.Events = append(cur.Events, ev)
-	case "run_end":
-		var re recRunEnd
-		if err := rec.Decode(&re); err != nil {
-			return err
-		}
-		cur.Final = re.breakdown()
-		cur.Overlap = costmodel.Cycles(re.Overlap)
-	case "adapt":
-		var ra recAdapt
-		if err := rec.Decode(&ra); err != nil {
-			return err
-		}
-		b, err := ra.check()
+	case *recRunEnd:
+		cur.Final = r.breakdown()
+		cur.Overlap = costmodel.Cycles(r.Overlap)
+	case *recAdapt:
+		b, err := r.check()
 		if err != nil {
 			return err
 		}
-		switch ra.Verb {
+		switch r.Verb {
 		case AdaptPromote, AdaptDemote, AdaptWarm:
 		default:
-			return fmt.Errorf("unknown adapt verb %q", ra.Verb)
+			return fmt.Errorf("unknown adapt verb %q", r.Verb)
 		}
 		cur.Adapt = append(cur.Adapt, AdaptDecision{
-			Seq: ra.Seq, Site: obj.SiteID(ra.Site), Verb: ra.Verb,
-			SurvivalPPM: ra.SurvivalPPM, GarbagePPM: ra.GarbagePPM,
-			SampleWords: ra.SampleWords, Break: b,
+			Seq: r.Seq, Site: obj.SiteID(r.Site), Verb: r.Verb,
+			SurvivalPPM: r.SurvivalPPM, GarbagePPM: r.GarbagePPM,
+			SampleWords: r.SampleWords, Break: b,
 		})
-	case "heap":
-		var rh recHeap
-		if err := rec.Decode(&rh); err != nil {
-			return err
-		}
-		b, err := rh.check()
+	case *recHeap:
+		b, err := r.check()
 		if err != nil {
 			return err
 		}
-		cur.Heap = append(cur.Heap, HeapSample{Seq: rh.Seq, Break: b, Spaces: rh.Spaces})
-	case "req":
-		var rq recReq
-		if err := rec.Decode(&rq); err != nil {
-			return err
-		}
-		cur.Reqs = append(cur.Reqs, RequestSpan{ID: rq.ID,
-			Begin: wireMeter{Client: rq.BClient, Stack: rq.BStack, Copy: rq.BCopy, Adapt: rq.BAdapt}.breakdown(),
-			End:   wireMeter{Client: rq.EClient, Stack: rq.EStack, Copy: rq.ECopy, Adapt: rq.EAdapt}.breakdown()})
-	case "site":
-		var rs recSite
-		if err := rec.Decode(&rs); err != nil {
-			return err
-		}
-		cur.Sites = append(cur.Sites, rs.SiteCounters)
-	case "metric":
-		var rm recMetric
-		if err := rec.Decode(&rm); err != nil {
-			return err
-		}
-		m := Metric{Name: rm.Name, Value: rm.Value,
-			Count: rm.Count, Sum: rm.Sum, Max: rm.Max, Buckets: rm.Buckets}
-		switch rm.Kind {
+		cur.Heap = append(cur.Heap, HeapSample{Seq: r.Seq, Break: b, Spaces: r.Spaces})
+	case *recReq:
+		cur.Reqs = append(cur.Reqs, RequestSpan{ID: r.ID,
+			Begin: wireMeter{Client: r.BClient, Stack: r.BStack, Copy: r.BCopy, Adapt: r.BAdapt}.breakdown(),
+			End:   wireMeter{Client: r.EClient, Stack: r.EStack, Copy: r.ECopy, Adapt: r.EAdapt}.breakdown()})
+	case *recSite:
+		cur.Sites = append(cur.Sites, r.SiteCounters)
+	case *recMetric:
+		m := Metric{Name: r.Name, Value: r.Value,
+			Count: r.Count, Sum: r.Sum, Max: r.Max, Buckets: r.Buckets}
+		switch r.Kind {
 		case "counter":
 			m.Kind = KindCounter
 		case "gauge":
@@ -378,17 +522,16 @@ func (fr *fileReader) Child(rec jsonl.Record) error {
 		case "hist":
 			m.Kind = KindHistogram
 		default:
-			return fmt.Errorf("unknown metric kind %q", rm.Kind)
+			return fmt.Errorf("unknown metric kind %q", r.Kind)
 		}
 		cur.Metrics = append(cur.Metrics, m)
-	default:
-		return fmt.Errorf("unknown record type %q", rec.T)
 	}
 	return nil
 }
 
 // event converts a wire event record back to the in-memory form.
-func (re recEvent) event(t string) (Event, error) {
+func (re *recEvent) event() (Event, error) {
+	t := re.T
 	b, err := re.check()
 	if err != nil {
 		return Event{}, err

@@ -198,12 +198,25 @@ func TestReadJSONLRejects(t *testing.T) {
 			"{\"t\":\"run\",\"run\":0,\"label\":\"x\"}\n",
 		"duplicate run_end": "{\"t\":\"header\",\"schema\":1,\"clock_hz\":1,\"runs\":1}\n" +
 			"{\"t\":\"run\",\"run\":0,\"label\":\"x\"}\n" + runEnd + runEnd,
+		// The strict reader rejects what encoding/json let through.
+		"duplicate key": withRunEnd(`{"t":"run_end","run":0,"client":5,"client":7,"stack":0,"copy":0}`),
+		"folded key":    withRunEnd(`{"t":"run_end","run":0,"CLIENT":1,"stack":0,"copy":0}`),
+		"folded tag":    withRunEnd(`{"T":"run_end","run":0,"client":1,"stack":0,"copy":0}`),
+		"null integer":  withRunEnd(`{"t":"run_end","run":0,"client":null,"stack":0,"copy":0}`),
+		"tag not first": withRunEnd(`{"run":0,"t":"run_end","client":1,"stack":0,"copy":0}`),
+		"escaped key":   withRunEnd(`{"t":"run_end","run":0,"\u0063lient":1,"stack":0,"copy":0}`),
 	}
 	for name, in := range cases {
 		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// withRunEnd returns a one-run trace whose run_end record is line.
+func withRunEnd(line string) string {
+	return "{\"t\":\"header\",\"schema\":1,\"clock_hz\":1,\"runs\":1}\n" +
+		"{\"t\":\"run\",\"run\":0,\"label\":\"x\"}\n" + line + "\n"
 }
 
 // TestReadJSONLLineOverflow: a line over the reader's cap is reported
