@@ -58,7 +58,7 @@ func main() {
 	traceFormat := flag.String("trace-format", "jsonl",
 		"trace sink format: jsonl (schema-versioned, gctrace-readable) or chrome (Perfetto-loadable)")
 	traceHeap := flag.Bool("trace-heap", false,
-		"sample per-space heap occupancy (live/committed words) at every collection into the trace")
+		"sample per-space heap occupancy (live/committed words) at every collection into the trace (needs -trace or -metrics)")
 	threads := flag.Int("threads", 0,
 		"simulated mutator threads per run (0/1 = single-threaded; only thread-scheduling workloads change results)")
 	oldCollector := flag.String("old", "",
@@ -94,6 +94,10 @@ func main() {
 
 	if *traceFormat != "jsonl" && *traceFormat != "chrome" {
 		fmt.Fprintf(os.Stderr, "gcbench: unknown -trace-format %q (want jsonl or chrome)\n", *traceFormat)
+		os.Exit(2)
+	}
+	if *traceHeap && *traceOut == "" && !*metrics {
+		fmt.Fprintln(os.Stderr, "gcbench: -trace-heap needs -trace or -metrics: it samples into the trace")
 		os.Exit(2)
 	}
 

@@ -121,7 +121,8 @@ type Config struct {
 	// an over-threshold major collection runs as its own pause at the next
 	// GC trigger instead of piggybacking on the minor that crossed the
 	// threshold. Same collections, same work — only the pause boundaries
-	// move. Ignored by the semispace collector (every collection is full).
+	// move. Combining it with the Semispace collector, where every
+	// collection is full, is a validation error.
 	DeferMajor bool
 	// OldCollector selects the tenured-generation algorithm for the
 	// generational collectors: OldCopy (the zero value — the paper's
@@ -206,15 +207,12 @@ func NewPretenurePolicy(sites map[SiteID]PretenureDecision) *PretenurePolicy {
 	return core.NewPretenurePolicy(sites)
 }
 
-// Runtime is a simulated runtime plus collector.
+// Runtime is a simulated runtime plus collector, assembled by
+// harness.Build like every experiment run and fuzz execution, so a Config
+// and the equivalent harness run build the same runtime.
 type Runtime struct {
-	cfg      Config
-	meter    *costmodel.Meter
-	table    *rt.TraceTable
-	stack    *rt.Stack
-	col      core.Collector
-	mutator  *workload.Mutator
-	profiler *prof.Profiler
+	sim     *harness.Sim
+	mutator *workload.Mutator
 }
 
 // NewRuntime builds a runtime per cfg. The configuration must be valid
@@ -222,36 +220,26 @@ type Runtime struct {
 // ignore panic here instead of silently running a different experiment.
 func NewRuntime(cfg Config) *Runtime {
 	mustValidate(cfg)
-	meter := costmodel.NewMeter()
-	table := rt.NewTraceTable()
-	stack := rt.NewStack(table, meter)
-	var profiler *prof.Profiler
-	var hook core.Profiler
-	if cfg.Profile {
-		profiler = prof.New(cfg.SiteNames)
-		hook = profiler
-	}
 	budget := cfg.BudgetWords
 	if budget == 0 {
 		budget = 512 << 20
 	}
-	var col core.Collector
-	var attachThreads func(*rt.ThreadSet)
+	spec := harness.Spec{Sites: cfg.SiteNames, Profile: cfg.Profile}
+	// The thread set exists only for T > 1, so single-thread runtimes run
+	// the exact pre-thread code paths.
+	if cfg.Threads > 1 {
+		spec.Threads = cfg.Threads
+	}
 	switch cfg.Collector {
 	case Semispace:
-		// MarkerN passes through: §5's stack markers apply to the semispace
-		// collector too (the cfg used to pin this to 0, silently ignoring a
-		// requested spacing — one of the gaps Validate now closes by wiring
-		// rather than rejecting, since the core supports it).
-		s := core.NewSemispace(stack, meter, hook, core.SemispaceConfig{
+		// §5's stack markers apply to the semispace collector too.
+		spec.Semispace = &core.SemispaceConfig{
 			BudgetWords: budget,
 			MarkerN:     cfg.MarkerN,
 			Workers:     cfg.GCWorkers,
-		})
-		col = s
-		attachThreads = s.AttachThreads
+		}
 	default:
-		gcfg := core.GenConfig{
+		spec.Gen = core.GenConfig{
 			BudgetWords:  budget,
 			NurseryWords: cfg.NurseryWords,
 			UseCardTable: cfg.CardTable,
@@ -261,40 +249,18 @@ func NewRuntime(cfg Config) *Runtime {
 			OldCollector: cfg.OldCollector,
 		}
 		if cfg.Collector >= GenerationalMarkers {
-			gcfg.MarkerN = cfg.MarkerN
-			if gcfg.MarkerN == 0 {
-				gcfg.MarkerN = 25
+			spec.Gen.MarkerN = cfg.MarkerN
+			if spec.Gen.MarkerN == 0 {
+				spec.Gen.MarkerN = 25
 			}
 		}
 		if cfg.Collector == GenerationalFull {
-			gcfg.Pretenure = cfg.Pretenure
-			gcfg.ScanElision = cfg.ScanElision
-		}
-		g := core.NewGenerational(stack, meter, hook, gcfg)
-		col = g
-		attachThreads = g.AttachThreads
-	}
-	// The thread set exists only for T > 1, so single-thread runtimes run
-	// the exact pre-thread code paths.
-	var threads *rt.ThreadSet
-	if cfg.Threads > 1 {
-		threads = rt.NewThreadSet(stack, meter)
-		attachThreads(threads)
-		for i := 1; i < cfg.Threads; i++ {
-			threads.Spawn()
+			spec.Gen.Pretenure = cfg.Pretenure
+			spec.Gen.ScanElision = cfg.ScanElision
 		}
 	}
-	r := &Runtime{
-		cfg:      cfg,
-		meter:    meter,
-		table:    table,
-		stack:    stack,
-		col:      col,
-		profiler: profiler,
-	}
-	r.mutator = workload.NewMutator(col, stack, table, meter)
-	r.mutator.Threads = threads
-	return r
+	sim := harness.Build(spec)
+	return &Runtime{sim: sim, mutator: sim.Mutator()}
 }
 
 // Mutator returns the mutator API for writing programs against this
@@ -303,35 +269,35 @@ func (r *Runtime) Mutator() *Mutator { return r.mutator }
 
 // Collect forces a collection (major on generational collectors when
 // major is true).
-func (r *Runtime) Collect(major bool) { r.col.Collect(major) }
+func (r *Runtime) Collect(major bool) { r.sim.Col.Collect(major) }
 
 // Stats returns collector statistics.
-func (r *Runtime) Stats() *GCStats { return r.col.Stats() }
+func (r *Runtime) Stats() *GCStats { return r.sim.Col.Stats() }
 
 // CollectorName returns the active collector configuration's name.
-func (r *Runtime) CollectorName() string { return r.col.Name() }
+func (r *Runtime) CollectorName() string { return r.sim.Col.Name() }
 
 // ClientSeconds returns mutator time in simulated seconds.
 func (r *Runtime) ClientSeconds() float64 {
-	return r.meter.Get(costmodel.Client).Seconds()
+	return r.sim.Meter.Get(costmodel.Client).Seconds()
 }
 
 // GCSeconds returns collector time in simulated seconds.
-func (r *Runtime) GCSeconds() float64 { return r.meter.GC().Seconds() }
+func (r *Runtime) GCSeconds() float64 { return r.sim.Meter.GC().Seconds() }
 
 // GCStackSeconds returns the stack-root-processing share of GC time.
 func (r *Runtime) GCStackSeconds() float64 {
-	return r.meter.Get(costmodel.GCStack).Seconds()
+	return r.sim.Meter.Get(costmodel.GCStack).Seconds()
 }
 
 // GCCopySeconds returns the heap scan/copy share of GC time.
 func (r *Runtime) GCCopySeconds() float64 {
-	return r.meter.Get(costmodel.GCCopy).Seconds()
+	return r.sim.Meter.Get(costmodel.GCCopy).Seconds()
 }
 
 // Profiler returns the heap profiler, or nil when profiling is off.
 // Call Finalize on it after the program completes.
-func (r *Runtime) Profiler() *Profiler { return r.profiler }
+func (r *Runtime) Profiler() *Profiler { return r.sim.Profiler }
 
 // PolicyFromProfile derives the paper's pretenuring policy from a
 // finalized profile: every site whose old% is at least cutoffPct (the
@@ -374,11 +340,13 @@ func (r *Runtime) RunBenchmark(name string, scale Scale) (uint64, error) {
 		return 0, err
 	}
 	res := w.Run(r.mutator, scale)
-	if r.profiler != nil {
+	if r.sim.Profiler != nil {
 		// One final collection so objects allocated near the end get a
 		// survival observation before end-of-run accounting.
-		r.col.Collect(false)
-		r.profiler.Finalize()
+		r.sim.Col.Collect(false)
+		if err := r.sim.Finish(); err != nil {
+			return 0, err
+		}
 	}
 	return res.Check, nil
 }

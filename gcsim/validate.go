@@ -46,6 +46,9 @@ func (c Config) Validate() error {
 		if c.OldCollector != OldCopy {
 			bad("OldCollector %v is set but the Semispace collector has no old generation", c.OldCollector)
 		}
+		if c.DeferMajor {
+			bad("DeferMajor is set but the Semispace collector has no minor collection to defer a major from")
+		}
 	}
 	if c.OldCollector > OldMarkCompact {
 		bad("unknown OldCollector %d (want OldCopy, OldMarkSweep, or OldMarkCompact)", c.OldCollector)

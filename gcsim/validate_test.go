@@ -37,6 +37,7 @@ func TestConfigValidate(t *testing.T) {
 		{"semispace aging", gcsim.Config{Collector: gcsim.Semispace, AgingMinors: 2}, "AgingMinors"},
 		{"semispace pretenure", gcsim.Config{Collector: gcsim.Semispace, Pretenure: pol}, "Pretenure"},
 		{"semispace elision", gcsim.Config{Collector: gcsim.Semispace, ScanElision: true}, "ScanElision"},
+		{"semispace defer", gcsim.Config{Collector: gcsim.Semispace, DeferMajor: true}, "DeferMajor"},
 		{"gen markerN", gcsim.Config{MarkerN: 25}, "MarkerN"},
 		{"negative markerN", gcsim.Config{Collector: gcsim.GenerationalMarkers, MarkerN: -1}, "negative"},
 		{"negative aging", gcsim.Config{AgingMinors: -2}, "negative"},

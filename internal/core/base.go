@@ -1,0 +1,195 @@
+package core
+
+import (
+	"tilgc/internal/costmodel"
+	"tilgc/internal/mem"
+	"tilgc/internal/obj"
+	"tilgc/internal/rt"
+	"tilgc/internal/trace"
+)
+
+// scanOpts configures every stack scanner a collector creates: the
+// primary one and each spawned thread's.
+type scanOpts struct {
+	markerN        int
+	policy         MarkerPolicy
+	revisitOnMinor bool
+}
+
+// base is the skeleton Semispace and Generational share: the runtime they
+// collect for, the root scanners, the large-object space, the worker
+// tally, the thread set, and the statistics block, with the bookkeeping
+// every collection runs the same way.
+type base struct {
+	heap  *mem.Heap
+	stack *rt.Stack
+	meter *costmodel.Meter
+	prof  Profiler
+	tr    *trace.Recorder
+
+	scan    scanOpts
+	scanner *StackScanner
+	los     *LOS
+	// tally shards parallel-phase cycles over simulated workers (nil for
+	// W <= 1; see costmodel.WorkerTally).
+	tally *costmodel.WorkerTally
+
+	// threads, when non-nil, is the simulated mutator thread set: every
+	// live thread's stack is a root source with its own scanner. Nil is
+	// the single-thread collector, byte-identical to pre-thread builds.
+	threads   *rt.ThreadSet
+	tscanners []*StackScanner // per-thread scanners, indexed by thread id
+
+	stats GCStats
+}
+
+// init builds the shared state over a fresh heap. It must run on the
+// collector's own base: the scanners and the LOS keep &b.stats.
+func (b *base) init(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, tr *trace.Recorder, workers int, scan scanOpts) {
+	b.heap = mem.NewHeap()
+	b.stack, b.meter, b.prof, b.tr, b.scan = stack, meter, prof, tr, scan
+	if workers > 1 {
+		b.tally = costmodel.NewWorkerTally(meter, workers)
+	}
+	b.scanner = b.newScanner(stack)
+	b.los = NewLOS(b.heap, meter, &b.stats)
+}
+
+// newScanner creates a stack scanner configured like every other one of
+// this collector's.
+func (b *base) newScanner(st *rt.Stack) *StackScanner {
+	sc := NewStackScanner(st, b.meter, &b.stats, b.scan.markerN)
+	sc.SetMarkerPolicy(b.scan.policy)
+	sc.SetRevisitOnMinor(b.scan.revisitOnMinor)
+	sc.SetTally(b.tally)
+	return sc
+}
+
+// AttachThreads connects the simulated thread set: root scanning covers
+// every live thread's stack. Must be called before the first collection;
+// thread 0 must wrap the collector's primary stack.
+func (b *base) AttachThreads(ts *rt.ThreadSet) {
+	if b.stats.NumGC > 0 {
+		panic("core: AttachThreads after a collection")
+	}
+	if ts.Thread(0).Stack() != b.stack {
+		panic("core: thread 0 does not own the collector's stack")
+	}
+	b.threads = ts
+}
+
+// threadScanner returns (creating on first use) the stack scanner for
+// one thread. Thread 0 reuses the primary scanner so its marker cache is
+// continuous with the pre-attach state.
+func (b *base) threadScanner(t *rt.Thread) *StackScanner {
+	id := t.ID()
+	for len(b.tscanners) <= id {
+		b.tscanners = append(b.tscanners, nil)
+	}
+	if b.tscanners[id] == nil {
+		if t.Stack() == b.stack {
+			b.tscanners[id] = b.scanner
+		} else {
+			b.tscanners[id] = b.newScanner(t.Stack())
+		}
+	}
+	return b.tscanners[id]
+}
+
+// noteCollection runs the per-collection scanner bookkeeping over every
+// live thread (depth statistics accumulate across threads).
+func (b *base) noteCollection() {
+	if b.threads == nil {
+		b.scanner.NoteCollection()
+		return
+	}
+	for _, t := range b.threads.Threads() {
+		if t.Dead() {
+			continue
+		}
+		b.threadScanner(t).NoteCollection()
+	}
+}
+
+// chargeOverhead charges the fixed per-collection overhead: serially for
+// a single worker, split across workers otherwise — entering a parallel
+// collection forks the space preparation and bookkeeping across the
+// worker team, so the fixed cost genuinely shrinks on the wall clock
+// while the charged total is preserved exactly.
+func (b *base) chargeOverhead() {
+	if b.tally == nil {
+		b.meter.Charge(costmodel.GCCopy, costmodel.GCOverhead)
+		return
+	}
+	b.tally.ChargeSplit(costmodel.GCCopy, costmodel.GCOverhead)
+}
+
+// endParallelPhase closes a phase whose work is distributed over the
+// simulated workers: the tally's overlap is credited back to the meter
+// first (shrinking the phase's wall-clock delta to the critical path),
+// then the phase-end event records the per-worker tallies. Serial
+// collectors (nil tally) emit a plain phase end.
+func (b *base) endParallelPhase(p trace.Phase) {
+	if b.tally == nil {
+		b.tr.EndPhase(p)
+		return
+	}
+	workers := b.tally.ClosePhase()
+	b.tr.EndPhaseWorkers(p, workers)
+}
+
+// chargeAlloc charges the mutator for one allocation of size words and
+// counts it.
+func (b *base) chargeAlloc(k obj.Kind, size uint64) {
+	b.meter.Charge(costmodel.Client, costmodel.AllocObject)
+	b.meter.ChargeN(costmodel.Client, costmodel.AllocWord, size)
+	b.stats.BytesAllocated += size * mem.WordSize
+	b.stats.ObjectsAllocated++
+	if k == obj.Record {
+		b.stats.RecordBytes += size * mem.WordSize
+	} else {
+		b.stats.ArrayBytes += size * mem.WordSize
+	}
+}
+
+// gcSpan is one open collection: the statistics and the GC clock at its
+// start.
+type gcSpan struct {
+	before GCStats
+	start  costmodel.Cycles
+}
+
+// beginGC opens a collection: its trace span and pause clock, the
+// collection count, and the setup phase with the fixed overhead charged
+// and every scanner told. The caller closes the setup phase.
+func (b *base) beginGC(major bool) gcSpan {
+	b.tr.BeginGC(major)
+	s := gcSpan{before: b.stats, start: b.meter.GC()}
+	b.stats.NumGC++
+	b.tr.BeginPhase(trace.PhaseSetup)
+	b.chargeOverhead()
+	b.noteCollection()
+	return s
+}
+
+// endGC closes the collection beginGC opened: it accumulates the pause,
+// refreshes the lifetime parallel-work counters from the tally, and ends
+// the trace span with the collection's counter deltas.
+func (b *base) endGC(s *gcSpan) {
+	pause := uint64(b.meter.GC() - s.start)
+	b.stats.SumPauseCycles += pause
+	if pause > b.stats.MaxPauseCycles {
+		b.stats.MaxPauseCycles = pause
+	}
+	if b.tally != nil {
+		b.stats.ParallelQuanta = b.tally.Quanta()
+		b.stats.WorkSteals = b.tally.Steals()
+	}
+	b.tr.EndGC(gcCounters(&s.before, &b.stats))
+}
+
+// Heap implements Collector.
+func (b *base) Heap() *mem.Heap { return b.heap }
+
+// Stats implements Collector.
+func (b *base) Stats() *GCStats { return &b.stats }

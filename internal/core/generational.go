@@ -108,17 +108,11 @@ func (c *GenConfig) setDefaults() {
 // budget-derived threshold. Old-to-young pointers created by mutation are
 // tracked by a sequential store buffer (or optionally a card table).
 type Generational struct {
-	cfg   GenConfig
-	heap  *mem.Heap
-	stack *rt.Stack
-	meter *costmodel.Meter
-	prof  Profiler
-	tr    *trace.Recorder
+	base
+	cfg GenConfig
 
-	scanner *StackScanner
-	los     *LOS
-	ssb     *rt.SSB
-	cards   *rt.CardTable
+	ssb   *rt.SSB
+	cards *rt.CardTable
 
 	nursery *mem.Space
 	idA     mem.SpaceID
@@ -174,21 +168,6 @@ type Generational struct {
 	ev      evacuator
 	cardBuf []uint64
 	cardFAs []mem.Addr
-
-	// tally shards parallel-phase cycles over simulated workers (nil for
-	// W <= 1; see costmodel.WorkerTally).
-	tally *costmodel.WorkerTally
-
-	// threads, when non-nil, is the simulated mutator thread set: every
-	// live thread's stack is a root source (each with its own scanner and
-	// markers), pointer stores route through the current thread's barrier
-	// state, and every thread's barrier state — dead threads' included —
-	// is drained at each collection. Nil is the single-thread collector,
-	// byte-identical to pre-thread builds.
-	threads   *rt.ThreadSet
-	tscanners []*StackScanner // per-thread scanners, indexed by thread id
-
-	stats GCStats
 }
 
 // NewGenerational creates a generational collector over its own heap.
@@ -196,11 +175,12 @@ type Generational struct {
 //gc:nocharge construction builds the heap before the simulated clock starts; the paper's cost model charges mutator and GC work, not arena setup
 func NewGenerational(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg GenConfig) *Generational {
 	cfg.setDefaults()
-	heap := mem.NewHeap()
-	c := &Generational{cfg: cfg, heap: heap, stack: stack, meter: meter, prof: prof, tr: cfg.Trace}
-	c.scanner = NewStackScanner(stack, meter, &c.stats, cfg.MarkerN)
-	c.scanner.SetMarkerPolicy(cfg.MarkerPolicy)
-	c.los = NewLOS(heap, meter, &c.stats)
+	c := &Generational{cfg: cfg}
+	// Without immediate promotion, frames cached by the stack scanner can
+	// hold aging-space pointers, so minor scans must revisit cached roots
+	// rather than skip frames.
+	c.init(stack, meter, prof, cfg.Trace, cfg.Workers, scanOpts{
+		markerN: cfg.MarkerN, policy: cfg.MarkerPolicy, revisitOnMinor: cfg.AgingMinors > 0})
 	if cfg.UseCardTable {
 		c.cards = rt.NewCardTable(meter, cfg.CardShift)
 	} else {
@@ -210,11 +190,7 @@ func NewGenerational(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg
 	if cfg.Advisor != nil {
 		c.advPolicy = NewPretenurePolicy(nil)
 	}
-	if cfg.Workers > 1 {
-		c.tally = costmodel.NewWorkerTally(meter, cfg.Workers)
-		c.scanner.SetTally(c.tally)
-	}
-	c.nursery = heap.AddSpace(cfg.NurseryWords)
+	c.nursery = c.heap.AddSpace(cfg.NurseryWords)
 	c.tenCap = c.initialTenCap()
 	// The tenured arena starts small and grows on demand (GrowSpace
 	// preserves offsets, so addresses stay valid); the logical threshold
@@ -223,41 +199,33 @@ func NewGenerational(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg
 	if initial > c.tenCap+cfg.NurseryWords+1024 {
 		initial = c.tenCap + cfg.NurseryWords + 1024
 	}
-	a := heap.AddSpace(initial)
-	b := heap.AddSpace(0)
+	a := c.heap.AddSpace(initial)
+	b := c.heap.AddSpace(0)
 	c.idA, c.idB = a.ID(), b.ID()
 	c.ten = a
 	if cfg.OldCollector != OldCopy {
 		// Non-moving old generation: idA is the permanent tenured space
 		// (idB stays a zero-capacity reservation, never materialized).
-		c.old = newOldSpace(heap, c.idA)
+		c.old = newOldSpace(c.heap, c.idA)
 	}
 	if cfg.AgingMinors > 0 {
-		ag := heap.AddSpace(cfg.NurseryWords + 64)
-		agb := heap.AddSpace(0)
+		ag := c.heap.AddSpace(cfg.NurseryWords + 64)
+		agb := c.heap.AddSpace(0)
 		c.agA, c.agB = ag.ID(), agb.ID()
 		c.aging = ag
-		// Without immediate promotion, frames cached by the stack
-		// scanner can hold aging-space pointers, so minor scans must
-		// revisit cached roots rather than skip frames.
-		c.scanner.SetRevisitOnMinor(true)
 	}
 	return c
 }
 
 // AttachThreads connects the simulated thread set: each existing and
 // future thread is equipped with its own barrier state (a private SSB,
-// or a private dirty-card stage over the shared card table), and root
-// scanning covers every live thread's stack. Must be called before the
-// first collection; thread 0 must wrap the collector's primary stack.
+// or a private dirty-card stage over the shared card table), pointer
+// stores route through the current thread's, and every thread's — dead
+// threads' included — is drained at each collection. Root scanning
+// covers every live thread's stack. Must be called before the first
+// collection; thread 0 must wrap the collector's primary stack.
 func (c *Generational) AttachThreads(ts *rt.ThreadSet) {
-	if c.stats.NumGC > 0 {
-		panic("core: AttachThreads after a collection")
-	}
-	if ts.Thread(0).Stack() != c.stack {
-		panic("core: thread 0 does not own the collector's stack")
-	}
-	c.threads = ts
+	c.base.AttachThreads(ts)
 	equip := func(t *rt.Thread) {
 		if c.cards != nil {
 			t.SetStage(rt.NewCardStage(c.cards))
@@ -271,45 +239,6 @@ func (c *Generational) AttachThreads(ts *rt.ThreadSet) {
 		equip(t)
 	}
 	ts.OnSpawn(equip)
-}
-
-// threadScanner returns (creating on first use) the stack scanner for
-// one thread. Thread 0 reuses the primary scanner so its marker cache is
-// continuous with the pre-attach state.
-func (c *Generational) threadScanner(t *rt.Thread) *StackScanner {
-	id := t.ID()
-	for len(c.tscanners) <= id {
-		c.tscanners = append(c.tscanners, nil)
-	}
-	if c.tscanners[id] == nil {
-		if t.Stack() == c.stack {
-			c.tscanners[id] = c.scanner
-		} else {
-			sc := NewStackScanner(t.Stack(), c.meter, &c.stats, c.cfg.MarkerN)
-			sc.SetMarkerPolicy(c.cfg.MarkerPolicy)
-			sc.SetTally(c.tally)
-			if c.cfg.AgingMinors > 0 {
-				sc.SetRevisitOnMinor(true)
-			}
-			c.tscanners[id] = sc
-		}
-	}
-	return c.tscanners[id]
-}
-
-// noteCollection runs the per-collection scanner bookkeeping over every
-// live thread (depth statistics accumulate across threads).
-func (c *Generational) noteCollection() {
-	if c.threads == nil {
-		c.scanner.NoteCollection()
-		return
-	}
-	for _, t := range c.threads.Threads() {
-		if t.Dead() {
-			continue
-		}
-		c.threadScanner(t).NoteCollection()
-	}
 }
 
 // scanRoots scans every live thread's stack in thread-id order (just the
@@ -400,39 +329,6 @@ func (c *Generational) endQ() {
 		c.tally.EndQuantum()
 	}
 }
-
-// chargeOverhead charges the fixed per-collection overhead: serially for
-// a single worker, split across workers otherwise — entering a parallel
-// collection forks the space preparation and bookkeeping across the
-// worker team, so the fixed cost genuinely shrinks on the wall clock
-// while the charged total is preserved exactly.
-func (c *Generational) chargeOverhead() {
-	if c.tally == nil {
-		c.meter.Charge(costmodel.GCCopy, costmodel.GCOverhead)
-		return
-	}
-	c.tally.ChargeSplit(costmodel.GCCopy, costmodel.GCOverhead)
-}
-
-// endParallelPhase closes a phase whose work is distributed over the
-// simulated workers: the tally's overlap is credited back to the meter
-// first (shrinking the phase's wall-clock delta to the critical path),
-// then the phase-end event records the per-worker tallies. Serial
-// collectors (nil tally) emit a plain phase end.
-func (c *Generational) endParallelPhase(p trace.Phase) {
-	if c.tally == nil {
-		c.tr.EndPhase(p)
-		return
-	}
-	workers := c.tally.ClosePhase()
-	c.tr.EndPhaseWorkers(p, workers)
-}
-
-// Heap implements Collector.
-func (c *Generational) Heap() *mem.Heap { return c.heap }
-
-// Stats implements Collector.
-func (c *Generational) Stats() *GCStats { return &c.stats }
 
 // PointerUpdates returns the lifetime count of barriered pointer stores
 // (across every thread: card stages update the shared table's count, SSB
@@ -577,18 +473,6 @@ func (c *Generational) allocPretenured(k obj.Kind, length uint64, site obj.SiteI
 	return a
 }
 
-func (c *Generational) chargeAlloc(k obj.Kind, size uint64) {
-	c.meter.Charge(costmodel.Client, costmodel.AllocObject)
-	c.meter.ChargeN(costmodel.Client, costmodel.AllocWord, size)
-	c.stats.BytesAllocated += size * mem.WordSize
-	c.stats.ObjectsAllocated++
-	if k == obj.Record {
-		c.stats.RecordBytes += size * mem.WordSize
-	} else {
-		c.stats.ArrayBytes += size * mem.WordSize
-	}
-}
-
 // losLimit is the large-object share of the budget: up to half the total
 // (tenured sizing adapts to the live LOS share after each major).
 func (c *Generational) losLimit() uint64 {
@@ -670,20 +554,13 @@ func (c *Generational) Collect(major bool) {
 func (c *Generational) minorGC() {
 	c.inGC = true
 	defer func() { c.inGC = false }()
-	c.tr.BeginGC(false)
-	statsBefore := c.stats
-	pauseStart := c.meter.GC()
+	span := c.beginGC(false)
 	// The deferred close covers an escalated major too: its phases are
 	// emitted inside this still-open collection span.
 	defer func() {
-		c.recordPause(pauseStart)
 		c.sampleHeap()
-		c.tr.EndGC(gcCounters(&statsBefore, &c.stats))
+		c.endGC(&span)
 	}()
-	c.stats.NumGC++
-	c.tr.BeginPhase(trace.PhaseSetup)
-	c.chargeOverhead()
-	c.noteCollection()
 	c.ensureTenured(c.nursery.Used() + c.agingUsed() + 64)
 
 	var condemned [2]mem.SpaceID
@@ -1069,18 +946,11 @@ func (c *Generational) majorGC() {
 	c.inGC = true
 	defer func() { c.inGC = wasInGC }()
 	if !wasInGC {
-		c.tr.BeginGC(true)
-		statsBefore := c.stats
-		pauseStart := c.meter.GC()
+		span := c.beginGC(true)
 		defer func() {
-			c.recordPause(pauseStart)
 			c.sampleHeap()
-			c.tr.EndGC(gcCounters(&statsBefore, &c.stats))
+			c.endGC(&span)
 		}()
-		c.stats.NumGC++
-		c.tr.BeginPhase(trace.PhaseSetup)
-		c.chargeOverhead()
-		c.noteCollection()
 		c.endParallelPhase(trace.PhaseSetup)
 	}
 	c.stats.NumMajor++
@@ -1301,20 +1171,6 @@ func (c *Generational) updateMaxLive() {
 	liveBytes := (c.tenLive() + c.los.UsedWords()) * mem.WordSize
 	if liveBytes > c.stats.MaxLiveBytes {
 		c.stats.MaxLiveBytes = liveBytes
-	}
-}
-
-// recordPause accumulates pause statistics for one collection event and
-// refreshes the lifetime parallel-work counters from the tally.
-func (c *Generational) recordPause(start costmodel.Cycles) {
-	pause := uint64(c.meter.GC() - start)
-	c.stats.SumPauseCycles += pause
-	if pause > c.stats.MaxPauseCycles {
-		c.stats.MaxPauseCycles = pause
-	}
-	if c.tally != nil {
-		c.stats.ParallelQuanta = c.tally.Quanta()
-		c.stats.WorkSteals = c.tally.Steals()
 	}
 }
 

@@ -92,32 +92,32 @@ type Inspectable interface {
 	Inspect() Inspection
 }
 
+// inspect fills the Inspection fields the collector skeleton owns.
+func (b *base) inspect(largeObjectWords uint64, workers int) Inspection {
+	return Inspection{
+		Heap:             b.heap,
+		Stack:            b.stack,
+		Meter:            b.meter,
+		Stats:            &b.stats,
+		LOSSpaces:        b.los.SpaceIDs(),
+		FreshLOS:         slices.Clone(b.los.Fresh()),
+		LargeObjectWords: largeObjectWords,
+		MarkerN:          b.scan.markerN,
+		Threads:          b.threads,
+		GCWorkers:        workers,
+	}
+}
+
 // Inspect implements Inspectable.
 func (c *Generational) Inspect() Inspection {
-	in := Inspection{
-		Heap:  c.heap,
-		Stack: c.stack,
-		Meter: c.meter,
-		Stats: &c.stats,
-
-		YoungSpaces: []mem.SpaceID{c.nursery.ID()},
-		OldSpaces:   []mem.SpaceID{c.ten.ID()},
-		LOSSpaces:   c.los.SpaceIDs(),
-
-		Generational: true,
-		SSB:          c.ssb,
-		Cards:        c.cards,
-		Sticky:       slices.Clone(c.sticky),
-		FreshLOS:     slices.Clone(c.los.Fresh()),
-		Policy:       mergePolicies(c.cfg.Pretenure, c.advPolicy),
-		ScanElision:  c.cfg.ScanElision,
-
-		LargeObjectWords: c.cfg.LargeObjectWords,
-		MarkerN:          c.cfg.MarkerN,
-
-		Threads:   c.threads,
-		GCWorkers: c.cfg.Workers,
-	}
+	in := c.inspect(c.cfg.LargeObjectWords, c.cfg.Workers)
+	in.YoungSpaces = []mem.SpaceID{c.nursery.ID()}
+	in.OldSpaces = []mem.SpaceID{c.ten.ID()}
+	in.Generational = true
+	in.SSB, in.Cards = c.ssb, c.cards
+	in.Sticky = slices.Clone(c.sticky)
+	in.Policy = mergePolicies(c.cfg.Pretenure, c.advPolicy)
+	in.ScanElision = c.cfg.ScanElision
 	if c.aging != nil {
 		in.YoungSpaces = append(in.YoungSpaces, c.agA, c.agB)
 	}
@@ -141,21 +141,7 @@ func (c *Generational) Inspect() Inspection {
 // generation: its current allocation space is reported as "old" and the
 // generational invariants (remembered sets, pretenured regions) are vacuous.
 func (c *Semispace) Inspect() Inspection {
-	return Inspection{
-		Heap:  c.heap,
-		Stack: c.stack,
-		Meter: c.meter,
-		Stats: &c.stats,
-
-		OldSpaces: []mem.SpaceID{c.cur.ID()},
-		LOSSpaces: c.los.SpaceIDs(),
-
-		FreshLOS: slices.Clone(c.los.Fresh()),
-
-		LargeObjectWords: c.cfg.LargeObjectWords,
-		MarkerN:          c.cfg.MarkerN,
-
-		Threads:   c.threads,
-		GCWorkers: c.cfg.Workers,
-	}
+	in := c.inspect(c.cfg.LargeObjectWords, c.cfg.Workers)
+	in.OldSpaces = []mem.SpaceID{c.cur.ID()}
+	return in
 }

@@ -56,29 +56,13 @@ func (c *SemispaceConfig) setDefaults() {
 // Semispace is the Fenichel-Yochelson two-space copying collector using
 // Cheney's scan, with the paper's liveness-ratio resize policy (§2.1).
 type Semispace struct {
-	cfg   SemispaceConfig
-	heap  *mem.Heap
-	stack *rt.Stack
-	meter *costmodel.Meter
-	prof  Profiler
-	tr    *trace.Recorder
+	base
+	cfg SemispaceConfig
 
-	scanner *StackScanner
-	los     *LOS
-	idA     mem.SpaceID
-	idB     mem.SpaceID
-	cur     *mem.Space // allocation space
-	ev      evacuator  // pooled across collections (see evacuator.begin)
-	// tally shards parallel-phase cycles over simulated workers (nil for
-	// W <= 1; see costmodel.WorkerTally).
-	tally *costmodel.WorkerTally
-	// threads, when non-nil, is the simulated mutator thread set: every
-	// live thread's stack is a root source with its own scanner. The
-	// semispace collector has no write barrier, so threads carry no
-	// barrier state here. Nil is the single-thread collector.
-	threads   *rt.ThreadSet
-	tscanners []*StackScanner // per-thread scanners, indexed by thread id
-	stats     GCStats
+	idA mem.SpaceID
+	idB mem.SpaceID
+	cur *mem.Space // allocation space
+	ev  evacuator  // pooled across collections (see evacuator.begin)
 }
 
 // NewSemispace creates a semispace collector over its own fresh heap.
@@ -86,71 +70,16 @@ type Semispace struct {
 //gc:nocharge construction builds the heap before the simulated clock starts; the paper's cost model charges mutator and GC work, not arena setup
 func NewSemispace(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg SemispaceConfig) *Semispace {
 	cfg.setDefaults()
-	heap := mem.NewHeap()
-	c := &Semispace{cfg: cfg, heap: heap, stack: stack, meter: meter, prof: prof, tr: cfg.Trace}
-	c.scanner = NewStackScanner(stack, meter, &c.stats, cfg.MarkerN)
-	c.los = NewLOS(heap, meter, &c.stats)
 	if cfg.InitialWords > cfg.BudgetWords/2 {
 		cfg.InitialWords = max(cfg.BudgetWords/2, 512)
-		c.cfg = cfg
 	}
-	a := heap.AddSpace(cfg.InitialWords)
-	b := heap.AddSpace(0)
+	c := &Semispace{cfg: cfg}
+	c.init(stack, meter, prof, cfg.Trace, cfg.Workers, scanOpts{markerN: cfg.MarkerN})
+	a := c.heap.AddSpace(cfg.InitialWords)
+	b := c.heap.AddSpace(0)
 	c.idA, c.idB = a.ID(), b.ID()
 	c.cur = a
-	if cfg.Workers > 1 {
-		c.tally = costmodel.NewWorkerTally(meter, cfg.Workers)
-		c.scanner.SetTally(c.tally)
-	}
 	return c
-}
-
-// AttachThreads connects the simulated thread set: root scanning covers
-// every live thread's stack. Must be called before the first collection;
-// thread 0 must wrap the collector's primary stack. No barrier state is
-// attached — the semispace collector has no write barrier.
-func (c *Semispace) AttachThreads(ts *rt.ThreadSet) {
-	if c.stats.NumGC > 0 {
-		panic("core: AttachThreads after a collection")
-	}
-	if ts.Thread(0).Stack() != c.stack {
-		panic("core: thread 0 does not own the collector's stack")
-	}
-	c.threads = ts
-}
-
-// threadScanner returns (creating on first use) the stack scanner for one
-// thread; thread 0 reuses the primary scanner.
-func (c *Semispace) threadScanner(t *rt.Thread) *StackScanner {
-	id := t.ID()
-	for len(c.tscanners) <= id {
-		c.tscanners = append(c.tscanners, nil)
-	}
-	if c.tscanners[id] == nil {
-		if t.Stack() == c.stack {
-			c.tscanners[id] = c.scanner
-		} else {
-			sc := NewStackScanner(t.Stack(), c.meter, &c.stats, c.cfg.MarkerN)
-			sc.SetTally(c.tally)
-			c.tscanners[id] = sc
-		}
-	}
-	return c.tscanners[id]
-}
-
-// noteCollection runs the per-collection scanner bookkeeping over every
-// live thread.
-func (c *Semispace) noteCollection() {
-	if c.threads == nil {
-		c.scanner.NoteCollection()
-		return
-	}
-	for _, t := range c.threads.Threads() {
-		if t.Dead() {
-			continue
-		}
-		c.threadScanner(t).NoteCollection()
-	}
 }
 
 // scanRoots scans every live thread's stack in thread-id order (just the
@@ -180,34 +109,6 @@ func (c *Semispace) Name() string {
 	}
 	return n
 }
-
-// chargeOverhead charges the fixed per-collection overhead, split across
-// the simulated workers when there is more than one (see
-// Generational.chargeOverhead).
-func (c *Semispace) chargeOverhead() {
-	if c.tally == nil {
-		c.meter.Charge(costmodel.GCCopy, costmodel.GCOverhead)
-		return
-	}
-	c.tally.ChargeSplit(costmodel.GCCopy, costmodel.GCOverhead)
-}
-
-// endParallelPhase closes a worker-distributed phase (see
-// Generational.endParallelPhase).
-func (c *Semispace) endParallelPhase(p trace.Phase) {
-	if c.tally == nil {
-		c.tr.EndPhase(p)
-		return
-	}
-	workers := c.tally.ClosePhase()
-	c.tr.EndPhaseWorkers(p, workers)
-}
-
-// Heap implements Collector.
-func (c *Semispace) Heap() *mem.Heap { return c.heap }
-
-// Stats implements Collector.
-func (c *Semispace) Stats() *GCStats { return &c.stats }
 
 // Alloc implements Collector. The common case — a small object into a
 // space with room — runs straight through the bump allocation: records can
@@ -271,18 +172,6 @@ func semispaceGrowthFailure(sp *mem.Space, size uint64) mem.GrowthError {
 	return mem.GrowthError{Op: "semispace emergency growth failed", Space: sp.ID(), Used: sp.Used(), Requested: size}
 }
 
-func (c *Semispace) chargeAlloc(k obj.Kind, size uint64) {
-	c.meter.Charge(costmodel.Client, costmodel.AllocObject)
-	c.meter.ChargeN(costmodel.Client, costmodel.AllocWord, size)
-	c.stats.BytesAllocated += size * mem.WordSize
-	c.stats.ObjectsAllocated++
-	if k == obj.Record {
-		c.stats.RecordBytes += size * mem.WordSize
-	} else {
-		c.stats.ArrayBytes += size * mem.WordSize
-	}
-}
-
 // losLimit is the large-object share of the budget: up to half the total
 // (the semispace sizing adapts to the live LOS share after each sweep).
 func (c *Semispace) losLimit() uint64 {
@@ -315,26 +204,11 @@ func (c *Semispace) InitField(a mem.Addr, i uint64, v uint64) {
 // Collect implements Collector: a full copying collection with Cheney's
 // algorithm, followed by the r'/r resize.
 func (c *Semispace) Collect(bool) {
-	c.tr.BeginGC(false)
-	statsBefore := c.stats
-	pauseStart := c.meter.GC()
+	span := c.beginGC(false)
 	defer func() {
-		pause := uint64(c.meter.GC() - pauseStart)
-		c.stats.SumPauseCycles += pause
-		if pause > c.stats.MaxPauseCycles {
-			c.stats.MaxPauseCycles = pause
-		}
-		if c.tally != nil {
-			c.stats.ParallelQuanta = c.tally.Quanta()
-			c.stats.WorkSteals = c.tally.Steals()
-		}
 		c.sampleHeap()
-		c.tr.EndGC(gcCounters(&statsBefore, &c.stats))
+		c.endGC(&span)
 	}()
-	c.stats.NumGC++
-	c.tr.BeginPhase(trace.PhaseSetup)
-	c.chargeOverhead()
-	c.noteCollection()
 	c.los.ClearMarks()
 
 	fromID, toID := c.idA, c.idB

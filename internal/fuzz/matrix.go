@@ -36,7 +36,8 @@ type Config struct {
 	AgingMinors int
 	// Pretenure statically pretenures PretenureSites.
 	Pretenure bool
-	// Adapt attaches the online pretenuring advisor.
+	// Adapt attaches the online pretenuring advisor (generational entries
+	// only: harness.Build panics on a semispace one).
 	Adapt bool
 	// Workers enables the deterministic parallel copying phases with
 	// this worker count (0 or 1 is serial). Parallelism is accounting-

@@ -7,11 +7,8 @@ import (
 
 	"tilgc/internal/adapt"
 	"tilgc/internal/core"
-	"tilgc/internal/costmodel"
-	"tilgc/internal/mem"
-	"tilgc/internal/obj"
+	"tilgc/internal/harness"
 	"tilgc/internal/prof"
-	"tilgc/internal/rt"
 	"tilgc/internal/sanitize"
 	"tilgc/internal/trace"
 )
@@ -87,55 +84,30 @@ func executeTo(p *Program, cfg Config, sanitized bool, traceTo io.Writer) (out r
 		}
 	}()
 
-	table := rt.NewTraceTable()
-	meter := costmodel.NewMeter()
-	stack := rt.NewStack(table, meter)
-
-	// The profiler feeds the adaptive advisor, so adapt configs need it
-	// even untraced; it observes without charging the meter, so its
-	// presence never perturbs client-visible results.
-	var profiler *prof.Profiler
-	var profHook core.Profiler
-	if traced || cfg.Adapt {
-		profiler = prof.New(siteNames)
-		profHook = profiler
-	}
-	var rec *trace.Recorder
-	if traced {
-		rec = trace.NewRecorder(meter)
-		rec.SetSiteNames(siteNames)
-		stack.SetTracer(rec)
-		profiler.SetDeathSink(func(site obj.SiteID, b uint64) {
-			rec.DeadSite(site, b/mem.WordSize)
-		})
-	}
-	var engine *adapt.Engine
+	spec := harness.Spec{Sites: siteNames, Trace: traced}
 	if cfg.Adapt {
 		// Small mass thresholds so decisions actually flip inside a few
 		// hundred ops' worth of allocation.
-		engine = adapt.New(meter, rec, adapt.Params{
-			MinSampleWords: 64,
-			MinOldWords:    64,
-			CooldownEpochs: 2,
-		})
-		profiler.SetObserver(engine)
+		spec.Adapt = &adapt.Params{MinSampleWords: 64, MinOldWords: 64, CooldownEpochs: 2}
 	}
-
+	// Programs that touch the thread machine get a thread set, attached
+	// before any allocation so the collector routes barriers and root
+	// scans through it from the first collection; thread-free programs
+	// keep the exact single-thread code paths.
+	if p.HasThreadOps() {
+		spec.Threads = 1
+	}
 	budget := budgetFor(p)
-	var col core.Collector
-	var attachThreads func(*rt.ThreadSet)
 	if cfg.Semispace {
-		s := core.NewSemispace(stack, meter, profHook, core.SemispaceConfig{
+		spec.Semispace = &core.SemispaceConfig{
 			BudgetWords:      budget,
 			LargeObjectWords: largeObjectWords,
 			MarkerN:          cfg.MarkerN,
 			InitialWords:     nurseryWords * 4,
 			Workers:          cfg.Workers,
-			Trace:            rec,
-		})
-		col, attachThreads = s, s.AttachThreads
+		}
 	} else {
-		gcfg := core.GenConfig{
+		spec.Gen = core.GenConfig{
 			BudgetWords:      budget,
 			NurseryWords:     nurseryWords,
 			LargeObjectWords: largeObjectWords,
@@ -144,26 +116,13 @@ func executeTo(p *Program, cfg Config, sanitized bool, traceTo io.Writer) (out r
 			UseCardTable:     cfg.Cards,
 			Workers:          cfg.Workers,
 			OldCollector:     cfg.Old,
-			Trace:            rec,
 		}
 		if cfg.Pretenure {
-			gcfg.Pretenure = pretenurePolicy()
+			spec.Gen.Pretenure = pretenurePolicy()
 		}
-		if engine != nil {
-			gcfg.Advisor = engine
-		}
-		g := core.NewGenerational(stack, meter, profHook, gcfg)
-		col, attachThreads = g, g.AttachThreads
 	}
-	// Programs that touch the thread machine get a ThreadSet, attached
-	// before any allocation so the collector routes barriers and root
-	// scans through it from the first collection; thread-free programs
-	// keep the exact single-thread code paths.
-	var threads *rt.ThreadSet
-	if p.HasThreadOps() {
-		threads = rt.NewThreadSet(stack, meter)
-		attachThreads(threads)
-	}
+	sim := harness.Build(spec)
+	col := sim.Col
 	if cfg.wrap != nil {
 		col = cfg.wrap(col)
 	}
@@ -177,33 +136,26 @@ func executeTo(p *Program, cfg Config, sanitized bool, traceTo io.Writer) (out r
 		})
 	}
 
-	in := newInterp(col, stack, table, meter, threads)
+	in := newInterp(col, sim.Stack, sim.Table, sim.Meter, sim.Threads)
 	in.run(p)
 
-	if profiler != nil {
-		profiler.Finalize()
-		out.prof = profiler
-	}
-	if engine != nil {
-		engine.Seal()
-	}
-	out.fp = fingerprint(col, rootStacks(stack, threads))
+	err := sim.Finish()
+	out.prof = sim.Profiler
+	out.fp = fingerprint(col, rootStacks(sim.Stack, sim.Threads))
 	out.checksum = in.checksum
 	out.stats = *col.Stats()
-	if rec != nil {
-		rec.Finish()
-		if err := rec.VerifyReconciled(); err != nil {
-			out.traceErr = err
-			return out
-		}
-		f := trace.NewFile(rec.Data(cfg.Name))
+	if err != nil {
+		out.traceErr = err
+		return out
+	}
+	if sim.Rec != nil {
+		f := trace.NewFile(sim.Rec.Data(cfg.Name))
 		if err := f.WriteJSONL(traceTo); err != nil {
 			out.traceErr = err
 			return out
 		}
 		if err := f.Validate(); err != nil {
 			out.traceErr = err
-			return out
 		}
 	}
 	return out

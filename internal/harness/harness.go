@@ -3,15 +3,18 @@
 // budgets (Min = twice the maximum live data, measured by a calibration
 // run), gathers the measurements the tables report, derives pretenuring
 // policies from profiling runs, and renders Tables 2-7 and Figure 2.
+// Build assembles every simulated runtime, gcsim's and the fuzz fleet's
+// included, from a Spec.
 //
 // # Concurrency contract
 //
 // Run is safe to call from multiple goroutines, and RunAll fans a batch
 // of runs out across a bounded worker pool. The contract:
 //
-//   - Per-run state (heap, stack, trace table, meter, mutator, profiler)
-//     is constructed fresh inside Run and never shared, so concurrent
-//     runs cannot observe each other.
+//   - Per-run state (trace table, meter, stack, profiler, recorder,
+//     advisor, collector and its heap, thread set, mutator) is built
+//     fresh for each run by Build and never shared, so concurrent runs
+//     cannot observe each other.
 //   - Workload implementations are stateless singletons (Run receives
 //     all mutable state through its Mutator) and the workload registry
 //     is immutable after package init.
@@ -36,7 +39,6 @@ import (
 	"tilgc/internal/mem"
 	"tilgc/internal/obj"
 	"tilgc/internal/prof"
-	"tilgc/internal/rt"
 	"tilgc/internal/sanitize"
 	"tilgc/internal/trace"
 	"tilgc/internal/workload"
@@ -101,7 +103,9 @@ type RunConfig struct {
 	Kind     CollectorKind
 	// K is the memory multiple of Min = 2·max-live; 0 means unconstrained.
 	K float64
-	// MarkerN overrides the stack-marker spacing (default 25, the paper's n).
+	// MarkerN sets the stack-marker spacing: on the gen+markers kinds it
+	// overrides the paper's n = 25, on KindSemispace it enables markers
+	// (§7.1). The other kinds place no markers and reject it.
 	MarkerN int
 	// Profile attaches the heap profiler to this run.
 	Profile bool
@@ -119,8 +123,7 @@ type RunConfig struct {
 	Trace bool
 	// TraceHeap additionally samples per-space occupancy (live and
 	// committed words for every space) at the end of each collection,
-	// emitted as gated heap records in the trace stream. Implies nothing
-	// without Trace; sampling is guarded so untraced runs allocate nothing.
+	// emitted as gated heap records in the trace stream. Requires Trace.
 	TraceHeap bool
 	// Adapt attaches the online pretenuring advisor (internal/adapt, §9)
 	// to a generational run: per-site survival statistics accumulate
@@ -130,10 +133,10 @@ type RunConfig struct {
 	// generational kind; combining Adapt with KindSemispace is an error.
 	Adapt bool
 	// AdaptNoDemote disables the advisor's mistrain demotion (ablation:
-	// the phase-shift experiment runs with and without it).
+	// the phase-shift experiment runs with and without it). Requires Adapt.
 	AdaptNoDemote bool
 	// AdaptWarm, when non-nil, seeds the advisor from a prior run's stored
-	// profile before the first allocation (§9 warm start).
+	// profile before the first allocation (§9 warm start). Requires Adapt.
 	AdaptWarm *adapt.RunProfile
 	// TrainScale, when nonzero, derives the offline pretenuring policy
 	// from a calibration at this scale instead of Scale — modelling the
@@ -157,6 +160,7 @@ type RunConfig struct {
 	// at the next GC trigger instead of inside the minor that crossed the
 	// threshold (see core.GenConfig.DeferMajor). Same collections, moved
 	// pause boundaries; bounds the worst pause a latency window absorbs.
+	// Requires a generational kind.
 	DeferMajor bool
 	// OldCollector selects the tenured-generation algorithm for
 	// generational kinds: OldCopy (the zero value, the paper's copying
@@ -284,38 +288,30 @@ func calibrate(name string, scale workload.Scale, cutoffPct float64) (*calibrati
 	// Pass 1: rough live estimate with a generous budget (major
 	// collections are rare, so the high-water mark may be loose). The
 	// profile for pretenuring comes from this pass.
-	runPass := func(budget uint64, profiler *prof.Profiler) *core.Generational {
-		table := rt.NewTraceTable()
-		meter := costmodel.NewMeter()
-		stack := rt.NewStack(table, meter)
-		var hook core.Profiler
-		if profiler != nil {
-			hook = profiler
-		}
+	runPass := func(budget uint64, profile bool) *Sim {
 		// Small nursery: frequent live-set samples for a tight estimate.
-		col := core.NewGenerational(stack, meter, hook, core.GenConfig{
-			BudgetWords:  budget,
-			NurseryWords: 4 * 1024,
+		sim := Build(Spec{
+			Gen:     core.GenConfig{BudgetWords: budget, NurseryWords: 4 * 1024},
+			Sites:   w.Sites(),
+			Profile: profile,
 		})
-		m := workload.NewMutator(col, stack, table, meter)
-		w.Run(m, scale)
-		col.Collect(true) // final major: exact live floor
-		return col
+		w.Run(sim.Mutator(), scale)
+		sim.Col.Collect(true) // final major: exact live floor
+		_ = sim.Finish()      // untraced, so there is no recorder to reconcile
+		return sim
 	}
-	profiler := prof.New(w.Sites())
-	rough := runPass(1<<24, profiler)
-	profiler.Finalize()
+	rough := runPass(1<<24, true)
 	// Pass 2: a tight budget (a few multiples of the rough maximum)
 	// forces frequent major collections, sampling the true live-set peak
 	// closely. Max live only moves up, so the rough value is the floor.
-	tightBudget := 6 * rough.Stats().MaxLiveBytes / mem.WordSize
+	tightBudget := 6 * rough.Col.Stats().MaxLiveBytes / mem.WordSize
 	if tightBudget < 64*1024 {
 		tightBudget = 64 * 1024
 	}
-	tight := runPass(tightBudget, nil)
-	maxLive := max(rough.Stats().MaxLiveBytes, tight.Stats().MaxLiveBytes)
+	tight := runPass(tightBudget, false)
+	maxLive := max(rough.Col.Stats().MaxLiveBytes, tight.Col.Stats().MaxLiveBytes)
 
-	policy := profiler.Policy(cutoffPct, 32)
+	policy := rough.Profiler.Policy(cutoffPct, 32)
 	// Attach the §7.2 manual-dataflow flags to the policy sites.
 	onlyOld := map[obj.SiteID]bool{}
 	for _, s := range w.OnlyOldSites() {
@@ -345,6 +341,9 @@ func ClearCalibrationCache() {
 
 // Run executes one experiment.
 func Run(cfg RunConfig) (*RunResult, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	w, err := workload.Get(cfg.Workload)
 	if err != nil {
 		return nil, err
@@ -365,178 +364,137 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		}
 	}
 
-	// The paper's budget: k · Min, Min = 2 · max live.
-	budget := uint64(1) << 24 // unconstrained default
-	if cfg.K > 0 {
-		budget = uint64(cfg.K * 2 * float64(cal.maxLiveWords))
+	sim := Build(cfg.spec(w, cal.maxLiveWords, polCal.policy))
+	if cfg.TraceHeap {
+		sim.Rec.EnableHeapSampling()
 	}
-	markerN := cfg.MarkerN
-	if markerN == 0 {
-		markerN = 25
+	if sim.Advisor != nil {
+		sim.Advisor.WarmStart(cfg.AdaptWarm)
+	}
+	g, _ := sim.Col.(*core.Generational) // for PointerUpdates past the sanitizer
+	if cfg.Sanitize {
+		sim.Col = sanitize.Wrap(sim.Col, sanitize.Options{})
 	}
 
-	table := rt.NewTraceTable()
-	meter := costmodel.NewMeter()
-	stack := rt.NewStack(table, meter)
-	var profiler *prof.Profiler
-	var profHook core.Profiler
-	if cfg.Profile || cfg.Trace || cfg.Adapt {
-		// Traced runs borrow the profiler's lifetime records for per-site
-		// death accounting; the profiler charges nothing to the meter, so
-		// attaching it does not perturb the simulated measurements.
-		// Adaptive runs need it too: its lifetime event stream is the
-		// advisor's stat feed.
-		profiler = prof.New(w.Sites())
-		profHook = profiler
+	res := w.Run(sim.Mutator(), cfg.Scale)
+	if err := sim.Finish(); err != nil {
+		return nil, fmt.Errorf("harness: %s: %w", cfg.Label(), err)
 	}
-	var rec *trace.Recorder
-	if cfg.Trace {
-		rec = trace.NewRecorder(meter)
-		rec.SetSiteNames(w.Sites())
-		if cfg.TraceHeap {
-			rec.EnableHeapSampling()
-		}
-		stack.SetTracer(rec)
-		profiler.SetDeathSink(func(site obj.SiteID, bytes uint64) {
-			rec.DeadSite(site, bytes/mem.WordSize)
-		})
+	r := &RunResult{
+		Config:   cfg,
+		Check:    res.Check,
+		Times:    sim.Meter.Snapshot(),
+		Stats:    *sim.Col.Stats(),
+		MaxDepth: sim.Stack.MaxDepth(),
+		Trace:    sim.Rec,
+		Policy:   polCal.policy,
 	}
-	var engine *adapt.Engine
-	if cfg.Adapt {
-		if cfg.Kind == KindSemispace {
-			return nil, fmt.Errorf("harness: %s: the adaptive advisor requires a generational collector", cfg.Label())
-		}
-		cutoff := cfg.PretenureCutoff
+	if g != nil {
+		r.Updates = g.PointerUpdates()
+	}
+	if cfg.Profile {
+		r.Profiler = sim.Profiler // trace-only and adapt-only runs keep the profiler internal
+	}
+	if sim.Advisor != nil {
+		r.Adapt = sim.Advisor.Snapshot()
+		r.AdaptProfile = sim.Advisor.StoreProfile(cfg.Label(), cfg.Workload, w.Sites())
+	}
+	return r, nil
+}
+
+// validate rejects option combinations the run would otherwise ignore,
+// naming the field and the kind that cannot honour it.
+func (c RunConfig) validate() error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("harness: %s: "+format, append([]any{c.Label()}, args...)...)
+	}
+	switch {
+	case c.Kind < KindSemispace || c.Kind > KindGenAgingPretenure:
+		return fmt.Errorf("harness: unknown collector kind %v", c.Kind)
+	case c.Kind == KindSemispace && c.Adapt:
+		return bad("the adaptive advisor requires a generational collector")
+	case c.Kind == KindSemispace && c.OldCollector != core.OldCopy:
+		return bad("OldCollector %s requires a generational collector", c.OldCollector)
+	case c.Kind == KindSemispace && c.DeferMajor:
+		return bad("DeferMajor is set but the semispace collector has no minor collection to defer a major from")
+	case c.MarkerN < 0 || c.Threads < 0 || c.GCWorkers < 0 || c.K < 0:
+		return bad("negative option: MarkerN %d, Threads %d, GCWorkers %d, K %g", c.MarkerN, c.Threads, c.GCWorkers, c.K)
+	case c.MarkerN != 0 && !c.Kind.placesMarkers():
+		return bad("MarkerN is set but %v places no stack markers", c.Kind)
+	case c.TraceHeap && !c.Trace:
+		return bad("TraceHeap is set but Trace is off, so no heap sample would be recorded")
+	case c.AdaptNoDemote && !c.Adapt:
+		return bad("AdaptNoDemote is set but Adapt is off")
+	case c.AdaptWarm != nil && !c.Adapt:
+		return bad("AdaptWarm is set but Adapt is off")
+	}
+	return nil
+}
+
+// placesMarkers reports whether runs of kind k take a stack-marker
+// spacing: the semispace baseline and the gen+markers family.
+func (k CollectorKind) placesMarkers() bool {
+	return k == KindSemispace || k >= KindGenMarkers && k <= KindGenMarkersPretenureElide
+}
+
+// spec translates a validated run into the runtime Build assembles: the
+// paper's budget of k·Min (Min = 2·max live), the collector kind's
+// options, and the instruments the run asks for.
+func (c RunConfig) spec(w workload.Workload, maxLiveWords uint64, policy *core.PretenurePolicy) Spec {
+	budget := uint64(1) << 24 // unconstrained default
+	if c.K > 0 {
+		budget = uint64(c.K * 2 * float64(maxLiveWords))
+	}
+	s := Spec{Sites: w.Sites(), Profile: c.Profile, Trace: c.Trace}
+	if c.Threads > 1 {
+		s.Threads = c.Threads
+	}
+	if c.Adapt {
+		cutoff := c.PretenureCutoff
 		if cutoff == 0 {
 			cutoff = DefaultPretenureCutoff
 		}
-		engine = adapt.New(meter, rec, adapt.Params{
+		s.Adapt = &adapt.Params{
 			PromotePPM:      uint64(cutoff * 10_000), // old% cutoff → ppm
-			DisableDemotion: cfg.AdaptNoDemote,
-		})
-		profiler.SetObserver(engine)
-		engine.WarmStart(cfg.AdaptWarm)
-	}
-
-	var col core.Collector
-	var updates func() uint64
-	var attachThreads func(*rt.ThreadSet)
-	switch cfg.Kind {
-	case KindSemispace:
-		if cfg.OldCollector != core.OldCopy {
-			return nil, fmt.Errorf("harness: %s: OldCollector %s requires a generational collector", cfg.Label(), cfg.OldCollector)
-		}
-		s := core.NewSemispace(stack, meter, profHook, core.SemispaceConfig{
-			BudgetWords: budget,
-			Workers:     cfg.GCWorkers,
-			Trace:       rec,
-		})
-		col = s
-		attachThreads = s.AttachThreads
-		updates = func() uint64 { return 0 }
-	default:
-		gcfg := core.GenConfig{
-			BudgetWords:  budget,
-			NurseryWords: nurseryFor(budget),
-			Workers:      cfg.GCWorkers,
-			DeferMajor:   cfg.DeferMajor,
-			OldCollector: cfg.OldCollector,
-			Trace:        rec,
-		}
-		if cfg.Profile && cfg.K == 0 {
-			// Unconstrained profiling runs (Figure 2) use a small nursery
-			// so object lifetimes are sampled frequently.
-			gcfg.NurseryWords = 4 * 1024
-		}
-		if engine != nil {
-			gcfg.Advisor = engine
-		}
-		switch cfg.Kind {
-		case KindGenerational:
-		case KindGenMarkers:
-			gcfg.MarkerN = markerN
-		case KindGenMarkersPretenure:
-			gcfg.MarkerN = markerN
-			gcfg.Pretenure = polCal.policy
-		case KindGenMarkersPretenureElide:
-			gcfg.MarkerN = markerN
-			gcfg.Pretenure = polCal.policy
-			gcfg.ScanElision = true
-		case KindGenCards:
-			gcfg.UseCardTable = true
-		case KindGenPretenure:
-			gcfg.Pretenure = polCal.policy
-		case KindGenAging:
-			gcfg.AgingMinors = 3
-		case KindGenAgingPretenure:
-			gcfg.AgingMinors = 3
-			gcfg.Pretenure = polCal.policy
-		default:
-			return nil, fmt.Errorf("harness: unknown collector kind %v", cfg.Kind)
-		}
-		g := core.NewGenerational(stack, meter, profHook, gcfg)
-		col = g
-		attachThreads = g.AttachThreads
-		updates = g.PointerUpdates
-	}
-	// The thread set is created — and the collector told about it — only
-	// for T > 1, so single-thread runs execute the exact pre-thread code
-	// paths (byte-identical traces).
-	var threads *rt.ThreadSet
-	if cfg.Threads > 1 {
-		threads = rt.NewThreadSet(stack, meter)
-		attachThreads(threads)
-		for i := 1; i < cfg.Threads; i++ {
-			threads.Spawn()
+			DisableDemotion: c.AdaptNoDemote,
 		}
 	}
-	if cfg.Sanitize {
-		col = sanitize.Wrap(col, sanitize.Options{})
+	if c.Kind == KindSemispace {
+		s.Semispace = &core.SemispaceConfig{BudgetWords: budget, MarkerN: c.MarkerN, Workers: c.GCWorkers}
+		return s
 	}
-
-	m := workload.NewMutator(col, stack, table, meter)
-	m.Threads = threads
-	// Traced runs record request spans: workloads that bracket work with
-	// Mutator.Request (the server family) feed the internal/slo latency
-	// report. Untraced runs leave Rec nil and Request degrades to a plain
-	// call, so the simulated times are identical either way.
-	m.Rec = rec
-	res := w.Run(m, cfg.Scale)
-	if profiler != nil {
-		profiler.Finalize()
+	g := core.GenConfig{
+		BudgetWords:  budget,
+		NurseryWords: nurseryFor(budget),
+		Workers:      c.GCWorkers,
+		DeferMajor:   c.DeferMajor,
+		OldCollector: c.OldCollector,
 	}
-	var adaptSnap *adapt.Snapshot
-	var adaptProfile *adapt.RunProfile
-	if engine != nil {
-		// Seal after Finalize so the profiler's end-of-run deaths fold
-		// into the stored survival state without triggering decisions.
-		engine.Seal()
-		adaptSnap = engine.Snapshot()
-		adaptProfile = engine.StoreProfile(cfg.Label(), cfg.Workload, w.Sites())
+	if c.Profile && c.K == 0 {
+		// Unconstrained profiling runs (Figure 2) use a small nursery
+		// so object lifetimes are sampled frequently.
+		g.NurseryWords = 4 * 1024
 	}
-	if rec != nil {
-		rec.Finish()
-		if err := rec.VerifyReconciled(); err != nil {
-			return nil, fmt.Errorf("harness: %s: %w", cfg.Label(), err)
+	if c.Kind.placesMarkers() {
+		g.MarkerN = c.MarkerN
+		if g.MarkerN == 0 {
+			g.MarkerN = 25 // the paper's n
 		}
 	}
-	resultProf := profiler
-	if !cfg.Profile {
-		resultProf = nil // trace-only and adapt-only runs keep the profiler internal
+	switch c.Kind {
+	case KindGenMarkersPretenure, KindGenPretenure:
+		g.Pretenure = policy
+	case KindGenMarkersPretenureElide:
+		g.Pretenure, g.ScanElision = policy, true
+	case KindGenCards:
+		g.UseCardTable = true
+	case KindGenAging:
+		g.AgingMinors = 3
+	case KindGenAgingPretenure:
+		g.AgingMinors, g.Pretenure = 3, policy
 	}
-	return &RunResult{
-		Config:       cfg,
-		Check:        res.Check,
-		Times:        meter.Snapshot(),
-		Stats:        *col.Stats(),
-		Updates:      updates(),
-		MaxDepth:     stack.MaxDepth(),
-		Profiler:     resultProf,
-		Trace:        rec,
-		Policy:       polCal.policy,
-		Adapt:        adaptSnap,
-		AdaptProfile: adaptProfile,
-	}, nil
+	s.Gen = g
+	return s
 }
 
 // nurseryFor sizes the nursery: the paper's 512KB cache-sized nursery,

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"tilgc/internal/adapt"
+	"tilgc/internal/core"
 	"tilgc/internal/workload"
 )
 
@@ -235,5 +237,86 @@ func TestAgingKindsRunCorrectly(t *testing.T) {
 		} else if r.Check != ref {
 			t.Fatalf("%v check mismatch", kind)
 		}
+	}
+}
+
+// TestRunSemispaceHonoursMarkerN: MarkerN reaches the semispace
+// collector, as it does through gcsim. Run used to drop it there, so a
+// marker-spacing run measured the plain baseline and reused no frames.
+func TestRunSemispaceHonoursMarkerN(t *testing.T) {
+	base := RunConfig{Workload: "Color", Scale: tiny, Kind: KindSemispace, K: 3}
+	plain, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.MarkerN = 5
+	marked, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Stats.FramesReused != 0 {
+		t.Fatalf("semispace without markers reused %d frames", plain.Stats.FramesReused)
+	}
+	if marked.Stats.FramesReused == 0 || marked.Stats.MarkersPlaced == 0 {
+		t.Fatalf("semispace with MarkerN 5 placed %d markers and reused %d frames, want both > 0",
+			marked.Stats.MarkersPlaced, marked.Stats.FramesReused)
+	}
+	if marked.Check != plain.Check {
+		t.Fatalf("markers changed the client result: %x vs %x", marked.Check, plain.Check)
+	}
+}
+
+// TestRunRejectsIgnoredOptions: an option the run would ignore is an
+// error naming the field, never a quietly different experiment.
+func TestRunRejectsIgnoredOptions(t *testing.T) {
+	base := RunConfig{Workload: "Color", Scale: tiny}
+	cases := []struct {
+		name string
+		set  func(*RunConfig)
+		want string
+	}{
+		{"gen markerN", func(c *RunConfig) { c.Kind, c.MarkerN = KindGenerational, 5 }, "MarkerN"},
+		{"cards markerN", func(c *RunConfig) { c.Kind, c.MarkerN = KindGenCards, 5 }, "MarkerN"},
+		{"pretenure markerN", func(c *RunConfig) { c.Kind, c.MarkerN = KindGenPretenure, 5 }, "MarkerN"},
+		{"aging markerN", func(c *RunConfig) { c.Kind, c.MarkerN = KindGenAging, 5 }, "MarkerN"},
+		{"aging pretenure markerN", func(c *RunConfig) { c.Kind, c.MarkerN = KindGenAgingPretenure, 5 }, "MarkerN"},
+		{"trace heap untraced", func(c *RunConfig) { c.Kind, c.TraceHeap = KindGenMarkers, true }, "TraceHeap"},
+		{"no demote without adapt", func(c *RunConfig) { c.Kind, c.AdaptNoDemote = KindGenerational, true }, "AdaptNoDemote"},
+		{"warm without adapt", func(c *RunConfig) { c.Kind, c.AdaptWarm = KindGenerational, &adapt.RunProfile{} }, "AdaptWarm"},
+		{"semispace defer", func(c *RunConfig) { c.Kind, c.DeferMajor = KindSemispace, true }, "DeferMajor"},
+		{"semispace old", func(c *RunConfig) { c.Kind, c.OldCollector = KindSemispace, core.OldMarkSweep }, "OldCollector"},
+		{"negative markerN", func(c *RunConfig) { c.Kind, c.MarkerN = KindGenMarkers, -3 }, "negative"},
+		{"negative workers", func(c *RunConfig) { c.Kind, c.GCWorkers = KindGenMarkers, -2 }, "negative"},
+		{"unknown kind", func(c *RunConfig) { c.Kind = KindGenAgingPretenure + 1 }, "unknown collector kind"},
+	}
+	for _, tc := range cases {
+		cfg := base
+		tc.set(&cfg)
+		_, err := Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run error %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if err != nil && tc.want == "MarkerN" && !strings.Contains(err.Error(), cfg.Kind.String()) {
+			t.Errorf("%s: error %q does not name the kind %v", tc.name, err, cfg.Kind)
+		}
+	}
+}
+
+// TestRunAllTraceHeapOnlyOnTracedRuns: Options.TraceHeap samples the runs
+// the batch traces and leaves untraced runs valid and unsampled.
+func TestRunAllTraceHeapOnlyOnTracedRuns(t *testing.T) {
+	cfgs := []RunConfig{
+		{Workload: "Color", Scale: tiny, Kind: KindGenMarkers, K: 3},
+		{Workload: "Color", Scale: tiny, Kind: KindGenMarkers, K: 3, Trace: true},
+	}
+	rs, err := RunAll(cfgs, Options{Parallelism: 1, TraceHeap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs[0].Config.TraceHeap || rs[0].Trace != nil {
+		t.Fatalf("untraced run got TraceHeap %v, recorder %v", rs[0].Config.TraceHeap, rs[0].Trace != nil)
+	}
+	if !rs[1].Config.TraceHeap || len(rs[1].Trace.Data("x").Heap) == 0 {
+		t.Fatal("traced run recorded no heap samples under Options.TraceHeap")
 	}
 }

@@ -189,7 +189,7 @@ func RunAll(cfgs []RunConfig, opts Options) ([]*RunResult, error) {
 		if opts.Trace || opts.TraceSink != nil {
 			cfg.Trace = true
 		}
-		if opts.TraceHeap {
+		if opts.TraceHeap && cfg.Trace {
 			cfg.TraceHeap = true
 		}
 		if (opts.Adapt || opts.AdaptSink != nil) && cfg.Kind != KindSemispace {
