@@ -109,8 +109,7 @@ type Config struct {
 	// Threads runs the mutator over this many simulated threads: thread 0
 	// wraps the primary stack and the rest spawn with empty stacks. The
 	// scheduler is cooperative — programs switch with
-	// Mutator.SetThread — so 0 or 1 is the single-thread runtime,
-	// byte-identical to builds without thread support.
+	// Mutator.SetThread — and 0 and 1 both name the primary thread alone.
 	Threads int
 	// GCWorkers enables the deterministic parallel copying phases with
 	// this many simulated workers: heap images stay byte-identical at
@@ -224,12 +223,7 @@ func NewRuntime(cfg Config) *Runtime {
 	if budget == 0 {
 		budget = 512 << 20
 	}
-	spec := harness.Spec{Sites: cfg.SiteNames, Profile: cfg.Profile}
-	// The thread set exists only for T > 1, so single-thread runtimes run
-	// the exact pre-thread code paths.
-	if cfg.Threads > 1 {
-		spec.Threads = cfg.Threads
-	}
+	spec := harness.Spec{Sites: cfg.SiteNames, Profile: cfg.Profile, Threads: cfg.Threads}
 	switch cfg.Collector {
 	case Semispace:
 		// §5's stack markers apply to the semispace collector too.

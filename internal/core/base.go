@@ -17,41 +17,41 @@ type scanOpts struct {
 }
 
 // base is the skeleton Semispace and Generational share: the runtime they
-// collect for, the root scanners, the large-object space, the worker
-// tally, the thread set, and the statistics block, with the bookkeeping
-// every collection runs the same way.
+// collect for, the thread set, the root scanners, the large-object space,
+// the worker tally, and the statistics block, with the bookkeeping every
+// collection runs the same way.
 type base struct {
 	heap  *mem.Heap
-	stack *rt.Stack
 	meter *costmodel.Meter
 	prof  Profiler
 	tr    *trace.Recorder
 
-	scan    scanOpts
-	scanner *StackScanner
-	los     *LOS
+	scan scanOpts
+	los  *LOS
 	// tally shards parallel-phase cycles over simulated workers (nil for
 	// W <= 1; see costmodel.WorkerTally).
 	tally *costmodel.WorkerTally
 
-	// threads, when non-nil, is the simulated mutator thread set: every
-	// live thread's stack is a root source with its own scanner. Nil is
-	// the single-thread collector, byte-identical to pre-thread builds.
+	// threads is the simulated mutator thread set, thread 0 wrapping the
+	// primary stack: every live thread's stack is a root source with its
+	// own scanner.
 	threads   *rt.ThreadSet
 	tscanners []*StackScanner // per-thread scanners, indexed by thread id
 
 	stats GCStats
 }
 
-// init builds the shared state over a fresh heap. It must run on the
-// collector's own base: the scanners and the LOS keep &b.stats.
+// init builds the shared state over a fresh heap and a thread set whose
+// thread 0 wraps stack. It must run on the collector's own base: the
+// scanners and the LOS keep &b.stats.
 func (b *base) init(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, tr *trace.Recorder, workers int, scan scanOpts) {
 	b.heap = mem.NewHeap()
-	b.stack, b.meter, b.prof, b.tr, b.scan = stack, meter, prof, tr, scan
+	b.meter, b.prof, b.tr, b.scan = meter, prof, tr, scan
 	if workers > 1 {
 		b.tally = costmodel.NewWorkerTally(meter, workers)
 	}
-	b.scanner = b.newScanner(stack)
+	b.threads = rt.NewThreadSet(stack, meter)
+	b.tscanners = []*StackScanner{b.newScanner(stack)}
 	b.los = NewLOS(b.heap, meter, &b.stats)
 }
 
@@ -65,33 +65,20 @@ func (b *base) newScanner(st *rt.Stack) *StackScanner {
 	return sc
 }
 
-// AttachThreads connects the simulated thread set: root scanning covers
-// every live thread's stack. Must be called before the first collection;
-// thread 0 must wrap the collector's primary stack.
-func (b *base) AttachThreads(ts *rt.ThreadSet) {
-	if b.stats.NumGC > 0 {
-		panic("core: AttachThreads after a collection")
-	}
-	if ts.Thread(0).Stack() != b.stack {
-		panic("core: thread 0 does not own the collector's stack")
-	}
-	b.threads = ts
-}
+// Threads returns the collector's simulated mutator thread set. The
+// scheduler (a workload mutator or the fuzz interpreter) spawns, switches
+// and joins through it; pointer stores and root scans follow it.
+func (b *base) Threads() *rt.ThreadSet { return b.threads }
 
 // threadScanner returns (creating on first use) the stack scanner for
-// one thread. Thread 0 reuses the primary scanner so its marker cache is
-// continuous with the pre-attach state.
+// one thread; thread 0's was created with the collector.
 func (b *base) threadScanner(t *rt.Thread) *StackScanner {
 	id := t.ID()
 	for len(b.tscanners) <= id {
 		b.tscanners = append(b.tscanners, nil)
 	}
 	if b.tscanners[id] == nil {
-		if t.Stack() == b.stack {
-			b.tscanners[id] = b.scanner
-		} else {
-			b.tscanners[id] = b.newScanner(t.Stack())
-		}
+		b.tscanners[id] = b.newScanner(t.Stack())
 	}
 	return b.tscanners[id]
 }
@@ -99,10 +86,6 @@ func (b *base) threadScanner(t *rt.Thread) *StackScanner {
 // noteCollection runs the per-collection scanner bookkeeping over every
 // live thread (depth statistics accumulate across threads).
 func (b *base) noteCollection() {
-	if b.threads == nil {
-		b.scanner.NoteCollection()
-		return
-	}
 	for _, t := range b.threads.Threads() {
 		if t.Dead() {
 			continue

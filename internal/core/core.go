@@ -13,6 +13,7 @@ package core
 import (
 	"tilgc/internal/mem"
 	"tilgc/internal/obj"
+	"tilgc/internal/rt"
 )
 
 // Collector is the mutator-facing interface every collector implements.
@@ -48,6 +49,11 @@ type Collector interface {
 
 	// Heap returns the underlying simulated heap (read-only use).
 	Heap() *mem.Heap
+
+	// Threads returns the collector's simulated mutator thread set. It
+	// is created with the collector, thread 0 wrapping the stack the
+	// collector was built over; roots and barriers cover every thread.
+	Threads() *rt.ThreadSet
 
 	// Name returns the configuration name for reports.
 	Name() string

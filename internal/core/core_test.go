@@ -222,6 +222,57 @@ func TestGenerationalWriteBarrierWithoutBarrierWouldDangle(t *testing.T) {
 	}
 }
 
+// TestCollectorOwnsThreadSet: a collector built straight over a stack
+// comes with its thread set, thread 0 wrapping that stack. A pointer
+// store made on a spawned thread reaches the remembered set — dirtying
+// the shared card table at once, or landing in the spawned thread's own
+// SSB — and the next minor collection forwards the young target through
+// it.
+func TestCollectorOwnsThreadSet(t *testing.T) {
+	for _, cards := range []bool{true, false} {
+		t.Run(map[bool]string{true: "cards", false: "ssb"}[cards], func(t *testing.T) {
+			e := newEnv(4)
+			c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512, UseCardTable: cards})
+			ts := c.Threads()
+			if ts.Len() != 1 || ts.Thread(0).Stack() != e.stack {
+				t.Fatal("the collector's thread set does not wrap its stack as thread 0")
+			}
+			oldObj := c.Alloc(obj.Record, 1, 1, 0b1)
+			e.stack.SetSlot(1, uint64(oldObj))
+			c.Collect(false)
+			oldObj = mem.Addr(e.stack.Slot(1))
+			if oldObj.Space() == c.nursery.ID() {
+				t.Fatal("object not promoted")
+			}
+
+			th := ts.Spawn()
+			th.Stack().Call(e.root)
+			ts.SetCurrent(th.ID())
+			young := c.Alloc(obj.Record, 1, 2, 0)
+			c.InitField(young, 0, 4242)
+			c.StoreField(oldObj, 0, uint64(young), true)
+			fa := obj.FieldAddr(c.Heap(), oldObj, 0)
+			if cards {
+				if !c.Inspect().Cards.Covers(fa) {
+					t.Fatal("the spawned thread's store left its card clean in the shared table")
+				}
+			} else if th.SSB().Len() != 1 || ts.Thread(0).SSB().Len() != 0 {
+				t.Fatalf("SSB entries: thread 0 %d, spawned %d; want 0, 1",
+					ts.Thread(0).SSB().Len(), th.SSB().Len())
+			}
+
+			c.Collect(false)
+			got := mem.Addr(c.LoadField(oldObj, 0))
+			if got.IsNil() || got.Space() == c.nursery.ID() {
+				t.Fatalf("young target not forwarded via the remembered set: %v", got)
+			}
+			if c.LoadField(got, 0) != 4242 {
+				t.Fatal("young target corrupted")
+			}
+		})
+	}
+}
+
 func TestGenerationalMajorGCReclaimsTenuredGarbage(t *testing.T) {
 	e := newEnv(4)
 	c := newGen(e, GenConfig{BudgetWords: 64 * 1024, NurseryWords: 512})

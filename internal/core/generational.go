@@ -111,8 +111,7 @@ type Generational struct {
 	base
 	cfg GenConfig
 
-	ssb   *rt.SSB
-	cards *rt.CardTable
+	cards *rt.CardTable // nil under the SSB barrier: each thread has its own SSB
 
 	nursery *mem.Space
 	idA     mem.SpaceID
@@ -184,7 +183,11 @@ func NewGenerational(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg
 	if cfg.UseCardTable {
 		c.cards = rt.NewCardTable(meter, cfg.CardShift)
 	} else {
-		c.ssb = rt.NewSSB(meter)
+		// Every thread, thread 0 and each later spawn, gets a private
+		// store buffer; every buffer is drained at each collection.
+		equip := func(t *rt.Thread) { t.SetSSB(rt.NewSSB(meter)) }
+		equip(c.threads.Thread(0))
+		c.threads.OnSpawn(equip)
 	}
 	c.pretenureOn = cfg.Pretenure.Len() > 0
 	if cfg.Advisor != nil {
@@ -217,38 +220,10 @@ func NewGenerational(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg
 	return c
 }
 
-// AttachThreads connects the simulated thread set: each existing and
-// future thread is equipped with its own barrier state (a private SSB,
-// or a private dirty-card stage over the shared card table), pointer
-// stores route through the current thread's, and every thread's — dead
-// threads' included — is drained at each collection. Root scanning
-// covers every live thread's stack. Must be called before the first
-// collection; thread 0 must wrap the collector's primary stack.
-func (c *Generational) AttachThreads(ts *rt.ThreadSet) {
-	c.base.AttachThreads(ts)
-	equip := func(t *rt.Thread) {
-		if c.cards != nil {
-			t.SetStage(rt.NewCardStage(c.cards))
-		} else if t.Stack() == c.stack {
-			t.SetSSB(c.ssb)
-		} else {
-			t.SetSSB(rt.NewSSB(c.meter))
-		}
-	}
-	for _, t := range ts.Threads() {
-		equip(t)
-	}
-	ts.OnSpawn(equip)
-}
-
-// scanRoots scans every live thread's stack in thread-id order (just the
-// primary stack when no thread set is attached). Dead threads' stacks
-// are skipped: a joined thread's frames no longer keep anything alive.
+// scanRoots scans every live thread's stack in thread-id order. Dead
+// threads' stacks are skipped: a joined thread's frames no longer keep
+// anything alive.
 func (c *Generational) scanRoots(ev *evacuator, minor bool) {
-	if c.threads == nil {
-		c.scanner.Scan(minor, func(loc RootLoc) { c.forwardRootOn(ev, c.stack, loc) })
-		return
-	}
 	for _, t := range c.threads.Threads() {
 		if t.Dead() {
 			continue
@@ -331,14 +306,11 @@ func (c *Generational) endQ() {
 }
 
 // PointerUpdates returns the lifetime count of barriered pointer stores
-// (across every thread: card stages update the shared table's count, SSB
-// counts are summed per thread).
+// across every thread: the shared card table's count, or the per-thread
+// SSB counts summed.
 func (c *Generational) PointerUpdates() uint64 {
 	if c.cards != nil {
 		return c.cards.TotalRecorded()
-	}
-	if c.threads == nil {
-		return c.ssb.TotalRecorded()
 	}
 	var n uint64
 	for _, t := range c.threads.Threads() {
@@ -493,20 +465,13 @@ func (c *Generational) StoreField(a mem.Addr, i uint64, v uint64, isPtr bool) {
 	fa := obj.FieldAddr(c.heap, a, i)
 	c.heap.Store(fa, v)
 	if isPtr {
-		if c.threads != nil {
-			// Stores route through the running thread's private barrier
-			// state; the collector gathers every thread's state at the
-			// next collection.
-			t := c.threads.Current()
-			if c.cards != nil {
-				t.Stage().Record(fa)
-			} else {
-				t.SSB().Record(fa)
-			}
-		} else if c.cards != nil {
+		// Card marks go to the shared table; SSB entries to the running
+		// thread's buffer, drained with every other thread's at the next
+		// collection.
+		if c.cards != nil {
 			c.cards.Record(fa)
 		} else {
-			c.ssb.Record(fa)
+			c.threads.Current().SSB().Record(fa)
 		}
 	}
 }
@@ -691,7 +656,6 @@ func (c *Generational) processBarrier(ev *evacuator) {
 		// forwarding: promotions move the tenured frontier mid-drain, and
 		// interleaving the layout walk with copies would let a card
 		// spanning the frontier pick up newly promoted fields.
-		c.flushStages()
 		c.collectCardFieldAddrs()
 		for _, fa := range c.cardFAs {
 			c.beginQ()
@@ -712,10 +676,6 @@ func (c *Generational) processBarrier(ev *evacuator) {
 		}
 		c.endQ()
 	}
-	if c.threads == nil {
-		c.ssb.DrainTo(cb)
-		return
-	}
 	// Every thread's buffer drains in thread-id order, dead threads'
 	// included: their stores were real pointer updates.
 	for _, t := range c.threads.Threads() {
@@ -723,27 +683,11 @@ func (c *Generational) processBarrier(ev *evacuator) {
 	}
 }
 
-// flushStages merges every thread's staged dirty cards into the shared
-// card table (no-op without threads: stores dirtied the table directly).
-func (c *Generational) flushStages() {
-	if c.threads == nil {
-		return
-	}
-	for _, t := range c.threads.Threads() {
-		t.Stage().Flush()
-	}
-}
-
 // dropBarrier discards all remembered-set state — every thread's — after
 // a major collection: no old-to-young pointers survive a full copy.
 func (c *Generational) dropBarrier() {
 	if c.cards != nil {
-		c.flushStages()
 		c.cards.Drain()
-		return
-	}
-	if c.threads == nil {
-		c.ssb.Drain()
 		return
 	}
 	for _, t := range c.threads.Threads() {

@@ -30,7 +30,6 @@ type OldFreeSpan struct {
 // holding one across a collection cannot corrupt the collector.
 type Inspection struct {
 	Heap  *mem.Heap
-	Stack *rt.Stack
 	Meter *costmodel.Meter
 	Stats *GCStats
 
@@ -44,8 +43,8 @@ type Inspection struct {
 
 	// Generational reports whether old-to-young invariants apply.
 	Generational bool
-	// Exactly one of SSB/Cards is non-nil for generational collectors.
-	SSB   *rt.SSB
+	// Cards is the shared card table of a card-marking generational
+	// collector; otherwise the remembered set is every thread's SSB.
 	Cards *rt.CardTable
 	// Sticky are old-space field addresses known to point into the aging
 	// space (empty under immediate promotion).
@@ -75,11 +74,10 @@ type Inspection struct {
 	OldFreeWords  uint64
 	OldMarksFresh bool
 
-	// Threads, when the run is multi-threaded, is the simulated thread
-	// set: every live thread's stack is a root source, and every thread's
-	// private barrier state (SSB or staged cards) is part of the
-	// remembered set. Nil for single-thread runs, where Stack/SSB/Cards
-	// carry the whole state.
+	// Threads is the collector's simulated thread set (thread 0 wraps the
+	// primary stack): every live thread's stack is a root source, and
+	// every thread's SSB, dead threads' included, is part of the
+	// remembered set.
 	Threads *rt.ThreadSet
 	// GCWorkers is the configured parallel-copy worker count (0 or 1
 	// means the serial collector: no overlap, no worker tallies).
@@ -96,7 +94,6 @@ type Inspectable interface {
 func (b *base) inspect(largeObjectWords uint64, workers int) Inspection {
 	return Inspection{
 		Heap:             b.heap,
-		Stack:            b.stack,
 		Meter:            b.meter,
 		Stats:            &b.stats,
 		LOSSpaces:        b.los.SpaceIDs(),
@@ -114,7 +111,7 @@ func (c *Generational) Inspect() Inspection {
 	in.YoungSpaces = []mem.SpaceID{c.nursery.ID()}
 	in.OldSpaces = []mem.SpaceID{c.ten.ID()}
 	in.Generational = true
-	in.SSB, in.Cards = c.ssb, c.cards
+	in.Cards = c.cards
 	in.Sticky = slices.Clone(c.sticky)
 	in.Policy = mergePolicies(c.cfg.Pretenure, c.advPolicy)
 	in.ScanElision = c.cfg.ScanElision

@@ -82,13 +82,8 @@ func NewSemispace(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg Se
 	return c
 }
 
-// scanRoots scans every live thread's stack in thread-id order (just the
-// primary stack when no thread set is attached).
+// scanRoots scans every live thread's stack in thread-id order.
 func (c *Semispace) scanRoots(ev *evacuator) {
-	if c.threads == nil {
-		c.scanner.Scan(false, func(loc RootLoc) { c.forwardRootOn(ev, c.stack, loc) })
-		return
-	}
 	for _, t := range c.threads.Threads() {
 		if t.Dead() {
 			continue

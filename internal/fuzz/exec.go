@@ -24,8 +24,7 @@ type interp struct {
 	depth    int   // current thread's simulated frames (>= 1: the base frame stays)
 	handlers []int // mirror of the current thread's handler chain: owning frame depth
 
-	// threads is nil for programs without thread ops, which therefore run
-	// the exact single-thread code paths. states holds each suspended
+	// threads is the collector's thread set. states holds each suspended
 	// thread's interpreter state by id (the current thread's entry is
 	// stale while it runs); curID names the running thread.
 	threads *rt.ThreadSet
@@ -43,23 +42,20 @@ type threadState struct {
 	handlers []int
 }
 
-// newInterp builds the runtime for one run: fresh trace table, stack,
-// and the uniform all-pointer fuzz frame, with the base frame pushed.
-// threads is non-nil only for programs with thread ops; the caller has
-// already attached it to the collector.
-func newInterp(col core.Collector, stack *rt.Stack, table *rt.TraceTable, meter *costmodel.Meter, threads *rt.ThreadSet) *interp {
+// newInterp prepares one run over col's thread set: it registers the
+// uniform all-pointer fuzz frame and pushes the base frame on thread 0.
+func newInterp(col core.Collector, table *rt.TraceTable, meter *costmodel.Meter) *interp {
 	slots := make([]rt.SlotTrace, NumRoots+1)
 	slots[0] = rt.NP()
 	for i := 1; i <= NumRoots; i++ {
 		slots[i] = rt.PTR()
 	}
 	fi := table.Register("fuzz", slots, nil)
-	in := &interp{col: col, stack: stack, meter: meter, fi: fi, threads: threads, checksum: fnvOffset}
-	stack.Call(fi)
+	threads := col.Threads()
+	in := &interp{col: col, stack: threads.Thread(0).Stack(), meter: meter, fi: fi,
+		threads: threads, states: []threadState{{depth: 1}}, checksum: fnvOffset}
+	in.stack.Call(fi)
 	in.depth = 1
-	if threads != nil {
-		in.states = []threadState{{depth: 1}}
-	}
 	return in
 }
 
@@ -264,7 +260,7 @@ func (in *interp) step(op Op) {
 	case OpWork:
 		in.meter.ChargeN(costmodel.Client, costmodel.ClientWork, op.V%997)
 	case OpSpawn:
-		if in.threads == nil || in.threads.Len() >= MaxThreads {
+		if in.threads.Len() >= MaxThreads {
 			return
 		}
 		// Read the spawner's roots before creating the thread; no
@@ -283,9 +279,6 @@ func (in *interp) step(op Op) {
 		in.states = append(in.states, threadState{depth: 1})
 		in.fold(0x5a00 | uint64(t.ID()))
 	case OpSwitch:
-		if in.threads == nil {
-			return
-		}
 		id := int(op.A) % in.threads.Len()
 		t := in.threads.Thread(id)
 		if t.Dead() || id == in.curID {
@@ -294,9 +287,6 @@ func (in *interp) step(op Op) {
 		in.switchTo(id)
 		in.fold(0x5c00 | uint64(id))
 	case OpJoin:
-		if in.threads == nil {
-			return
-		}
 		id := int(op.A) % in.threads.Len()
 		if id == 0 || id == in.curID || in.threads.Thread(id).Dead() {
 			return
@@ -374,14 +364,11 @@ func (in *interp) walk(op Op) {
 
 // ---- Client-visible heap fingerprint ----------------------------------------
 
-// rootStacks lists the stacks whose slots are client-visible roots: the
-// primary stack alone for thread-free programs, otherwise every live
-// thread's stack in thread-id order (a joined thread's stack stops
-// being a root source, so its private garbage is legitimately dead).
-func rootStacks(primary *rt.Stack, ts *rt.ThreadSet) []*rt.Stack {
-	if ts == nil {
-		return []*rt.Stack{primary}
-	}
+// rootStacks lists the stacks whose slots are client-visible roots:
+// every live thread's stack in thread-id order (a joined thread's stack
+// stops being a root source, so its private garbage is legitimately
+// dead).
+func rootStacks(ts *rt.ThreadSet) []*rt.Stack {
 	var out []*rt.Stack
 	for _, t := range ts.Threads() {
 		if !t.Dead() {

@@ -90,13 +90,6 @@ func executeTo(p *Program, cfg Config, sanitized bool, traceTo io.Writer) (out r
 		// hundred ops' worth of allocation.
 		spec.Adapt = &adapt.Params{MinSampleWords: 64, MinOldWords: 64, CooldownEpochs: 2}
 	}
-	// Programs that touch the thread machine get a thread set, attached
-	// before any allocation so the collector routes barriers and root
-	// scans through it from the first collection; thread-free programs
-	// keep the exact single-thread code paths.
-	if p.HasThreadOps() {
-		spec.Threads = 1
-	}
 	budget := budgetFor(p)
 	if cfg.Semispace {
 		spec.Semispace = &core.SemispaceConfig{
@@ -136,12 +129,12 @@ func executeTo(p *Program, cfg Config, sanitized bool, traceTo io.Writer) (out r
 		})
 	}
 
-	in := newInterp(col, sim.Stack, sim.Table, sim.Meter, sim.Threads)
+	in := newInterp(col, sim.Table, sim.Meter)
 	in.run(p)
 
 	err := sim.Finish()
 	out.prof = sim.Profiler
-	out.fp = fingerprint(col, rootStacks(sim.Stack, sim.Threads))
+	out.fp = fingerprint(col, rootStacks(col.Threads()))
 	out.checksum = in.checksum
 	out.stats = *col.Stats()
 	if err != nil {

@@ -176,19 +176,6 @@ func (o Op) site() obj.SiteID { return obj.SiteID(1 + o.B%NumSites) }
 // root reduces a raw operand to a root slot index (1..NumRoots).
 func root(x uint16) int { return 1 + int(x)%NumRoots }
 
-// HasThreadOps reports whether the program ever touches the thread
-// machine. The interpreter builds a ThreadSet only for programs that do,
-// so thread-free programs run the exact single-thread code paths.
-func (p *Program) HasThreadOps() bool {
-	for _, op := range p.Ops {
-		switch op.Kind {
-		case OpSpawn, OpSwitch, OpJoin:
-			return true
-		}
-	}
-	return false
-}
-
 // AllocWords returns the total words (headers included) the program
 // allocates, an upper bound on its live data used to size matrix
 // budgets.

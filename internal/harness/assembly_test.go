@@ -19,7 +19,7 @@ import (
 func TestRuntimeAssembledOnlyByBuild(t *testing.T) {
 	constructors := map[string][]string{
 		"tilgc/internal/costmodel": {"NewMeter"},
-		"tilgc/internal/rt":        {"NewTraceTable", "NewStack", "NewThreadSet"},
+		"tilgc/internal/rt":        {"NewTraceTable", "NewStack"},
 		"tilgc/internal/prof":      {"New"},
 		"tilgc/internal/trace":     {"NewRecorder"},
 		"tilgc/internal/adapt":     {"New"},

@@ -32,9 +32,9 @@ type Spec struct {
 	// Adapt, when non-nil, attaches the online pretenuring advisor with
 	// these parameters. It requires the generational collector.
 	Adapt *adapt.Params
-	// Threads, when positive, attaches a set of this many threads before
-	// the first allocation. Zero attaches none: the single-thread runtime
-	// runs the exact pre-thread code paths.
+	// Threads is the number of simulated mutator threads. Build spawns
+	// threads 1..Threads-1 in the collector's thread set before the first
+	// allocation; 0 and 1 both leave the primary thread alone.
 	Threads int
 }
 
@@ -49,7 +49,6 @@ type Sim struct {
 	Rec      *trace.Recorder // nil unless Spec.Trace
 	Advisor  *adapt.Engine   // nil unless Spec.Adapt
 	Col      core.Collector
-	Threads  *rt.ThreadSet // nil unless Spec.Threads > 0
 }
 
 // Build assembles the runtime s describes.
@@ -75,30 +74,23 @@ func Build(s Spec) *Sim {
 		sim.Profiler.SetObserver(sim.Advisor)
 	}
 
-	var attach func(*rt.ThreadSet)
 	if s.Semispace != nil {
 		if s.Adapt != nil {
 			panic("harness: the adaptive advisor requires a generational collector")
 		}
 		cfg := *s.Semispace
 		cfg.Trace = sim.Rec
-		c := core.NewSemispace(sim.Stack, sim.Meter, hook, cfg)
-		sim.Col, attach = c, c.AttachThreads
+		sim.Col = core.NewSemispace(sim.Stack, sim.Meter, hook, cfg)
 	} else {
 		cfg := s.Gen
 		cfg.Trace = sim.Rec
 		if sim.Advisor != nil {
 			cfg.Advisor = sim.Advisor
 		}
-		c := core.NewGenerational(sim.Stack, sim.Meter, hook, cfg)
-		sim.Col, attach = c, c.AttachThreads
+		sim.Col = core.NewGenerational(sim.Stack, sim.Meter, hook, cfg)
 	}
-	if s.Threads > 0 {
-		sim.Threads = rt.NewThreadSet(sim.Stack, sim.Meter)
-		attach(sim.Threads)
-		for i := 1; i < s.Threads; i++ {
-			sim.Threads.Spawn()
-		}
+	for i := 1; i < s.Threads; i++ {
+		sim.Col.Threads().Spawn()
 	}
 	return sim
 }
@@ -108,7 +100,6 @@ func Build(s Spec) *Sim {
 // ones leave Rec nil, and Request degrades to a plain call.
 func (s *Sim) Mutator() *workload.Mutator {
 	m := workload.NewMutator(s.Col, s.Stack, s.Table, s.Meter)
-	m.Threads = s.Threads
 	m.Rec = s.Rec
 	return m
 }

@@ -146,10 +146,9 @@ type RunConfig struct {
 	TrainScale workload.Scale
 	// Threads runs the workload over this many simulated mutator threads
 	// (a round-robin scheduler in the workload layer; the server family
-	// serves request r on thread r mod Threads). 0 or 1 is the
-	// single-thread run, byte-identical to pre-thread builds. Calibration
-	// always runs single-threaded: the live-set bound and site profile
-	// are schedule-independent.
+	// serves request r on thread r mod Threads). 0 and 1 both name the
+	// primary thread alone. Calibration always runs single-threaded: the
+	// live-set bound and site profile are schedule-independent.
 	Threads int
 	// GCWorkers enables the deterministic parallel copying phases with
 	// this many simulated workers (see core.GenConfig.Workers): identical
@@ -445,10 +444,7 @@ func (c RunConfig) spec(w workload.Workload, maxLiveWords uint64, policy *core.P
 	if c.K > 0 {
 		budget = uint64(c.K * 2 * float64(maxLiveWords))
 	}
-	s := Spec{Sites: w.Sites(), Profile: c.Profile, Trace: c.Trace}
-	if c.Threads > 1 {
-		s.Threads = c.Threads
-	}
+	s := Spec{Sites: w.Sites(), Profile: c.Profile, Trace: c.Trace, Threads: c.Threads}
 	if c.Adapt {
 		cutoff := c.PretenureCutoff
 		if cutoff == 0 {

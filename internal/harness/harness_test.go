@@ -302,6 +302,25 @@ func TestRunRejectsIgnoredOptions(t *testing.T) {
 	}
 }
 
+// TestRunAllRejectsNegativeOverrides: a batch-wide thread or worker
+// override reaches every config that leaves its own unset, so a negative
+// one fails Run's validation by field name instead of running as the
+// default.
+func TestRunAllRejectsNegativeOverrides(t *testing.T) {
+	cfgs := []RunConfig{{Workload: "Color", Scale: tiny, Kind: KindGenMarkers, K: 3}}
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{Parallelism: 1, Threads: -3}, "Threads -3"},
+		{Options{Parallelism: 1, GCWorkers: -2}, "GCWorkers -2"},
+	} {
+		if _, err := RunAll(cfgs, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunAll error %v, want one naming %q", err, tc.want)
+		}
+	}
+}
+
 // TestRunAllTraceHeapOnlyOnTracedRuns: Options.TraceHeap samples the runs
 // the batch traces and leaves untraced runs valid and unsampled.
 func TestRunAllTraceHeapOnlyOnTracedRuns(t *testing.T) {

@@ -87,15 +87,17 @@ type Options struct {
 	// -adapt-store) persist a whole sweep's advisor state byte-identically
 	// at any parallelism.
 	AdaptSink func([]*adapt.RunProfile)
-	// Threads, when > 1, runs every config in the batch that does not set
-	// its own thread count over this many simulated mutator threads (see
-	// RunConfig.Threads). Simulated results are thread-count-dependent
-	// only for workloads that schedule across threads.
+	// Threads, when nonzero, is the simulated mutator thread count of
+	// every config in the batch that does not set its own (see
+	// RunConfig.Threads); Run rejects a negative one. Simulated results
+	// are thread-count-dependent only for workloads that schedule across
+	// threads.
 	Threads int
-	// GCWorkers, when > 1, enables the deterministic parallel copying
-	// phases on every config that does not set its own worker count (see
-	// RunConfig.GCWorkers). Heap contents and client results are
-	// identical at every worker count; only pause accounting shards.
+	// GCWorkers, when nonzero, is the parallel-copy worker count of every
+	// config in the batch that does not set its own (see
+	// RunConfig.GCWorkers); Run rejects a negative one. Heap contents and
+	// client results are identical at every worker count; only pause
+	// accounting shards.
 	GCWorkers int
 	// OldCollector, when not OldCopy, selects the non-moving
 	// old-generation collector for every generational config in the
@@ -195,10 +197,10 @@ func RunAll(cfgs []RunConfig, opts Options) ([]*RunResult, error) {
 		if (opts.Adapt || opts.AdaptSink != nil) && cfg.Kind != KindSemispace {
 			cfg.Adapt = true
 		}
-		if opts.Threads > 1 && cfg.Threads == 0 {
+		if opts.Threads != 0 && cfg.Threads == 0 {
 			cfg.Threads = opts.Threads
 		}
-		if opts.GCWorkers > 1 && cfg.GCWorkers == 0 {
+		if opts.GCWorkers != 0 && cfg.GCWorkers == 0 {
 			cfg.GCWorkers = opts.GCWorkers
 		}
 		if opts.OldCollector != core.OldCopy && cfg.Kind != KindSemispace && cfg.OldCollector == core.OldCopy {

@@ -149,9 +149,10 @@ func TestTWGridDeterministic(t *testing.T) {
 	}
 }
 
-// TestTWGridSpecialCase pins the T=1 special case: explicitly requesting
-// one thread and one worker takes the exact pre-thread code paths, so the
-// trace stream is byte-identical to the zero-value config.
+// TestTWGridSpecialCase: Threads and GCWorkers 0 and 1 name the same
+// runtime — the primary thread alone under the serial collector — so the
+// explicit T=1/W=1 config and the zero-value one give the same results
+// and byte-identical traces.
 func TestTWGridSpecialCase(t *testing.T) {
 	explicit := gridConfig(1, 1)
 	zero := explicit
@@ -166,7 +167,7 @@ func TestTWGridSpecialCase(t *testing.T) {
 	}
 	sameResult(t, a, b)
 	if !bytes.Equal(runJSONL(t, a), runJSONL(t, b)) {
-		t.Error("T=1/W=1 trace differs from the zero-value config — the special case is not special")
+		t.Error("T=1/W=1 trace differs from the zero-value config")
 	}
 }
 

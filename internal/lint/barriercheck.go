@@ -11,10 +11,13 @@ import (
 // (Heap.Store/Copy/Words, Space.Raw, obj.SetField/SetForward/SetAge/
 // SetAux) must either reach the write-barrier API ((*rt.SSB).Record or
 // (*rt.CardTable).Record) through the static call graph, or carry a
-// justified //gc:nobarrier annotation. The annotation allowlist is
-// confined to internal/core — the collector kernels are the only code
-// allowed to store unbarriered (their copies are scanned before the
-// mutator resumes); anywhere else the annotation itself is a finding.
+// justified //gc:nobarrier annotation. Those two are the only barrier
+// entry points: a pointer store on any simulated thread records into
+// that thread's SSB or into the shared card table. The annotation
+// allowlist is confined to internal/core — the collector kernels are the
+// only code allowed to store unbarriered (their copies are scanned
+// before the mutator resumes); anywhere else the annotation itself is a
+// finding.
 //
 // This is the static dual of the sanitizer's remembered-set completeness
 // pass: the sanitizer checks the stores that happened, this checks every

@@ -4,25 +4,21 @@ import (
 	"fmt"
 
 	"tilgc/internal/costmodel"
-	"tilgc/internal/mem"
 )
 
 // Thread is one simulated mutator thread: its own stack — and therefore
-// its own frames, registers, handlers, and stack markers — plus the
-// write-barrier state the collector assigns it when it is attached: a
-// private sequential store buffer, or a private dirty-card staging area
-// over the shared card table. Threads are cooperative and deterministic:
-// exactly one runs at a time, and the scheduler (the workload or the
-// fuzz interpreter) switches between them at explicit points, so a
-// single-thread program is the T=1 special case with byte-identical
-// traces.
+// its own frames, registers, handlers, and stack markers — plus, under
+// an SSB-barrier collector, a private sequential store buffer. (A
+// card-barrier collector's threads all record straight into the shared
+// card table.) Threads are cooperative and deterministic: exactly one
+// runs at a time, and the scheduler (the workload or the fuzz
+// interpreter) switches between them at explicit points. A
+// single-thread program is thread 0 alone.
 type Thread struct {
 	id    int
 	stack *Stack
 	dead  bool
-
-	ssb   *SSB       // set by an SSB-barrier collector
-	stage *CardStage // set by a card-barrier collector
+	ssb   *SSB // set by an SSB-barrier collector
 }
 
 // ID returns the thread's id (0 is the primary thread).
@@ -38,22 +34,15 @@ func (t *Thread) Stack() *Stack { return t.stack }
 func (t *Thread) Dead() bool { return t.dead }
 
 // SSB returns the thread's store buffer (nil unless an SSB-barrier
-// collector attached one).
+// collector equipped the thread with one).
 func (t *Thread) SSB() *SSB { return t.ssb }
 
 // SetSSB assigns the thread's store buffer.
 func (t *Thread) SetSSB(b *SSB) { t.ssb = b }
 
-// Stage returns the thread's card staging area (nil unless a card-barrier
-// collector attached one).
-func (t *Thread) Stage() *CardStage { return t.stage }
-
-// SetStage assigns the thread's card staging area.
-func (t *Thread) SetStage(s *CardStage) { t.stage = s }
-
-// ThreadSet owns the simulated threads of one run. It is created around
-// the primary stack (thread 0); collectors attach to it to equip each
-// thread with barrier state and to learn of later spawns.
+// ThreadSet owns the simulated threads of one run. Each collector
+// creates its own around the primary stack (thread 0); one whose threads
+// carry barrier state registers an OnSpawn hook to equip later threads.
 type ThreadSet struct {
 	meter   *costmodel.Meter
 	table   *TraceTable
@@ -71,11 +60,11 @@ func NewThreadSet(primary *Stack, meter *costmodel.Meter) *ThreadSet {
 
 // OnSpawn registers the collector's hook for equipping newly spawned
 // threads with barrier state. It fires for future spawns only; the
-// caller equips the already-existing threads itself (Threads).
+// caller equips the already-existing threads itself.
 func (ts *ThreadSet) OnSpawn(fn func(*Thread)) { ts.onSpawn = fn }
 
 // Spawn creates a new live thread with an empty stack and makes it known
-// to the attached collector. The new thread is NOT made current. The
+// to the owning collector. The new thread is NOT made current. The
 // primary stack's telemetry recorder carries over so stub returns on
 // spawned threads are counted like everyone else's.
 func (ts *ThreadSet) Spawn() *Thread {
@@ -141,50 +130,4 @@ func (ts *ThreadSet) Join(id int) {
 		panic(fmt.Sprintf("rt: thread %d joining itself", id))
 	}
 	t.dead = true
-}
-
-// CardStage is a thread's private dirty-card staging area: pointer
-// stores dirty the stage instead of the shared CardTable, and the
-// collector flushes every stage into the table at the start of each
-// collection. Staging keeps the mutator-side barrier thread-local while
-// the card table itself stays shared; because Flush is a set-union and
-// CardTable.Cards sorts, the flush order of stages (and of cards within
-// a stage) cannot affect any observable state.
-type CardStage struct {
-	table *CardTable
-	dirty map[uint64]struct{}
-}
-
-// NewCardStage creates an empty staging area over the shared table.
-func NewCardStage(table *CardTable) *CardStage {
-	return &CardStage{table: table, dirty: make(map[uint64]struct{})}
-}
-
-// Record stages the card containing addr, charging exactly what a direct
-// CardTable.Record would: the store's barrier cost is the same whether
-// or not it is staged, and the table's lifetime update count covers all
-// threads.
-func (s *CardStage) Record(addr mem.Addr) {
-	s.dirty[uint64(addr)>>s.table.cardShift] = struct{}{}
-	s.table.total++
-	s.table.meter.Charge(costmodel.Client, costmodel.WriteBarrier)
-}
-
-// Staged returns the number of staged dirty cards.
-func (s *CardStage) Staged() int { return len(s.dirty) }
-
-// Covers reports whether the card containing addr is staged here (the
-// per-thread analogue of CardTable.Covers, for integrity checkers).
-func (s *CardStage) Covers(addr mem.Addr) bool {
-	_, ok := s.dirty[uint64(addr)>>s.table.cardShift]
-	return ok
-}
-
-// Flush merges the staged cards into the shared table and empties the
-// stage. Charges nothing: the stores were charged at Record time.
-func (s *CardStage) Flush() {
-	for id := range s.dirty {
-		s.table.dirty[id] = struct{}{}
-	}
-	clear(s.dirty)
 }

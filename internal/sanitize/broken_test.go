@@ -294,3 +294,4 @@ func (opaqueCollector) Collect(bool)                                        {}
 func (opaqueCollector) Stats() *core.GCStats                                { return &core.GCStats{} }
 func (opaqueCollector) Heap() *mem.Heap                                     { return nil }
 func (opaqueCollector) Name() string                                        { return "opaque" }
+func (opaqueCollector) Threads() *rt.ThreadSet                              { return nil }

@@ -218,14 +218,9 @@ func (ck *checker) isLive(id mem.SpaceID) bool {
 }
 
 // eachRootStack visits every stack whose frames are live roots: the live
-// threads' stacks in thread-id order when a thread set is attached, or
-// just the primary stack. Dead (joined) threads' stacks are excluded —
-// their frames no longer keep anything alive.
+// threads' stacks in thread-id order. Dead (joined) threads' stacks are
+// excluded — their frames no longer keep anything alive.
 func (ck *checker) eachRootStack(fn func(threadID int, st *rt.Stack)) {
-	if ck.in.Threads == nil {
-		fn(0, ck.in.Stack)
-		return
-	}
 	for _, t := range ck.in.Threads.Threads() {
 		if t.Dead() {
 			continue

@@ -7,6 +7,7 @@ import (
 	"tilgc/internal/core"
 	"tilgc/internal/mem"
 	"tilgc/internal/obj"
+	"tilgc/internal/rt"
 )
 
 // Options configures a sanitizer wrapper.
@@ -129,6 +130,10 @@ func (w *Wrapper) Stats() *core.GCStats { return w.inner.Stats() }
 
 // Heap implements core.Collector.
 func (w *Wrapper) Heap() *mem.Heap { return w.inner.Heap() }
+
+// Threads implements core.Collector: the decorated collector's set, so a
+// scheduler driving the wrapper spawns and switches the threads it scans.
+func (w *Wrapper) Threads() *rt.ThreadSet { return w.inner.Threads() }
 
 // Name implements core.Collector: the inner name, unchanged, so rendered
 // tables are identical with and without the sanitizer.

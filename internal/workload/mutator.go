@@ -32,10 +32,10 @@ type Mutator struct {
 	// server workloads emit via Request. Nil for untraced runs (and for
 	// batch workloads, which never call Request).
 	Rec *trace.Recorder
-	// Threads, when the harness attaches a thread set, lets workloads
-	// schedule work across simulated mutator threads (SetThread); thread 0
-	// wraps Stack. Nil is the single-thread run — workloads must not
-	// change behaviour in that case, so T=1 stays byte-identical.
+	// Threads is the collector's thread set (NewMutator takes it from
+	// Col): workloads schedule work across simulated mutator threads with
+	// SetThread. Thread 0 wraps the primary stack; a one-thread set is
+	// the single-thread run.
 	Threads *rt.ThreadSet
 
 	// raising is set by Raise and cleared by the TryCatch that catches
@@ -44,19 +44,14 @@ type Mutator struct {
 	raising bool
 }
 
-// NewMutator creates a mutator over the given collector and runtime.
+// NewMutator creates a mutator over the given collector and runtime;
+// stack is the primary stack the collector was built over.
 func NewMutator(col core.Collector, stack *rt.Stack, table *rt.TraceTable, meter *costmodel.Meter) *Mutator {
-	return &Mutator{Col: col, Stack: stack, Table: table, Meter: meter}
+	return &Mutator{Col: col, Stack: stack, Table: table, Meter: meter, Threads: col.Threads()}
 }
 
-// NumThreads returns the number of simulated mutator threads (1 when no
-// thread set is attached).
-func (m *Mutator) NumThreads() int {
-	if m.Threads == nil {
-		return 1
-	}
-	return m.Threads.Len()
-}
+// NumThreads returns the number of simulated mutator threads.
+func (m *Mutator) NumThreads() int { return m.Threads.Len() }
 
 // SetThread switches execution to the given thread: subsequent frame,
 // slot, and register operations act on that thread's stack, and pointer
