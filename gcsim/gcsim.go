@@ -174,7 +174,10 @@ type (
 	GCStats = core.GCStats
 	// Scale scales benchmark workloads relative to the paper's runs.
 	Scale = workload.Scale
-	// FrameInfo is a registered activation-record layout.
+	// FrameInfo is a registered activation-record layout. It is
+	// read-only once registered: registration compiles the layout for
+	// the collector's stack scan, and a later write to its fields would
+	// not reach the compiled form.
 	FrameInfo = rt.FrameInfo
 	// SlotTrace describes a stack slot or register to the collector.
 	SlotTrace = rt.SlotTrace

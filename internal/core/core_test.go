@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"tilgc/internal/costmodel"
@@ -344,6 +345,28 @@ func TestLOSSweepFreesDeadLargeObjects(t *testing.T) {
 		}
 	}()
 	c.Heap().Load(dead)
+}
+
+// TestLOSInspectionOwnsSpaceIDs: an Inspection's LOSSpaces is the
+// caller's own slice. The sweep compacts the LOS's live-id list in place,
+// and must not rewrite an inspection taken before it.
+func TestLOSInspectionOwnsSpaceIDs(t *testing.T) {
+	e := newEnv(4)
+	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512, LargeObjectWords: 64})
+	dead := c.Alloc(obj.RawArray, 128, 1, 0)
+	live := c.Alloc(obj.RawArray, 128, 1, 0)
+	e.stack.SetSlot(1, uint64(live))
+	before := c.Inspect().LOSSpaces
+	c.Collect(true)
+	if want := []mem.SpaceID{dead.Space(), live.Space()}; !slices.Equal(before, want) {
+		t.Fatalf("inspection taken before the sweep reads %v, want %v", before, want)
+	}
+	if got, want := c.Inspect().LOSSpaces, []mem.SpaceID{live.Space()}; !slices.Equal(got, want) {
+		t.Fatalf("LOSSpaces after the sweep = %v, want %v", got, want)
+	}
+	if c.los.Contains(dead.Space()) || !c.los.Contains(live.Space()) {
+		t.Fatal("LOS membership wrong after the sweep")
+	}
 }
 
 // TestLOSArenasSizedToObject: each large object gets its own fresh

@@ -5,12 +5,14 @@ import "tilgc/internal/mem"
 // refKernels selects the reference (pre-optimization) implementations of
 // the collector hot paths: the first-draft copy/scan kernels, per-GC
 // evacuator allocation, the cloning store-buffer drain, and eager arena
-// zeroing. The reference and optimized paths are observationally
-// identical — same simulated cycles, traces, stats, and heap images. The
-// flag exists so tests can prove that: TestKernelEquivalence (heap
-// images, stats and cycles across the kernel mini-sweep),
-// TestReferenceKernelsObservationallyIdentical (end to end through the
-// harness), and the fuzz fleet's reference-kernel oracle
+// zeroing. The stack scan is outside the seam: both modes decode frames
+// through the one compiled-layout path, with the pass-1 key buffer and
+// the root slices pooled. The reference and optimized paths are
+// observationally identical — same simulated cycles, traces, stats, and
+// heap images. The flag exists so tests can prove that:
+// TestKernelEquivalence (heap images, stats and cycles across the kernel
+// mini-sweep), TestReferenceKernelsObservationallyIdentical (end to end
+// through the harness), and the fuzz fleet's reference-kernel oracle
 // (fuzz.CheckRefKernels) all run the same program under both modes and
 // compare.
 //

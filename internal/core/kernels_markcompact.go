@@ -260,7 +260,7 @@ func (c *Generational) refCompactFixHeap(runs []compactRun) {
 //gc:nobarrier compaction fixup of large-object fields while the world is stopped; rewrites retarget the same live tenured objects
 func (c *Generational) compactFixLOS(runs []compactRun) {
 	os := c.old
-	for _, id := range c.los.SpaceIDs() {
+	for _, id := range c.los.ids {
 		a, ok := c.los.ObjectIn(id)
 		if !ok || !c.los.Marked(a) {
 			continue

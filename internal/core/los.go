@@ -13,12 +13,18 @@ import (
 // algorithm" (§2.1). Each large object occupies its own arena space, so
 // objects are never moved and freeing returns the arena wholesale; marks
 // are kept in a side set and cleared at each sweep.
+//
+// Membership is a dense table indexed by space id, so the evacuator's
+// per-root probe is one bounds check and one load. The heap never reuses
+// a space id and keeps a slot for every id it has issued; the table
+// grows alongside it.
 type LOS struct {
 	heap  *mem.Heap
 	meter *costmodel.Meter
 	stats *GCStats
 
-	spaces map[mem.SpaceID]mem.Addr // large-object space id → object address
+	objs   []mem.Addr    // space id → its large object; nil if none
+	ids    []mem.SpaceID // live large-object space ids, ascending
 	marked map[mem.Addr]struct{}
 	used   uint64 // total live words
 	fresh  []mem.Addr
@@ -30,7 +36,6 @@ func NewLOS(heap *mem.Heap, meter *costmodel.Meter, stats *GCStats) *LOS {
 		heap:   heap,
 		meter:  meter,
 		stats:  stats,
-		spaces: make(map[mem.SpaceID]mem.Addr),
 		marked: make(map[mem.Addr]struct{}),
 	}
 }
@@ -45,7 +50,14 @@ func (l *LOS) Alloc(k obj.Kind, length uint64, site obj.SiteID, mask uint64) mem
 	if !ok {
 		panic("core: LOS arena sizing bug")
 	}
-	l.spaces[s.ID()] = a
+	id := s.ID()
+	if int(id) >= len(l.objs) {
+		l.objs = append(l.objs, make([]mem.Addr, int(id)+1-len(l.objs))...)
+	}
+	l.objs[id] = a
+	// Heap.AddSpace issues ids in ascending order, so appending keeps
+	// ids sorted.
+	l.ids = append(l.ids, id)
 	l.used += size
 	l.fresh = append(l.fresh, a)
 	return a
@@ -53,8 +65,7 @@ func (l *LOS) Alloc(k obj.Kind, length uint64, site obj.SiteID, mask uint64) mem
 
 // Contains reports whether space id holds a large object.
 func (l *LOS) Contains(id mem.SpaceID) bool {
-	_, ok := l.spaces[id]
-	return ok
+	return int(id) < len(l.objs) && !l.objs[id].IsNil()
 }
 
 // Mark marks the large object at a live, reporting whether this is the
@@ -79,7 +90,7 @@ func (l *LOS) Marked(a mem.Addr) bool {
 func (l *LOS) UsedWords() uint64 { return l.used }
 
 // Count returns the number of live large objects.
-func (l *LOS) Count() int { return len(l.spaces) }
+func (l *LOS) Count() int { return len(l.ids) }
 
 // Fresh returns the large objects allocated since the last TakeFresh call.
 // A minor collection scans them for nursery references (their initializing
@@ -100,27 +111,23 @@ func (l *LOS) ClearMarks() {
 }
 
 // SpaceIDs returns the ids of all live large-object spaces in ascending
-// order (the order large objects were allocated).
-func (l *LOS) SpaceIDs() []mem.SpaceID {
-	ids := make([]mem.SpaceID, 0, len(l.spaces))
-	for id := range l.spaces {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
-}
+// order (the order large objects were allocated). The slice is a copy the
+// caller owns.
+func (l *LOS) SpaceIDs() []mem.SpaceID { return slices.Clone(l.ids) }
 
 // ObjectIn returns the address of the large object occupying space id.
 func (l *LOS) ObjectIn(id mem.SpaceID) (mem.Addr, bool) {
-	a, ok := l.spaces[id]
-	return a, ok
+	if !l.Contains(id) {
+		return mem.Nil, false
+	}
+	return l.objs[id], true
 }
 
 // Sweep frees every unmarked large object and clears all marks. Called at
 // the end of a major collection, after the trace has marked the live set.
 // Spaces are visited in ascending id order so the profiler's OnLOSDead
 // callbacks (which accumulate float age sums) fire in a deterministic
-// sequence — map iteration order here would be a reproducibility hazard.
+// sequence.
 func (l *LOS) Sweep(prof Profiler) {
 	l.SweepWith(prof, nil, nil)
 }
@@ -131,13 +138,15 @@ func (l *LOS) Sweep(prof Profiler) {
 // bracketed as one work quantum so the phase reconciles under W > 1.
 // Nil hooks reproduce Sweep exactly.
 func (l *LOS) SweepWith(prof Profiler, beginQ, endQ func()) {
-	for _, id := range l.SpaceIDs() {
-		a := l.spaces[id]
+	live := l.ids[:0]
+	for _, id := range l.ids {
+		a := l.objs[id]
 		if beginQ != nil {
 			beginQ()
 		}
 		l.meter.Charge(costmodel.GCCopy, costmodel.SweepObject)
 		if _, ok := l.marked[a]; ok {
+			live = append(live, id)
 			if endQ != nil {
 				endQ()
 			}
@@ -149,18 +158,19 @@ func (l *LOS) SweepWith(prof Profiler, beginQ, endQ func()) {
 			prof.OnLOSDead(a)
 		}
 		l.heap.FreeSpace(id)
-		delete(l.spaces, id)
+		l.objs[id] = mem.Nil
 		l.stats.LOSSwept++
 		if endQ != nil {
 			endQ()
 		}
 	}
+	l.ids = live
 	clear(l.marked)
 	// Objects allocated this cycle that were swept are gone; drop any
 	// stale fresh entries.
 	kept := l.fresh[:0]
 	for _, a := range l.fresh {
-		if _, ok := l.spaces[a.Space()]; ok {
+		if l.Contains(a.Space()) {
 			kept = append(kept, a)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tilgc/internal/costmodel"
 	"tilgc/internal/rt"
@@ -36,6 +37,9 @@ const (
 // lookup). Pass 2 walks oldest→newest maintaining the pointer status of
 // the register set, resolving CALLEE-SAVE slots from that status and
 // COMPUTE slots from runtime type values, and emitting root locations.
+// Pass 2 reads each layout in the form TraceTable.Register compiled it
+// to (rt.ScanLayout), as the paper's collector reads trace tables its
+// compiler built (§4); nothing interprets trace kinds at scan time.
 type StackScanner struct {
 	stack *rt.Stack
 	meter *costmodel.Meter
@@ -188,16 +192,10 @@ func (sc *StackScanner) Scan(minor bool, visit func(RootLoc)) {
 	// Pass 1: decode layouts for frames [reuse, depth) newest→oldest by
 	// following the return-key chain from the current execution point.
 	// The key buffer is pooled: at steady state this allocates nothing.
-	// (The reference kernels keep the pre-pooling per-scan allocation.)
-	var keys []rt.RetKey
-	if refKernels {
-		keys = make([]rt.RetKey, depth)
-	} else {
-		if cap(sc.keyBuf) < depth {
-			sc.keyBuf = make([]rt.RetKey, depth)
-		}
-		keys = sc.keyBuf[:depth]
+	if cap(sc.keyBuf) < depth {
+		sc.keyBuf = make([]rt.RetKey, depth)
 	}
+	keys := sc.keyBuf[:depth]
 	if depth > 0 {
 		keys[depth-1] = sc.stack.CurrentKey()
 		for i := depth - 1; i > reuse; i-- {
@@ -217,17 +215,9 @@ func (sc *StackScanner) Scan(minor bool, visit func(RootLoc)) {
 
 	// Registers of the current execution point are always roots when the
 	// trace information says so.
-	table := sc.stack.Table()
 	if depth > 0 {
 		sc.beginQ()
-		fi := table.Lookup(sc.stack.CurrentKey())
-		for r := 0; r < rt.NumRegs; r++ {
-			sc.meter.Charge(costmodel.GCStack, costmodel.SlotTrace)
-			if sc.resolveRegTrace(fi, r, regStatus) {
-				sc.meter.Charge(costmodel.GCStack, costmodel.RootProcess)
-				visit(RootLoc{IsReg: true, Index: r})
-			}
-		}
+		sc.scanTopRegs(regStatus, visit)
 		sc.endQ()
 	}
 
@@ -288,42 +278,45 @@ func (sc *StackScanner) validateCache(reuse int) {
 
 // decodeFrame fully decodes frame i (layout key) in pass-2 order, emits
 // its roots, records its cache entry, and returns the register status
-// after applying the frame's register traces.
+// after applying the frame's register traces. It reads only the layout's
+// compiled scan form: every slot is charged a SlotTrace, but only the
+// slots that can hold a pointer are visited, each resolved just before
+// its visit so a COMPUTE trace sees what earlier visits wrote.
 func (sc *StackScanner) decodeFrame(i int, key rt.RetKey, regStatus uint32, visit func(RootLoc)) uint32 {
 	sc.meter.Charge(costmodel.GCStack, costmodel.FrameDecode)
 	sc.stats.FramesDecoded++
-	table := sc.stack.Table()
-	fi := table.Lookup(key)
+	fi := sc.stack.Table().Lookup(key)
 	if fi == nil {
 		panic(fmt.Sprintf("core: frame %d has no layout (key %d)", i, key))
 	}
+	sc.meter.ChargeN(costmodel.GCStack, costmodel.SlotTrace, uint64(fi.Size-1))
+	lay := fi.Scan()
 	base := sc.stack.FrameBase(i)
 	isTop := i == sc.stack.FrameCount()-1
 
 	// Recycle the roots slice left behind at this index by a previous
 	// scan's truncated cache entry, so re-decoding a frame at a depth the
-	// scanner has visited before allocates nothing. (The reference kernels
-	// build a fresh slice per frame, the pre-pooling behaviour.)
+	// scanner has visited before allocates nothing.
 	var roots []int
-	if n := len(sc.cache); !refKernels && n < cap(sc.cache) {
+	if n := len(sc.cache); n < cap(sc.cache) {
 		roots = sc.cache[:n+1][n].roots[:0]
 	}
-	for j := 1; j < fi.Size; j++ {
-		sc.meter.Charge(costmodel.GCStack, costmodel.SlotTrace)
-		if sc.resolveSlotTrace(fi, j, base, regStatus, isTop) {
-			idx := base + j
+	status := regStatus | rt.AlwaysPointer
+	for k := range lay.Slots {
+		ref := &lay.Slots[k]
+		if sc.isPointer(ref, status, base, isTop) {
+			idx := base + int(ref.Index)
 			roots = append(roots, idx)
 			sc.meter.Charge(costmodel.GCStack, costmodel.RootProcess)
 			visit(RootLoc{Index: idx})
 		}
 	}
 
-	newStatus := regStatus
-	for r := 0; r < rt.NumRegs; r++ {
-		if sc.applyRegTrace(fi, r, base, regStatus, isTop) {
-			newStatus |= 1 << r
-		} else {
-			newStatus &^= 1 << r
+	newStatus := regStatus&lay.KeepRegs | lay.PtrRegs
+	for k := range lay.CompRegs {
+		ref := &lay.CompRegs[k]
+		if sc.isPointer(ref, status, base, isTop) {
+			newStatus |= 1 << ref.Index
 		}
 	}
 
@@ -337,53 +330,54 @@ func (sc *StackScanner) decodeFrame(i int, key rt.RetKey, regStatus uint32, visi
 	return newStatus
 }
 
-// resolveSlotTrace reports whether slot j of the frame at base holds a
-// pointer, given the register status inherited from the caller chain.
-func (sc *StackScanner) resolveSlotTrace(fi *rt.FrameInfo, j, base int, regStatus uint32, isTop bool) bool {
-	tr := fi.Slots[j]
-	switch tr.Kind {
-	case rt.TracePointer:
-		return true
-	case rt.TraceNonPointer:
-		return false
-	case rt.TraceCalleeSave:
-		return regStatus>>tr.Arg&1 == 1
-	case rt.TraceCompute:
-		sc.meter.Charge(costmodel.GCStack, costmodel.ComputeTrace)
-		return sc.typeValue(tr, base, isTop) == rt.TypePointer
+// scanTopRegs visits the live registers of the current execution point:
+// the top frame's register traces applied once more to regStatus, the
+// status after the whole stack. Registers are resolved and visited in
+// ascending order, so a COMPUTE register reads its type after the visits
+// of the registers below it.
+func (sc *StackScanner) scanTopRegs(regStatus uint32, visit func(RootLoc)) {
+	sc.meter.ChargeN(costmodel.GCStack, costmodel.SlotTrace, rt.NumRegs)
+	lay := sc.stack.Table().Lookup(sc.stack.CurrentKey()).Scan()
+	base := sc.stack.FrameBase(sc.stack.FrameCount() - 1)
+	live := regStatus&lay.KeepRegs | lay.PtrRegs
+	comp := lay.CompRegs
+	for {
+		r := rt.NumRegs
+		if live != 0 {
+			r = bits.TrailingZeros32(live)
+		}
+		if len(comp) > 0 && int(comp[0].Index) < r {
+			ref := &comp[0]
+			comp = comp[1:]
+			if !sc.isPointer(ref, 0, base, true) {
+				continue
+			}
+			r = int(ref.Index)
+		} else if r == rt.NumRegs {
+			return
+		} else {
+			live &^= 1 << r
+		}
+		sc.meter.Charge(costmodel.GCStack, costmodel.RootProcess)
+		visit(RootLoc{IsReg: true, Index: r})
 	}
-	panic("core: unknown slot trace")
 }
 
-// applyRegTrace reports whether register r holds a pointer at the call
-// point in this frame, per the frame's register trace information.
-func (sc *StackScanner) applyRegTrace(fi *rt.FrameInfo, r, base int, regStatus uint32, isTop bool) bool {
-	tr := fi.Regs[r]
-	switch tr.Kind {
-	case rt.TracePointer:
-		return true
-	case rt.TraceNonPointer:
-		return false
-	case rt.TraceCalleeSave:
-		// Register preserved from the caller: status unchanged.
-		return regStatus>>r&1 == 1
-	case rt.TraceCompute:
-		sc.meter.Charge(costmodel.GCStack, costmodel.ComputeTrace)
-		return sc.typeValue(tr, base, isTop) == rt.TypePointer
+// isPointer resolves one compiled slot or register of the frame at base:
+// a COMPUTE trace from its runtime type, any other from status (the
+// inherited register status with rt.AlwaysPointer set).
+func (sc *StackScanner) isPointer(ref *rt.ScanRef, status uint32, base int, isTop bool) bool {
+	if !ref.Compute {
+		return status&ref.Mask != 0
 	}
-	panic("core: unknown register trace")
-}
-
-// resolveRegTrace decides pointer-ness of live register r for the top
-// frame, whose register contents are current.
-func (sc *StackScanner) resolveRegTrace(fi *rt.FrameInfo, r int, regStatus uint32) bool {
-	return sc.applyRegTrace(fi, r, sc.stack.FrameBase(sc.stack.FrameCount()-1), regStatus, true)
+	sc.meter.Charge(costmodel.GCStack, costmodel.ComputeTrace)
+	return sc.typeValue(ref, base, isTop) == rt.TypePointer
 }
 
 // typeValue loads the runtime type a COMPUTE trace points at: a slot of
 // the same frame, or a register (valid only for the top frame, whose
 // register contents are live).
-func (sc *StackScanner) typeValue(tr rt.SlotTrace, base int, isTop bool) uint64 {
+func (sc *StackScanner) typeValue(tr *rt.ScanRef, base int, isTop bool) uint64 {
 	if tr.ArgIsReg {
 		if !isTop {
 			panic("core: COMPUTE-from-register trace in a suspended frame")

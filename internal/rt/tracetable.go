@@ -106,12 +106,92 @@ const (
 // FrameInfo is one trace-table entry: the layout of a frame, keyed by
 // return address. Slot 0 is always the stored return key and is never
 // traced directly.
+//
+// An entry is read-only once Register has returned it: Register copies
+// its inputs and compiles the scan form (ScanLayout) from them, so a
+// later write to Slots or Regs would desynchronize the two.
 type FrameInfo struct {
 	Key   RetKey
 	Name  string      // function name, for diagnostics and profiles
 	Size  int         // total slots, including slot 0
 	Slots []SlotTrace // len == Size; Slots[0] is ignored
 	Regs  []SlotTrace // len == NumRegs; register state at call points
+
+	scan ScanLayout
+}
+
+// AlwaysPointer is a status bit no register occupies. The collector
+// tests a ScanRef's Mask against its register status with this bit set,
+// so a POINTER trace (Mask == AlwaysPointer) always matches.
+const AlwaysPointer uint32 = 1 << 31
+
+// ScanLayout is a frame layout compiled for the collector's stack scan,
+// the way the paper's compiler emits trace tables per return address
+// (§4) rather than leaving their interpretation to scan time. The
+// register half of a decode becomes two masks and a short list:
+//
+//	status' = status&KeepRegs | PtrRegs | {r in CompRegs resolved to a pointer}
+//
+// and the slot half a walk over the slots that can hold a pointer.
+// NON-POINTER traces compile to nothing. A ScanLayout is read-only.
+type ScanLayout struct {
+	PtrRegs  uint32    // registers traced POINTER
+	KeepRegs uint32    // registers traced CALLEE-SAVE: status inherited
+	CompRegs []ScanRef // registers traced COMPUTE, ascending
+	Slots    []ScanRef // slots traced other than NON-POINTER, ascending
+}
+
+// ScanRef is one slot or register of a ScanLayout. A COMPUTE trace has
+// Compute set and names its runtime-type source in Arg/ArgIsReg; any
+// other trace is a pointer exactly when Mask meets the register status
+// with AlwaysPointer set: Mask is AlwaysPointer for POINTER and 1<<reg
+// for CALLEE-SAVE(reg) (zero for a register the file does not have).
+type ScanRef struct {
+	Index    int32 // slot index, or register number in CompRegs
+	Mask     uint32
+	Compute  bool
+	Arg      uint8
+	ArgIsReg bool
+}
+
+// Scan returns the entry's compiled scan form.
+func (fi *FrameInfo) Scan() *ScanLayout { return &fi.scan }
+
+// compileScan builds the scan form of a layout whose slot 0 is already
+// NON-POINTER.
+func compileScan(slots, regs []SlotTrace) ScanLayout {
+	var l ScanLayout
+	for r, tr := range regs {
+		switch tr.Kind {
+		case TracePointer:
+			l.PtrRegs |= 1 << r
+		case TraceCalleeSave:
+			l.KeepRegs |= 1 << r
+		case TraceCompute:
+			l.CompRegs = append(l.CompRegs, scanRef(r, tr))
+		}
+	}
+	for j, tr := range slots {
+		if tr.Kind != TraceNonPointer {
+			l.Slots = append(l.Slots, scanRef(j, tr))
+		}
+	}
+	return l
+}
+
+func scanRef(i int, tr SlotTrace) ScanRef {
+	ref := ScanRef{Index: int32(i)}
+	switch tr.Kind {
+	case TracePointer:
+		ref.Mask = AlwaysPointer
+	case TraceCalleeSave:
+		if tr.Arg < NumRegs {
+			ref.Mask = 1 << tr.Arg
+		}
+	case TraceCompute:
+		ref.Compute, ref.Arg, ref.ArgIsReg = true, tr.Arg, tr.ArgIsReg
+	}
+	return ref
 }
 
 // TraceTable is the registry of frame layouts, indexed by return key.
@@ -128,7 +208,8 @@ func NewTraceTable() *TraceTable {
 
 // Register adds a frame layout and returns its entry. The slot-0 trace is
 // forced to non-pointer (it holds the return key). A nil regs slice means
-// "all registers dead at call points" (all non-pointer).
+// "all registers dead at call points" (all non-pointer). The entry's
+// scan form is compiled here, once per layout.
 func (t *TraceTable) Register(name string, slots []SlotTrace, regs []SlotTrace) *FrameInfo {
 	if len(slots) == 0 {
 		panic("rt: frame must have at least the return-key slot")
@@ -148,6 +229,7 @@ func (t *TraceTable) Register(name string, slots []SlotTrace, regs []SlotTrace) 
 		Slots: slots,
 		Regs:  append([]SlotTrace(nil), regs...),
 	}
+	fi.scan = compileScan(fi.Slots, fi.Regs)
 	if fi.Key >= StubKey {
 		panic("rt: trace table full")
 	}
