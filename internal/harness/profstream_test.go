@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -114,26 +113,7 @@ func TestProfilerStreamsPinned(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "%s\t%s\n", streamDigest(t, cfg, r), cfg.Label())
 	}
-	if *updateGolden {
-		if err := os.WriteFile(streamDigestPath, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(streamDigestPath)
-	if err != nil {
-		t.Fatalf("%v (run with -update-golden to create it)", err)
-	}
-	gotLines := strings.Split(got.String(), "\n")
-	wantLines := strings.Split(string(want), "\n")
-	if len(gotLines) != len(wantLines) {
-		t.Fatalf("%d configs, %s pins %d", len(gotLines)-1, streamDigestPath, len(wantLines)-1)
-	}
-	for i, line := range gotLines {
-		if line != wantLines[i] {
-			t.Errorf("profiler-fed streams changed:\n got  %s\n pin  %s", line, wantLines[i])
-		}
-	}
+	checkPinnedLines(t, streamDigestPath, got.String())
 }
 
 // TestEveryObjectDiesOnce checks the profiler's lifetime bookkeeping

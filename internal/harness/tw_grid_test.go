@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tilgc/internal/adapt"
-	"tilgc/internal/core"
 	"tilgc/internal/slo"
 	"tilgc/internal/trace"
 	"tilgc/internal/workload"
@@ -168,40 +167,6 @@ func TestTWGridSpecialCase(t *testing.T) {
 	sameResult(t, a, b)
 	if !bytes.Equal(runJSONL(t, a), runJSONL(t, b)) {
 		t.Error("T=1/W=1 trace differs from the zero-value config")
-	}
-}
-
-// TestReferenceKernelsParallelWorkers extends the kernel-equivalence
-// proof across the worker axis: at every W the optimized and reference
-// kernels must place their quanta identically, so the simulated worker
-// schedule — per-phase worker tallies, overlap, steals, and therefore
-// every trace byte — is kernel-independent. W=1 is covered by
-// TestReferenceKernelsObservationallyIdentical.
-func TestReferenceKernelsParallelWorkers(t *testing.T) {
-	cfgs := []RunConfig{
-		{Workload: "ServerSteady", Scale: workload.Scale{Repeat: 0.004},
-			Kind: KindGenMarkers, K: 2, DeferMajor: true, Trace: true, Sanitize: true},
-		{Workload: "Life", Scale: tiny, Kind: KindGenCards, K: 1.5, Trace: true},
-		{Workload: "Nqueen", Scale: tiny, Kind: KindSemispace, K: 4, Trace: true},
-	}
-	for _, w := range gridTW[1:] {
-		for _, cfg := range cfgs {
-			cfg.GCWorkers = w
-			opt, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			core.SetReferenceKernels(true)
-			ref, runErr := Run(cfg)
-			core.SetReferenceKernels(false)
-			if runErr != nil {
-				t.Fatal(runErr)
-			}
-			sameResult(t, opt, ref)
-			if !bytes.Equal(runJSONL(t, opt), runJSONL(t, ref)) {
-				t.Errorf("%s: JSONL traces diverge between optimized and reference kernels", cfg.Label())
-			}
-		}
 	}
 }
 
