@@ -3,7 +3,6 @@ package tilgc_test
 import (
 	"testing"
 
-	"tilgc/internal/core"
 	"tilgc/internal/harness"
 )
 
@@ -17,9 +16,8 @@ type simFacts struct {
 
 // TestWorkloadSimFacts pins the simulated facts of six paper workloads
 // under the generational collector with stack markers at k=4, at
-// benchScale. It runs them under the optimized kernels and again under
-// the reference kernels, which must reproduce every fact. Any drift means
-// the simulation's observable behaviour changed.
+// benchScale. Any drift means the simulation's observable behaviour
+// changed.
 func TestWorkloadSimFacts(t *testing.T) {
 	pins := []struct {
 		name string
@@ -32,23 +30,19 @@ func TestWorkloadSimFacts(t *testing.T) {
 		{"PIA", simFacts{1930176678176319727, 1, 1664, 413982, 30599}},
 		{"Simple", simFacts{29502087249899167, 18, 615368, 2873541, 625832}},
 	}
-	for _, ref := range []bool{false, true} {
-		for _, p := range pins {
-			core.SetReferenceKernels(ref)
-			r, err := harness.Run(harness.RunConfig{
-				Workload: p.name, Scale: benchScale, Kind: harness.KindGenMarkers, K: 4,
-			})
-			core.SetReferenceKernels(false)
-			if err != nil {
-				t.Fatalf("%s ref=%v: %v", p.name, ref, err)
-			}
-			got := simFacts{
-				r.Check, r.Stats.NumGC, r.Stats.BytesCopied,
-				uint64(r.Times.Client), uint64(r.Times.GC()),
-			}
-			if got != p.want {
-				t.Errorf("%s ref=%v: simulated facts %+v, want %+v", p.name, ref, got, p.want)
-			}
+	for _, p := range pins {
+		r, err := harness.Run(harness.RunConfig{
+			Workload: p.name, Scale: benchScale, Kind: harness.KindGenMarkers, K: 4,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		got := simFacts{
+			r.Check, r.Stats.NumGC, r.Stats.BytesCopied,
+			uint64(r.Times.Client), uint64(r.Times.GC()),
+		}
+		if got != p.want {
+			t.Errorf("%s: simulated facts %+v, want %+v", p.name, got, p.want)
 		}
 	}
 }

@@ -485,16 +485,6 @@ func (c *Generational) InitField(a mem.Addr, i uint64, v uint64) {
 	obj.SetField(c.heap, a, i, v)
 }
 
-// evacuator returns the collector's pooled evacuator, or a fresh one per
-// collection under the reference kernels (the pre-optimization behaviour,
-// preserved for equivalence tests and benchmark comparison).
-func (c *Generational) evacuator() *evacuator {
-	if refKernels {
-		return new(evacuator)
-	}
-	return &c.ev
-}
-
 // Collect implements Collector.
 func (c *Generational) Collect(major bool) {
 	if c.inGC {
@@ -541,7 +531,7 @@ func (c *Generational) minorGC() {
 		}
 		agingTo = c.heap.ReplaceSpace(toID, c.nursery.Used()+c.aging.Used()+64)
 	}
-	ev := c.evacuator()
+	ev := &c.ev
 	ev.begin(c.heap, c.meter, &c.stats, c.prof, condemned[:ncond], c.ten, c.los)
 	ev.tr = c.tr
 	ev.tenuredID = c.ten.ID()
@@ -646,10 +636,6 @@ func (c *Generational) agingUsed() uint64 {
 // duplicates — the Peg overhead); the card table examines dirty cards'
 // words instead.
 func (c *Generational) processBarrier(ev *evacuator) {
-	if refKernels {
-		c.refProcessBarrier(ev)
-		return
-	}
 	nid := c.nursery.ID()
 	if c.cards != nil {
 		// The field-address list is materialized in full before any
@@ -924,7 +910,7 @@ func (c *Generational) majorCopy() {
 		condemned[2] = c.aging.ID()
 		ncond = 3
 	}
-	ev := c.evacuator()
+	ev := &c.ev
 	ev.begin(c.heap, c.meter, &c.stats, c.prof, condemned[:ncond], to, c.los)
 	ev.tr = c.tr
 	ev.tenuredID = toID
@@ -1004,7 +990,7 @@ func (c *Generational) beginNonmovingMajor() *evacuator {
 		condemned[1] = c.aging.ID()
 		ncond = 2
 	}
-	ev := c.evacuator()
+	ev := &c.ev
 	ev.begin(c.heap, c.meter, &c.stats, c.prof, condemned[:ncond], c.ten, c.los)
 	ev.tr = c.tr
 	ev.tenuredID = c.ten.ID()

@@ -19,8 +19,7 @@ import (
 // Collectors keep one evacuator value alive across collections and rearm
 // it with begin() each cycle, so the scan frontiers and LOS queue are
 // pooled: a steady-state minor collection allocates nothing on the Go
-// heap. (Under SetReferenceKernels the collectors construct a fresh
-// evacuator per collection instead, the pre-optimization behaviour.)
+// heap.
 type evacuator struct {
 	heap  *mem.Heap
 	meter *costmodel.Meter
@@ -33,10 +32,6 @@ type evacuator struct {
 	// forwarded pointer.
 	condemned  [3]mem.SpaceID
 	ncondemned int
-	// condemnedMap is only populated under the reference kernels: the
-	// pre-pooling evacuator kept the condemned set in a map and paid a
-	// hash probe on every forwarded pointer.
-	condemnedMap map[mem.SpaceID]struct{}
 
 	to  *mem.Space
 	los *LOS // may be nil
@@ -110,13 +105,6 @@ func (e *evacuator) begin(heap *mem.Heap, meter *costmodel.Meter, stats *GCStats
 		losQueue: e.losQueue[:0],
 	}
 	e.ncondemned = copy(e.condemned[:], condemned)
-	if refKernels {
-		m := make(map[mem.SpaceID]struct{}, len(condemned))
-		for _, id := range condemned {
-			m[id] = struct{}{}
-		}
-		e.condemnedMap = m
-	}
 }
 
 // addDest registers an additional destination space for routing; objects
@@ -159,11 +147,7 @@ func (e *evacuator) forward(v uint64) uint64 {
 		return v
 	}
 	id := a.Space()
-	if e.condemnedMap != nil { // reference kernels: the pre-pooling map probe
-		if _, ok := e.condemnedMap[id]; ok {
-			return uint64(e.evacuate(a))
-		}
-	} else if e.isCondemned(id) {
+	if e.isCondemned(id) {
 		return uint64(e.evacuate(a))
 	}
 	if e.old != nil && id == e.old.id {
@@ -193,14 +177,10 @@ func (e *evacuator) forward(v uint64) uint64 {
 // bulk copy into an unzeroed destination span (the span is fully
 // overwritten, so pre-zeroing it as Alloc does would touch every word
 // twice). The meter takes one batched per-word charge — never a
-// word-at-a-time loop. The reference kernels keep the load-per-helper,
-// zero-then-copy behaviour.
+// word-at-a-time loop.
 //
 //gc:nobarrier Cheney copy kernel: stores land in to-space, which is scanned in full before the mutator resumes
 func (e *evacuator) evacuate(a mem.Addr) mem.Addr {
-	if refKernels {
-		return e.refEvacuate(a)
-	}
 	src := e.heap.Space(a.Space()).Raw()
 	off := a.Offset()
 	hd := src[off]
@@ -240,9 +220,8 @@ func (e *evacuator) evacuate(a mem.Addr) mem.Addr {
 }
 
 // markOld marks the tenured object at a in place: the mark-bitmap test,
-// the range set and gray push on first visit. Shared by the optimized
-// and reference kernels (like finishCopy) so both mark phases charge and
-// mutate identically. The caller's quantum brackets the charge.
+// the range set and gray push on first visit. The caller's quantum
+// brackets the charge.
 func (e *evacuator) markOld(a mem.Addr) {
 	e.meter.Charge(costmodel.GCCopy, costmodel.MarkTest)
 	off := a.Offset()
@@ -262,15 +241,13 @@ func (e *evacuator) markOld(a mem.Addr) {
 // lowest destination address wins, and ties are resolved by worker rank.
 // Because the simulator executes the canonical serial work order, the
 // single claim issued here is exactly the arbitrated winner, which is
-// what makes the copied heap image byte-identical at every worker count
-// (the reference kernel's obj.SetForward honors the same contract).
+// what makes the copied heap image byte-identical at every worker count.
 func claimForward(src []uint64, off uint64, dst mem.Addr) {
 	src[off] = obj.PackForward(dst)
 }
 
 // finishCopy issues the metering, statistics, telemetry, and policy
-// callbacks for one completed evacuation — shared by the optimized and
-// reference copy kernels so both observe identical costs.
+// callbacks for one completed evacuation, whichever space receives it.
 func (e *evacuator) finishCopy(dst mem.Addr, o obj.Object, size uint64) {
 	e.meter.Charge(costmodel.GCCopy, costmodel.CopyObject)
 	e.meter.ChargeN(costmodel.GCCopy, costmodel.CopyWord, size)
@@ -299,10 +276,6 @@ func (e *evacuator) finishCopy(dst mem.Addr, o obj.Object, size uint64) {
 // objects. Each gray object is decoded exactly once — the decoded view
 // both drives the field scan and advances the frontier.
 func (e *evacuator) drain() {
-	if refKernels {
-		e.refDrain()
-		return
-	}
 	for {
 		progressed := false
 		for i := range e.scans {

@@ -25,11 +25,8 @@ import (
 //	C (slide) — move each run's objects down; runs already in place cost
 //	            nothing.
 //
-// As with the sweep, the optimized and reference kernels produce
-// identical charges, quanta, profiler events, and heap mutations; the
-// optimized kernels discover runs and object boundaries from the bitmap
-// and raw headers, the reference kernels decode every object through the
-// checked interface.
+// Passes A–C discover runs and object boundaries from the bitmap and raw
+// headers rather than decoding objects through the checked interface.
 
 // rootFixEntry is one stack-root location captured during the root scan
 // of a compacting major: it held (after forwarding) a pointer into the
@@ -61,26 +58,11 @@ func remapOldOffset(runs []compactRun, off uint64) uint64 {
 
 // compactOld slides the marked tenured objects toward the space base.
 func (c *Generational) compactOld() {
-	var runs []compactRun
-	if refKernels {
-		runs = c.refCompactPlan()
-	} else {
-		runs = c.compactPlanOpt()
-	}
+	runs := c.compactPlan()
 	c.compactFixRoots(runs)
-	if refKernels {
-		c.refCompactFixHeap(runs)
-	} else {
-		c.compactFixHeapOpt(runs)
-	}
+	c.compactFixHeap(runs)
 	c.compactFixLOS(runs)
-	var live uint64
-	if refKernels {
-		live = c.refCompactSlide(runs)
-	} else {
-		live = c.compactSlideOpt(runs)
-	}
-	c.compactFinish(live)
+	c.compactFinish(c.compactSlide(runs))
 }
 
 // compactDead accounts one dead tenured object discovered by the plan
@@ -96,12 +78,12 @@ func (c *Generational) compactDead(off uint64) {
 	c.endQ()
 }
 
-// compactPlanOpt is the optimized pass A: live runs come straight off
+// compactPlan is pass A: live runs come straight off
 // the bitmap (one trailing-zeros stride per run, no header decodes);
 // only dead objects are decoded, from raw header reads.
 //
 //gc:nobarrier plan walk only reads raw headers of dead objects; it stores nothing
-func (c *Generational) compactPlanOpt() []compactRun {
+func (c *Generational) compactPlan() []compactRun {
 	os := c.old
 	sp := c.heap.Space(os.id)
 	used := sp.Used()
@@ -127,40 +109,9 @@ func (c *Generational) compactPlanOpt() []compactRun {
 	return runs
 }
 
-// refCompactPlan is the reference pass A: every object is decoded and
-// stepped over; adjacent live objects coalesce into the same runs the
-// bitmap stride finds.
-func (c *Generational) refCompactPlan() []compactRun {
-	os := c.old
-	sp := c.heap.Space(os.id)
-	used := sp.Used()
-	os.ensureBitmap(used)
-	c.sweepOldStripes(used)
-	var runs []compactRun
-	newOff := uint64(1)
-	off := uint64(1)
-	for off <= used {
-		size := obj.Decode(c.heap, mem.MakeAddr(os.id, off)).SizeWords()
-		if os.bitSet(off) {
-			if n := len(runs); n > 0 && runs[n-1].src+runs[n-1].size == off {
-				runs[n-1].size += size
-			} else {
-				runs = append(runs, compactRun{src: off, dst: newOff, size: size})
-			}
-			newOff += size
-			off += size
-			continue
-		}
-		c.compactDead(off)
-		off += size
-	}
-	return runs
-}
-
 // compactFixRoots rewrites the stack-root locations captured during the
-// root scan (shared by both kernel sets — root access goes through the
-// runtime stack, not the heap). One quantum and one pointer test per
-// captured location.
+// root scan (root access goes through the runtime stack, not the heap).
+// One quantum and one pointer test per captured location.
 func (c *Generational) compactFixRoots(runs []compactRun) {
 	os := c.old
 	for _, rf := range c.rootFix {
@@ -182,12 +133,12 @@ func (c *Generational) compactFixRoots(runs []compactRun) {
 	c.rootFix = c.rootFix[:0]
 }
 
-// compactFixHeapOpt is the optimized pass B over the tenured space: raw
+// compactFixHeap is pass B over the tenured space: raw
 // header and mask reads locate the pointer fields of every live object
 // (one quantum per object, one pointer test per field examined).
 //
 //gc:nobarrier compaction fixup rewrites collector-discovered pointers while the world is stopped; every rewrite targets the same live object at its post-slide address
-func (c *Generational) compactFixHeapOpt(runs []compactRun) {
+func (c *Generational) compactFixHeap(runs []compactRun) {
 	os := c.old
 	w := c.heap.Space(os.id).Raw()
 	for _, r := range runs {
@@ -224,38 +175,9 @@ func (c *Generational) remapWordRaw(runs []compactRun, w []uint64, off uint64) {
 	}
 }
 
-// refCompactFixHeap is the reference pass B: checked decodes, checked
-// loads and stores, identical charge and quantum stream.
-//
-//gc:nobarrier reference compaction fixup: same stop-the-world pointer rewrites as the optimized pass
-func (c *Generational) refCompactFixHeap(runs []compactRun) {
-	os := c.old
-	for _, r := range runs {
-		for off := r.src; off < r.src+r.size; {
-			o := obj.Decode(c.heap, mem.MakeAddr(os.id, off))
-			c.beginQ()
-			if o.Kind != obj.RawArray {
-				for i := uint64(0); i < o.Len; i++ {
-					if !o.IsPtrField(i) {
-						continue
-					}
-					c.meter.Charge(costmodel.GCCopy, costmodel.ScanPtrTest)
-					fa := o.PayloadAddr(i)
-					if a := mem.Addr(c.heap.Load(fa)); !a.IsNil() && a.Space() == os.id {
-						c.heap.Store(fa, uint64(mem.MakeAddr(os.id, remapOldOffset(runs, a.Offset()))))
-					}
-				}
-			}
-			c.endQ()
-			off += o.SizeWords()
-		}
-	}
-}
-
 // compactFixLOS rewrites tenured pointers held by live (marked) large
-// objects, in ascending space-id order. Shared by both kernel sets: the
-// LOS is sparse, so the checked per-object walk is the natural shape for
-// both, and sharing keeps the streams identical by construction.
+// objects, in ascending space-id order. The LOS is sparse, so the
+// checked per-object walk is the natural shape here.
 //
 //gc:nobarrier compaction fixup of large-object fields while the world is stopped; rewrites retarget the same live tenured objects
 func (c *Generational) compactFixLOS(runs []compactRun) {
@@ -283,7 +205,7 @@ func (c *Generational) compactFixLOS(runs []compactRun) {
 	}
 }
 
-// compactSlideOpt is the optimized pass C: bulk word copies on the raw
+// compactSlide is pass C: bulk word copies on the raw
 // space, per object (dst < src within a moving run, and runs slide in
 // ascending order, so every source is intact when read). Runs already at
 // their destination are skipped outright — the common case for the
@@ -291,7 +213,7 @@ func (c *Generational) compactFixLOS(runs []compactRun) {
 // cheaply.
 //
 //gc:nobarrier the slide moves whole live objects downward while the world is stopped; pass B already rewrote every pointer to its destination
-func (c *Generational) compactSlideOpt(runs []compactRun) uint64 {
+func (c *Generational) compactSlide(runs []compactRun) uint64 {
 	os := c.old
 	w := c.heap.Space(os.id).Raw()
 	var live uint64
@@ -310,39 +232,6 @@ func (c *Generational) compactSlideOpt(runs []compactRun) uint64 {
 			copy(w[dst:dst+size], w[src:src+size])
 			if c.prof != nil {
 				c.prof.OnMove(mem.MakeAddr(os.id, src), mem.MakeAddr(os.id, dst))
-			}
-			c.endQ()
-			src += size
-			dst += size
-		}
-	}
-	return live
-}
-
-// refCompactSlide is the reference pass C: checked decodes and
-// heap-level copies, identical charges, word movement, and profiler
-// moves.
-//
-//gc:nobarrier reference slide: same stop-the-world object moves as the optimized pass
-func (c *Generational) refCompactSlide(runs []compactRun) uint64 {
-	os := c.old
-	var live uint64
-	for _, r := range runs {
-		live += r.size
-		if r.dst == r.src {
-			continue
-		}
-		src, dst := r.src, r.dst
-		for src < r.src+r.size {
-			srcA := mem.MakeAddr(os.id, src)
-			size := obj.Decode(c.heap, srcA).SizeWords()
-			c.beginQ()
-			c.meter.ChargeN(costmodel.GCCopy, costmodel.SlideWordTest, size)
-			c.stats.WordsSlid += size
-			dstA := mem.MakeAddr(os.id, dst)
-			c.heap.Copy(dstA, srcA, size)
-			if c.prof != nil {
-				c.prof.OnMove(srcA, dstA)
 			}
 			c.endQ()
 			src += size

@@ -16,22 +16,6 @@ import (
 // from the coalesced free runs — dead objects and pre-existing fillers
 // merge into a single filler per run, exactly the coalescing the LOS
 // sweep performs at arena granularity.
-//
-// Optimized and reference kernels issue identical charges, identical
-// quantum brackets, identical profiler deaths, and identical free-list
-// mutations, in the same ascending-offset order; they differ only in how
-// live objects are skipped — the optimized kernel strides over live runs
-// with a trailing-zeros scan of the inverted bitmap words (never
-// decoding a live header), the reference kernel decodes every object.
-
-// sweepOld reclaims every unmarked tenured object into the free lists.
-func (c *Generational) sweepOld() {
-	if refKernels {
-		c.refSweepOld()
-		return
-	}
-	c.sweepOldOpt()
-}
 
 // sweepOldStripes charges the bitmap examination: one SweepWordTest per
 // 64-word stripe of the used region, each bracketed as one parallel work
@@ -58,12 +42,13 @@ func (c *Generational) sweepOldDead(off, size uint64) {
 	c.endQ()
 }
 
-// sweepOldOpt is the optimized sweep: live runs are skipped via the
-// bitmap without touching their headers; only dead objects (clear bits
-// off the free-span cursor) are decoded, from a raw header read.
+// sweepOld reclaims every unmarked tenured object into the free lists.
+// Live runs are skipped via the bitmap without touching their headers;
+// only dead objects (clear bits off the free-span cursor) are decoded,
+// from a raw header read.
 //
 //gc:nobarrier sweep kernel: it rewrites dead storage into pointer-free fillers while the world is stopped
-func (c *Generational) sweepOldOpt() {
+func (c *Generational) sweepOld() {
 	os := c.old
 	sp := c.heap.Space(os.id)
 	used := sp.Used()
@@ -105,50 +90,8 @@ func (c *Generational) sweepOldOpt() {
 	os.emitFreeRun(runOff, runLen)
 }
 
-// refSweepOld is the reference sweep: every object — live, dead, or
-// filler-adjacent — is decoded through the checked interface and stepped
-// over individually (filler rewrites happen inside emitFreeRun, which
-// carries its own barrier justification).
-func (c *Generational) refSweepOld() {
-	os := c.old
-	sp := c.heap.Space(os.id)
-	used := sp.Used()
-	os.ensureBitmap(used)
-	c.sweepOldStripes(used)
-	spans := os.freeSpans()
-	os.resetFree()
-	k := 0
-	var runOff, runLen uint64
-	off := uint64(1)
-	for off <= used {
-		if k < len(spans) && spans[k].off == off {
-			if runLen == 0 {
-				runOff = off
-			}
-			runLen += spans[k].size
-			off += spans[k].size
-			k++
-			continue
-		}
-		size := obj.Decode(c.heap, mem.MakeAddr(os.id, off)).SizeWords()
-		if os.bitSet(off) {
-			os.emitFreeRun(runOff, runLen)
-			runLen = 0
-			off += size
-			continue
-		}
-		c.sweepOldDead(off, size)
-		if runLen == 0 {
-			runOff = off
-		}
-		runLen += size
-		off += size
-	}
-	os.emitFreeRun(runOff, runLen)
-}
-
 // nextClearOffset returns the first offset >= off whose bitmap bit is
-// clear, capped at used+1 — the optimized kernels' live-run stride, a
+// clear, capped at used+1 — the sweep and compaction live-run stride, a
 // trailing-zeros scan over inverted bitmap words (the same technique the
 // Cheney frontier scan uses on record pointer masks).
 func (os *oldSpace) nextClearOffset(off, used uint64) uint64 {

@@ -9,14 +9,11 @@ import (
 
 // This file holds the non-moving old generation's shared bookkeeping: the
 // per-word mark/allocation bitmap, the size-segregated free lists, and
-// the filler objects that keep the tenured space decodable. Like
-// finishCopy and claimForward it is deliberately common to both kernel
-// sets — the optimized and reference sweep/compact kernels (see
-// kernels_marksweep.go, kernels_markcompact.go) mutate this state through
-// the same operations in the same order, so the cross-kernel equivalence
-// tests compare identical structures. It sits inside the kernel seam
-// because free spans are tiled with raw-encoded filler headers and direct
-// free-list allocation writes object headers into reused storage.
+// the filler objects that keep the tenured space decodable, shared by the
+// mark phase, the sweep (kernels_marksweep.go) and the compaction
+// (kernels_markcompact.go). It is a kernels*.go file because free spans
+// are tiled with raw-encoded filler headers and direct free-list
+// allocation writes object headers into reused storage.
 
 // oldMaxClass is the largest exact-size free-list class in words; spans
 // above it go to the sorted big-span list (first-fit).

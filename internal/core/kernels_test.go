@@ -167,8 +167,10 @@ func kernelImageLine(t *testing.T, name string, mk func(e *testEnv) Collector) s
 }
 
 // TestKernelEquivalence pins, for every configuration of the kernel
-// mini-sweep, the heap image, GC stats and simulated cycles that the
-// optimized and reference kernels both produced. kernelSweepCollectors
+// mini-sweep, the heap image, GC stats and simulated cycles. The pins
+// were recorded while a preserved copy of the pre-optimization kernels
+// still shipped, and both kernel sets produced them, so a kernel that
+// matches them is equivalent to that reference. kernelSweepCollectors
 // has no non-moving old generation, so this is the unit-level pin of the
 // mark-sweep and mark-compact kernels. Refresh intentionally with:
 //
@@ -188,16 +190,10 @@ func TestKernelEquivalence(t *testing.T) {
 	var got []string
 	for _, kc := range kernelConfigs() {
 		t.Run(kc.name, func(t *testing.T) {
-			opt := kernelImageLine(t, kc.name, kc.make)
-			SetReferenceKernels(true)
-			ref := kernelImageLine(t, kc.name, kc.make)
-			SetReferenceKernels(false)
-			if opt != ref {
-				t.Errorf("kernel sets diverge:\n opt %s\n ref %s", opt, ref)
-			}
-			got = append(got, opt)
-			if !*updateGolden && opt != want[kc.name] {
-				t.Errorf("kernel outputs changed:\n got %s\n pin %s", opt, want[kc.name])
+			line := kernelImageLine(t, kc.name, kc.make)
+			got = append(got, line)
+			if !*updateGolden && line != want[kc.name] {
+				t.Errorf("kernel outputs changed:\n got %s\n pin %s", line, want[kc.name])
 			}
 		})
 	}
@@ -241,8 +237,7 @@ func kernelSweepCollectors() []func(e *testEnv) Collector {
 // kernelSweepFacts are the deterministic outputs of one kernel-stress
 // sweep: a checksum folding every surviving list cell plus the aggregate
 // collector statistics and simulated collector cycles across all
-// configurations. They are a pure function of the sweep definition and
-// identical under the optimized and reference kernels.
+// configurations. They are a pure function of the sweep definition.
 type kernelSweepFacts struct {
 	configs                             int
 	check, numGC, bytesCopied, gcCycles uint64
@@ -263,7 +258,7 @@ func fnv1a(h, v uint64) uint64 {
 }
 
 // runKernelSweep drives the kernel-stress mutator through every sweep
-// configuration under the active kernel mode and folds the facts.
+// configuration and folds the facts.
 func runKernelSweep(tb testing.TB) kernelSweepFacts {
 	facts := kernelSweepFacts{check: fnvOffset}
 	for _, mk := range kernelSweepCollectors() {
@@ -350,21 +345,15 @@ func runKernelStress(tb testing.TB, c Collector, e *testEnv) {
 }
 
 // TestKernelSweepFacts pins the kernel-stress sweep's simulated facts
-// exactly, under the optimized kernels and again under the reference
-// kernels. The sweep keeps every copying kernel path hot, so a change to
+// exactly. The sweep keeps every copying kernel path hot, so a change to
 // any collector charge, copy or barrier drain moves at least one fact.
 func TestKernelSweepFacts(t *testing.T) {
 	want := kernelSweepFacts{
 		configs: 6, check: 10419385559500701569, numGC: 240,
 		bytesCopied: 13743936, gcCycles: 17708779,
 	}
-	for _, ref := range []bool{false, true} {
-		SetReferenceKernels(ref)
-		got := runKernelSweep(t)
-		SetReferenceKernels(false)
-		if got != want {
-			t.Errorf("ref=%v: kernel sweep facts %+v, want %+v", ref, got, want)
-		}
+	if got := runKernelSweep(t); got != want {
+		t.Errorf("kernel sweep facts %+v, want %+v", got, want)
 	}
 }
 
@@ -426,81 +415,63 @@ func TestMinorGCSteadyStateAllocsZeroWithBarrier(t *testing.T) {
 	}
 }
 
-// benchKernels runs fn under both kernel implementations as sub-benchmarks.
-func benchKernels(b *testing.B, fn func(b *testing.B)) {
-	b.Run("opt", fn)
-	b.Run("ref", func(b *testing.B) {
-		SetReferenceKernels(true)
-		defer SetReferenceKernels(false)
-		fn(b)
-	})
-}
-
 // BenchmarkEvacuate measures the bulk-copy path: every iteration is a full
 // semispace collection copying a 2000-cell live list.
 func BenchmarkEvacuate(b *testing.B) {
-	benchKernels(b, func(b *testing.B) {
-		e := newEnv(2)
-		c := NewSemispace(e.stack, e.meter, nil, SemispaceConfig{
-			BudgetWords: 1 << 20, InitialWords: 32 * 1024,
-		})
-		consList(b, c, e, 1, 2000, 1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.Collect(true)
-		}
+	e := newEnv(2)
+	c := NewSemispace(e.stack, e.meter, nil, SemispaceConfig{
+		BudgetWords: 1 << 20, InitialWords: 32 * 1024,
 	})
+	consList(b, c, e, 1, 2000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Collect(true)
+	}
 }
 
 // BenchmarkScanObject measures the field-scan kernel alone on a sparse
 // 64-field record (no evacuation: nothing is condemned).
 func BenchmarkScanObject(b *testing.B) {
-	benchKernels(b, func(b *testing.B) {
-		heap := mem.NewHeap()
-		sp := heap.AddSpace(1024)
-		a, ok := obj.Alloc(heap, sp, obj.Record, 64, 1, 0x8000_0401_0040_0011)
-		if !ok {
-			b.Fatal("alloc failed")
-		}
-		var stats GCStats
-		var ev evacuator
-		ev.begin(heap, costmodel.NewMeter(), &stats, nil, nil, sp, nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ev.scanObject(a)
-		}
-	})
+	heap := mem.NewHeap()
+	sp := heap.AddSpace(1024)
+	a, ok := obj.Alloc(heap, sp, obj.Record, 64, 1, 0x8000_0401_0040_0011)
+	if !ok {
+		b.Fatal("alloc failed")
+	}
+	var stats GCStats
+	var ev evacuator
+	ev.begin(heap, costmodel.NewMeter(), &stats, nil, nil, sp, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.scanObject(a)
+	}
 }
 
 // BenchmarkKernelSweep measures the full kernel-stress sweep of
 // TestKernelSweepFacts (one iteration = every configuration).
 func BenchmarkKernelSweep(b *testing.B) {
-	benchKernels(b, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			runKernelSweep(b)
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		runKernelSweep(b)
+	}
 }
 
 // BenchmarkMinorGC measures a steady-state minor collection: a mostly-dead
 // nursery over a small tenured live set, the simulator's hottest loop.
 func BenchmarkMinorGC(b *testing.B) {
-	benchKernels(b, func(b *testing.B) {
-		e := newEnv(2)
-		c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 4 * 1024})
-		consList(b, c, e, 1, 100, 1)
-		for i := 0; i < 3; i++ {
-			fillNurseryGarbage(c)
-			c.Collect(false)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fillNurseryGarbage(c)
-			c.Collect(false)
-		}
-	})
+	e := newEnv(2)
+	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 4 * 1024})
+	consList(b, c, e, 1, 100, 1)
+	for i := 0; i < 3; i++ {
+		fillNurseryGarbage(c)
+		c.Collect(false)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fillNurseryGarbage(c)
+		c.Collect(false)
+	}
 }

@@ -213,9 +213,6 @@ func (c *Semispace) Collect(bool) {
 	// The survivors cannot exceed what was allocated in from-space.
 	to := c.heap.ReplaceSpace(toID, c.cur.Used())
 	ev := &c.ev
-	if refKernels {
-		ev = new(evacuator)
-	}
 	condemned := [1]mem.SpaceID{fromID}
 	ev.begin(c.heap, c.meter, &c.stats, c.prof, condemned[:], to, c.los)
 	ev.tr = c.tr

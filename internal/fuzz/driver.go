@@ -5,7 +5,6 @@ import (
 	"io"
 	"sync"
 
-	"tilgc/internal/core"
 	"tilgc/internal/harness"
 )
 
@@ -21,12 +20,6 @@ type Options struct {
 	// MinimizeCap bounds how many failing seeds are minimized per sweep
 	// (default 5); minimization re-runs the program thousands of times.
 	MinimizeCap int
-	// SkipRefKernels skips the reference-kernel pass. The pass flips a
-	// process-global kernel seam, so it must not run concurrently with
-	// any other collector activity in the process; the driver sequences
-	// it correctly, but embedders that run collectors on other
-	// goroutines can opt out.
-	SkipRefKernels bool
 	// Progress, when non-nil, receives (seeds done, total, failures so
 	// far) after each seed completes. Calls are serialized but arrive in
 	// completion order.
@@ -44,44 +37,24 @@ type Minimized struct {
 // whatever the parallelism, so a rendered report is byte-identical at
 // every parallelism level.
 type Report struct {
-	From, To    uint64
-	Results     []SeedResult
-	RefFailures []Failure
-	Minimized   []Minimized
+	From, To  uint64
+	Results   []SeedResult
+	Minimized []Minimized
 }
 
-// FailureCount returns the total failures, including ref-kernel ones.
+// FailureCount returns the total failures across every seed.
 func (r *Report) FailureCount() int {
-	n := len(r.RefFailures)
+	n := 0
 	for _, sr := range r.Results {
 		n += len(sr.Failures)
 	}
 	return n
 }
 
-// refConfigs returns the matrix subset re-run under reference kernels:
-// the Cheney baseline, the marker-heavy generational entry, and the two
-// non-moving old generations, which together cover every copy/scan,
-// sweep, and compact kernel seam.
-func refConfigs() []Config {
-	return []Config{
-		{Name: "semispace", Semispace: true},
-		{Name: "gen+markers", MarkerN: fuzzMarkerN},
-		{Name: "gen+marksweep+pretenure", Old: core.OldMarkSweep, Pretenure: true},
-		{Name: "gen+markcompact", Old: core.OldMarkCompact},
-	}
-}
-
-// RunSeeds sweeps the seed range across the full collector matrix.
-//
-// The sweep is two passes. Pass one fans seeds over a worker pool, each
-// seed running the whole matrix (plus run-twice, sanitizer, trace, and
-// wrapper oracles) under the optimized kernels. Pass two flips the
-// process-global kernel seam to the reference kernels — legal only
-// while no collector is running, which is exactly the boundary between
-// passes — and re-runs each seed under the ref subset, comparing
-// client-visible results against pass one's baselines. Results assemble
-// in seed order, so the report is deterministic at any parallelism.
+// RunSeeds sweeps the seed range across the full collector matrix. Seeds
+// fan out over a worker pool, each running the whole matrix plus the
+// run-twice, sanitizer, trace, and wrapper oracles. Results assemble in
+// seed order, so the report is deterministic at any parallelism.
 func RunSeeds(opts Options) *Report {
 	if opts.To < opts.From {
 		opts.To = opts.From
@@ -108,26 +81,6 @@ func RunSeeds(opts Options) *Report {
 		rep.Results[i] = CheckSeed(opts.From + uint64(i))
 		progress(len(rep.Results[i].Failures))
 	})
-
-	if !opts.SkipRefKernels {
-		// All pass-one collectors have returned; the global seam may
-		// flip. Every worker in pass two sees reference kernels.
-		core.SetReferenceKernels(true)
-		refFails := make([][]Failure, n)
-		harness.ParallelEach(n, opts.Parallelism, func(i int) {
-			sr := rep.Results[i]
-			if len(sr.Failures) > 0 {
-				return // already failing; keep the signal clean
-			}
-			for _, cfg := range refConfigs() {
-				refFails[i] = append(refFails[i], CheckRefKernels(sr.Seed, cfg, sr.FP, sr.Checksum)...)
-			}
-		})
-		core.SetReferenceKernels(false)
-		for _, fs := range refFails {
-			rep.RefFailures = append(rep.RefFailures, fs...)
-		}
-	}
 
 	if opts.Minimize {
 		limit := opts.MinimizeCap
@@ -163,9 +116,6 @@ func (r *Report) Render(w io.Writer, verbose bool) {
 		for _, f := range sr.Failures {
 			fmt.Fprintf(w, "FAIL %s\n", f)
 		}
-	}
-	for _, f := range r.RefFailures {
-		fmt.Fprintf(w, "FAIL %s\n", f)
 	}
 	for _, m := range r.Minimized {
 		fmt.Fprintf(w, "minimized seed %d (%s/%s) to %d ops in %d evals\n",

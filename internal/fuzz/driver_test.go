@@ -37,7 +37,7 @@ func TestRunSeedsProgressAndOrder(t *testing.T) {
 	var calls int
 	lastDone := 0
 	rep := RunSeeds(Options{
-		From: 10, To: 14, Parallelism: 2, SkipRefKernels: true,
+		From: 10, To: 14, Parallelism: 2,
 		Progress: func(done, total, failures int) {
 			calls++
 			if total != 4 {
@@ -107,7 +107,6 @@ func TestReportRenderDeterministic(t *testing.T) {
 				{Seed: 4, Config: "gen", Kind: FailDivergence, Detail: "fingerprint mismatch"},
 			}},
 		},
-		RefFailures: []Failure{{Seed: 3, Config: "semispace+refkernels", Kind: FailCrash, Detail: "boom"}},
 		Minimized: []Minimized{{
 			Failure: Failure{Seed: 4, Config: "gen", Kind: FailDivergence},
 			Program: &Program{Ops: []Op{{Kind: OpCollect}}},
@@ -120,10 +119,10 @@ func TestReportRenderDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two renders of the same report differ")
 	}
-	if rep.FailureCount() != 2 {
-		t.Fatalf("FailureCount = %d, want 2 (one seed failure + one ref failure)", rep.FailureCount())
+	if rep.FailureCount() != 1 {
+		t.Fatalf("FailureCount = %d, want 1", rep.FailureCount())
 	}
-	for _, want := range []string{"seed 3", "FAIL seed 4 [gen]", "refkernels", "minimized seed 4", "2 failure(s)"} {
+	for _, want := range []string{"seed 3", "FAIL seed 4 [gen]", "minimized seed 4", "1 failure(s)"} {
 		if !bytes.Contains(a.Bytes(), []byte(want)) {
 			t.Errorf("render missing %q:\n%s", want, a.String())
 		}

@@ -287,8 +287,8 @@ type SeedResult struct {
 }
 
 // CheckSeed generates the seed's program and checks it across the
-// standard matrix, also capturing the baseline outputs so a later
-// reference-kernel pass can compare against them.
+// standard matrix, also capturing the baseline config's fingerprint and
+// checksum for the sweep report.
 func CheckSeed(seed uint64) SeedResult {
 	p := Generate(seed)
 	res := SeedResult{Seed: seed, Profile: ProfileOf(seed)}
@@ -300,27 +300,4 @@ func CheckSeed(seed uint64) SeedResult {
 		res.Checksum = base.checksum
 	}
 	return res
-}
-
-// CheckRefKernels re-runs the seed's program under cfg with whatever
-// kernel implementation is globally selected (see
-// core.SetReferenceKernels) and compares the client-visible outcome
-// against the expected baseline values. The caller owns the global
-// kernel flip; this function just runs and compares.
-func CheckRefKernels(seed uint64, cfg Config, wantFP, wantSum uint64) []Failure {
-	p := Generate(seed)
-	out := execute(p, cfg, false, false)
-	name := cfg.Name + "+refkernels"
-	switch {
-	case out.panicked != nil:
-		return []Failure{{Seed: seed, Config: name, Kind: FailCrash,
-			Detail: fmt.Sprintf("%v", out.panicked)}}
-	case out.fp != wantFP:
-		return []Failure{{Seed: seed, Config: name, Kind: FailDivergence,
-			Detail: fmt.Sprintf("fingerprint %s, opt kernels had %s", fmtHash(out.fp), fmtHash(wantFP))}}
-	case out.checksum != wantSum:
-		return []Failure{{Seed: seed, Config: name, Kind: FailDivergence,
-			Detail: fmt.Sprintf("checksum %s, opt kernels had %s", fmtHash(out.checksum), fmtHash(wantSum))}}
-	}
-	return nil
 }

@@ -1,7 +1,7 @@
 // Package fuzz is the differential fuzzing fleet: a deterministic,
 // seedable generator of mutator programs that are executed across the
 // full collector matrix (semispace, generational ±markers, ±cards,
-// ±aging, ±pretenure, ±adapt, opt vs reference kernels, ±sanitize) and
+// ±aging, ±pretenure, ±adapt, ±sanitize) and
 // checked against a set of client-observational oracles:
 //
 //   - cross-config equivalence: the client-visible heap (reachable

@@ -1,5 +1,7 @@
 package fuzz
 
+import "fmt"
+
 // Minimize reduces a failing program while preserving pred (the failure
 // predicate). It is ddmin-style: chunk-deletion passes with halving
 // chunk sizes, followed by per-op operand simplification. The result
@@ -92,7 +94,9 @@ const DefaultMinimizeEvals = 2000
 // (config, kind) signature. The predicate runs the candidate against
 // the failing configuration — plus the matrix baseline when the failure
 // is relative (divergence) — and accepts any candidate reproducing the
-// same kind of failure in the same configuration.
+// same kind of failure in the same configuration. fail must name a
+// configuration in cfgs, as every failure CheckProgram reports over cfgs
+// does; any other name is a caller bug and panics.
 func FailurePredicate(fail Failure, cfgs []Config) func(*Program) bool {
 	if cfgs == nil {
 		cfgs = Matrix()
@@ -109,16 +113,7 @@ func FailurePredicate(fail Failure, cfgs []Config) func(*Program) bool {
 		}
 	}
 	if subset == nil {
-		// Unknown config (e.g. a +refkernels failure): fall back to the
-		// full matrix and match on kind alone.
-		return func(p *Program) bool {
-			for _, f := range CheckProgram(p, cfgs) {
-				if f.Kind == fail.Kind {
-					return true
-				}
-			}
-			return false
-		}
+		panic(fmt.Sprintf("fuzz: failure config %q is not in the matrix", fail.Config))
 	}
 	return func(p *Program) bool {
 		for _, f := range CheckProgram(p, subset) {

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"tilgc/internal/core"
 	"tilgc/internal/trace"
 	"tilgc/internal/workload"
 )
@@ -96,28 +95,20 @@ func checkPinnedLines(t *testing.T, path, got string) {
 
 // TestRunDigestsPinned pins, for real paper and server workloads, the
 // checksums, cycle breakdowns, GC stats, barrier counts and entire JSONL
-// trace streams that the optimized and reference kernels both produced,
-// serial and at every sharded worker count. Refresh intentionally with:
+// trace streams, serial and at every sharded worker count. The pins were
+// recorded while a preserved copy of the pre-optimization kernels still
+// shipped, and both kernel sets produced them. Refresh intentionally
+// with:
 //
 //	go test ./internal/harness -run TestRunDigestsPinned -update-golden
 func TestRunDigestsPinned(t *testing.T) {
 	var got strings.Builder
 	for _, cfg := range digestConfigs() {
-		opt, err := Run(cfg)
+		r, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Label(), err)
 		}
-		core.SetReferenceKernels(true)
-		ref, runErr := Run(cfg)
-		core.SetReferenceKernels(false)
-		if runErr != nil {
-			t.Fatalf("%s: %v", cfg.Label(), runErr)
-		}
-		d := runDigest(t, opt)
-		if rd := runDigest(t, ref); rd != d {
-			t.Errorf("%s: kernel sets diverge: opt %s, ref %s", cfg.Label(), d, rd)
-		}
-		fmt.Fprintf(&got, "%s\t%s\n", d, cfg.Label())
+		fmt.Fprintf(&got, "%s\t%s\n", runDigest(t, r), cfg.Label())
 	}
 	checkPinnedLines(t, runDigestPath, got.String())
 }

@@ -7,9 +7,9 @@ import (
 	"path/filepath"
 )
 
-// Seamcheck confines raw-word heap access to the kernel seam. The PR-4
-// optimized/reference kernel split lives in kernels*.go files inside
-// internal/core; only those files may bypass the checked heap interface:
+// Seamcheck confines raw-word heap access to the collector kernels, the
+// kernels*.go files inside internal/core; only those files may bypass
+// the checked heap interface:
 //
 //   - (*mem.Space).Raw — direct word-slice access to an arena;
 //   - the obj raw header codecs (PackHeader, PackForward, HeaderKind,
@@ -19,11 +19,16 @@ import (
 //     Addr.Add (conversions like mem.Addr(x) and uint64(a) are fine, and
 //     comparisons are order queries, not address computation).
 //
-// Policy code (allocation routing, barrier drains, collection
-// scheduling) in internal/core and internal/rt must stay on the checked
-// Heap/obj.Decode interface so the reference kernels remain a faithful
-// oracle: a raw access in policy code would be exercised identically by
-// both kernel sets and escape the equivalence tests.
+// A raw word means whatever its reader says it is: a header, a mask or a
+// pointer. Read without object-layout knowledge, a pointer-shaped integer
+// decodes as a header or forwards as a pointer — the card-drain bug the
+// differential fuzzer found (corpus seeds 3892 and 29187). Policy code
+// (allocation routing, barrier drains, collection scheduling) in
+// internal/core and internal/rt must therefore stay on the checked
+// Heap/obj.Decode interface, which walks objects from a known header
+// boundary; the kernels, the one place raw access is allowed, are pinned
+// by the kernel tests and checked by the fuzz fleet's cross-collector
+// differential.
 var Seamcheck = &Analyzer{
 	Name: "seamcheck",
 	Doc:  "confines raw-word access (Space.Raw, header codecs, Addr arithmetic) to kernels*.go",

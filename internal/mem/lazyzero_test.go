@@ -82,17 +82,3 @@ func TestLazyZeroSurvivesGrow(t *testing.T) {
 	}
 	allocAndCheckZero(t, s, 40)
 }
-
-// TestEagerZeroingMatchesLazy: the reference eager-zeroing path must be
-// observationally identical — same addresses, same zeroed contents.
-func TestEagerZeroingMatchesLazy(t *testing.T) {
-	SetEagerZeroing(true)
-	defer SetEagerZeroing(false)
-	s := NewSpace(1, 64)
-	a := allocAndCheckZero(t, s, 24)
-	scribble(s, a, 24)
-	s.Reset()
-	b := allocAndCheckZero(t, s, 10)
-	scribble(s, b, 10)
-	allocAndCheckZero(t, s, 30)
-}

@@ -89,17 +89,6 @@ type Space struct {
 	recycled bool
 }
 
-// eagerZero restores the reference behaviour of zeroing every reserved
-// word on every allocation. It is part of the reference-kernel mode that
-// core.SetReferenceKernels selects for the kernel-equivalence tests and
-// the fuzz fleet's reference-kernel oracle.
-var eagerZero bool
-
-// SetEagerZeroing toggles the reference eager-zeroing allocation path.
-// Test plumbing only; must not be flipped while allocations are in
-// flight.
-func SetEagerZeroing(on bool) { eagerZero = on }
-
 // NewSpace creates a space holding capacity words of usable storage.
 func NewSpace(id SpaceID, capacity uint64) *Space {
 	if capacity+1 > MaxSpaceWords {
@@ -127,12 +116,8 @@ func (s *Space) Alloc(n uint64) (Addr, bool) {
 	}
 	base := s.top
 	s.top += n
-	if base < s.dirtyTo || eagerZero {
-		end := s.top
-		if end > s.dirtyTo && !eagerZero {
-			end = s.dirtyTo
-		}
-		clear(s.words[base:end])
+	if base < s.dirtyTo {
+		clear(s.words[base:min(s.top, s.dirtyTo)])
 	}
 	return MakeAddr(s.id, base), true
 }
@@ -188,8 +173,7 @@ type Heap struct {
 	// spaces. Semispace flips and tenured rebuilds would otherwise allocate
 	// (and have the Go runtime zero) a multi-megabyte arena per collection;
 	// with the pool, steady-state resizes reuse storage and rely on the
-	// dirty high-water mark for lazy scrubbing. Disabled under eager
-	// zeroing, which restores the reference fresh-arena behaviour.
+	// dirty high-water mark for lazy scrubbing.
 	arenaPool [][]uint64
 }
 
@@ -205,34 +189,31 @@ func (h *Heap) newSpace(id SpaceID, capacity uint64) *Space {
 		panic(fmt.Sprintf("mem: space %d capacity %d exceeds max", id, capacity))
 	}
 	need := capacity + 1
-	if !eagerZero {
-		// Best fit: the smallest pooled arena that is large enough, so a
-		// small request does not burn an arena a big resize needs next.
-		best := -1
-		for i, a := range h.arenaPool {
-			if uint64(cap(a)) >= need && (best < 0 || cap(a) < cap(h.arenaPool[best])) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			a := h.arenaPool[best]
-			h.arenaPool[best] = h.arenaPool[len(h.arenaPool)-1]
-			h.arenaPool = h.arenaPool[:len(h.arenaPool)-1]
-			return &Space{id: id, words: a[:need], top: 1, limit: need, dirtyTo: need, recycled: true}
-		}
-		// Fresh arenas take power-of-two capacity headroom: a heap whose
-		// live set (and with it every resize request) grows monotonically
-		// would otherwise defeat both the pool and in-place growth, paying
-		// a full allocate-zero-copy cycle per collection.
-		return &Space{
-			id:      id,
-			words:   make([]uint64, need, arenaCap(need)),
-			top:     1,
-			limit:   need,
-			dirtyTo: 1,
+	// Best fit: the smallest pooled arena that is large enough, so a
+	// small request does not burn an arena a big resize needs next.
+	best := -1
+	for i, a := range h.arenaPool {
+		if uint64(cap(a)) >= need && (best < 0 || cap(a) < cap(h.arenaPool[best])) {
+			best = i
 		}
 	}
-	return NewSpace(id, capacity)
+	if best >= 0 {
+		a := h.arenaPool[best]
+		h.arenaPool[best] = h.arenaPool[len(h.arenaPool)-1]
+		h.arenaPool = h.arenaPool[:len(h.arenaPool)-1]
+		return &Space{id: id, words: a[:need], top: 1, limit: need, dirtyTo: need, recycled: true}
+	}
+	// Fresh arenas take power-of-two capacity headroom: a heap whose
+	// live set (and with it every resize request) grows monotonically
+	// would otherwise defeat both the pool and in-place growth, paying
+	// a full allocate-zero-copy cycle per collection.
+	return &Space{
+		id:      id,
+		words:   make([]uint64, need, arenaCap(need)),
+		top:     1,
+		limit:   need,
+		dirtyTo: 1,
+	}
 }
 
 // arenaCap rounds a fresh arena request up to the next power of two,
@@ -254,7 +235,7 @@ func arenaCap(need uint64) uint64 {
 // evicts its smallest arena when the incoming one is larger — big arenas
 // (the semispace and tenured resizes) are the expensive ones to refetch.
 func (h *Heap) releaseArena(s *Space) {
-	if s == nil || eagerZero {
+	if s == nil {
 		return
 	}
 	if len(h.arenaPool) < maxPooledArenas {
@@ -327,7 +308,7 @@ func (h *Heap) GrowSpace(id SpaceID, capacity uint64) *Space {
 		panic(GrowthError{Op: "GrowSpace below used", Space: id, Used: old.Used(), Requested: capacity})
 	}
 	need := capacity + 1
-	if !eagerZero && uint64(cap(old.words)) >= need {
+	if uint64(cap(old.words)) >= need {
 		// The arena is already big enough: resize in place, no copy. A
 		// recycled arena's tail past the old extent is a previous owner's
 		// stale storage, so the dirty mark moves out over the whole new
