@@ -26,6 +26,7 @@ type interpScanner struct {
 	markerN        int
 	revisitOnMinor bool
 	cache          []frameCache
+	roots          []int
 }
 
 func (sc *interpScanner) beginQ() {
@@ -60,7 +61,7 @@ func (sc *interpScanner) Scan(minor bool, visit func(RootLoc)) {
 			for i := 0; i < reuse; i++ {
 				sc.beginQ()
 				sc.meter.Charge(costmodel.GCStack, costmodel.FrameReuse)
-				for _, idx := range sc.cache[i].roots {
+				for _, idx := range sc.roots[sc.cache[i].lo:sc.cache[i].hi] {
 					sc.meter.Charge(costmodel.GCStack, costmodel.CachedRoot)
 					visit(RootLoc{Index: idx})
 				}
@@ -76,6 +77,10 @@ func (sc *interpScanner) Scan(minor bool, visit func(RootLoc)) {
 		}
 	}
 	sc.cache = sc.cache[:reuse]
+	sc.roots = sc.roots[:0]
+	if reuse > 0 {
+		sc.roots = sc.roots[:sc.cache[reuse-1].hi]
+	}
 	for i := reuse; i < depth; i++ {
 		sc.beginQ()
 		regStatus = sc.decodeFrame(i, keys[i], regStatus, visit)
@@ -121,11 +126,11 @@ func (sc *interpScanner) decodeFrame(i int, key rt.RetKey, regStatus uint32, vis
 	}
 	base := sc.stack.FrameBase(i)
 	isTop := i == sc.stack.FrameCount()-1
-	var roots []int
+	lo := len(sc.roots)
 	for j := 1; j < fi.Size; j++ {
 		sc.meter.Charge(costmodel.GCStack, costmodel.SlotTrace)
 		if sc.slotTrace(fi.Slots[j], base, regStatus, isTop) {
-			roots = append(roots, base+j)
+			sc.roots = append(sc.roots, base+j)
 			sc.meter.Charge(costmodel.GCStack, costmodel.RootProcess)
 			visit(RootLoc{Index: base + j})
 		}
@@ -139,7 +144,7 @@ func (sc *interpScanner) decodeFrame(i int, key rt.RetKey, regStatus uint32, vis
 		}
 	}
 	sc.cache = append(sc.cache, frameCache{
-		serial: sc.stack.FrameSerial(i), base: base, key: key, roots: roots, regStatus: newStatus,
+		serial: sc.stack.FrameSerial(i), base: base, key: key, lo: lo, hi: len(sc.roots), regStatus: newStatus,
 	})
 	return newStatus
 }

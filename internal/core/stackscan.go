@@ -68,7 +68,11 @@ type StackScanner struct {
 	// independently once that state is known.
 	tally *costmodel.WorkerTally
 
-	cache       []frameCache
+	cache []frameCache
+	// roots holds every cached frame's root slot indices back to back,
+	// frame i's in roots[cache[i].lo:cache[i].hi]; truncating the cache
+	// truncates it at the last kept frame's hi.
+	roots       []int
 	keyBuf      []rt.RetKey // pass-1 scratch, pooled across scans
 	lastPushCnt uint64      // stack.FramePushes() at the previous scan
 }
@@ -81,7 +85,7 @@ type frameCache struct {
 	serial    uint64
 	base      int
 	key       rt.RetKey
-	roots     []int // absolute slot indices holding pointers
+	lo, hi    int // the frame's absolute root slot indices, in StackScanner.roots
 	regStatus uint32
 }
 
@@ -180,7 +184,7 @@ func (sc *StackScanner) Scan(minor bool, visit func(RootLoc)) {
 			for i := 0; i < reuse; i++ {
 				sc.beginQ()
 				sc.meter.Charge(costmodel.GCStack, costmodel.FrameReuse)
-				for _, idx := range sc.cache[i].roots {
+				for _, idx := range sc.roots[sc.cache[i].lo:sc.cache[i].hi] {
 					sc.meter.Charge(costmodel.GCStack, costmodel.CachedRoot)
 					visit(RootLoc{Index: idx})
 				}
@@ -206,7 +210,7 @@ func (sc *StackScanner) Scan(minor bool, visit func(RootLoc)) {
 	// Pass 2: oldest→newest over the non-reused suffix, one quantum per
 	// decoded frame (the decode, its root visits, and the evacuations
 	// those visits trigger all belong to the frame's worker).
-	sc.cache = sc.cache[:reuse]
+	sc.truncateCache(reuse)
 	for i := reuse; i < depth; i++ {
 		sc.beginQ()
 		regStatus = sc.decodeFrame(i, keys[i], regStatus, visit)
@@ -294,19 +298,13 @@ func (sc *StackScanner) decodeFrame(i int, key rt.RetKey, regStatus uint32, visi
 	base := sc.stack.FrameBase(i)
 	isTop := i == sc.stack.FrameCount()-1
 
-	// Recycle the roots slice left behind at this index by a previous
-	// scan's truncated cache entry, so re-decoding a frame at a depth the
-	// scanner has visited before allocates nothing.
-	var roots []int
-	if n := len(sc.cache); n < cap(sc.cache) {
-		roots = sc.cache[:n+1][n].roots[:0]
-	}
+	lo := len(sc.roots)
 	status := regStatus | rt.AlwaysPointer
 	for k := range lay.Slots {
 		ref := &lay.Slots[k]
 		if sc.isPointer(ref, status, base, isTop) {
 			idx := base + int(ref.Index)
-			roots = append(roots, idx)
+			sc.roots = append(sc.roots, idx)
 			sc.meter.Charge(costmodel.GCStack, costmodel.RootProcess)
 			visit(RootLoc{Index: idx})
 		}
@@ -324,7 +322,8 @@ func (sc *StackScanner) decodeFrame(i int, key rt.RetKey, regStatus uint32, visi
 		serial:    sc.stack.FrameSerial(i),
 		base:      base,
 		key:       key,
-		roots:     roots,
+		lo:        lo,
+		hi:        len(sc.roots),
 		regStatus: newStatus,
 	})
 	return newStatus
@@ -390,7 +389,17 @@ func (sc *StackScanner) typeValue(tr *rt.ScanRef, base int, isTop bool) uint64 {
 // InvalidateCache discards all cached scan results (used by tests and when
 // reconfiguring a collector).
 func (sc *StackScanner) InvalidateCache() {
-	sc.cache = sc.cache[:0]
+	sc.truncateCache(0)
+}
+
+// truncateCache keeps the first n cached frames and their roots.
+func (sc *StackScanner) truncateCache(n int) {
+	sc.cache = sc.cache[:n]
+	if n == 0 {
+		sc.roots = sc.roots[:0]
+	} else {
+		sc.roots = sc.roots[:sc.cache[n-1].hi]
+	}
 }
 
 // CacheLen returns the number of cached frame entries.
