@@ -20,9 +20,6 @@ type GenConfig struct {
 	// the nursery is never larger than the secondary cache: 512KB =
 	// 65536 words. Benchmarks sometimes use a smaller nursery.
 	NurseryWords uint64
-	// TargetTenuredLiveness drives tenured-generation resizing after a
-	// major collection; the paper uses 0.3.
-	TargetTenuredLiveness float64
 	// LargeObjectWords is the LOS threshold for array allocations.
 	LargeObjectWords uint64
 	// MarkerN enables generational stack collection with a marker every
@@ -53,8 +50,6 @@ type GenConfig struct {
 	// UseCardTable replaces the sequential store buffer with card
 	// marking (the §4 remedy for Peg's mutation-heavy behaviour).
 	UseCardTable bool
-	// CardShift is log2 words per card when UseCardTable is set.
-	CardShift uint
 	// DeferMajor bounds individual pauses: when a minor collection pushes
 	// the tenured generation over its threshold, the major collection is
 	// deferred to the next GC trigger instead of running inside the same
@@ -87,17 +82,11 @@ func (c *GenConfig) setDefaults() {
 	if c.NurseryWords == 0 {
 		c.NurseryWords = 64 * 1024 // 512KB
 	}
-	if c.TargetTenuredLiveness == 0 {
-		c.TargetTenuredLiveness = 0.3
-	}
 	if c.LargeObjectWords == 0 {
 		c.LargeObjectWords = 1024
 	}
 	if c.BudgetWords == 0 {
 		c.BudgetWords = 64 << 20
-	}
-	if c.CardShift == 0 {
-		c.CardShift = 7 // 128-word (1KB) cards
 	}
 }
 
@@ -169,6 +158,10 @@ type Generational struct {
 	cardFAs []mem.Addr
 }
 
+// cardShift is log2 words per card under UseCardTable: 128-word (1KB)
+// cards.
+const cardShift = 7
+
 // NewGenerational creates a generational collector over its own heap.
 //
 //gc:nocharge construction builds the heap before the simulated clock starts; the paper's cost model charges mutator and GC work, not arena setup
@@ -181,7 +174,7 @@ func NewGenerational(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg
 	c.init(stack, meter, prof, cfg.Trace, cfg.Workers, scanOpts{
 		markerN: cfg.MarkerN, policy: cfg.MarkerPolicy, revisitOnMinor: cfg.AgingMinors > 0})
 	if cfg.UseCardTable {
-		c.cards = rt.NewCardTable(meter, cfg.CardShift)
+		c.cards = rt.NewCardTable(meter, cardShift)
 	} else {
 		// Every thread, thread 0 and each later spawn, gets a private
 		// store buffer; every buffer is drained at each collection.
@@ -894,6 +887,10 @@ func (c *Generational) majorGC() {
 	}
 }
 
+// targetTenuredLiveness drives tenured-generation resizing after a major
+// collection, copying or not; the paper uses 0.3.
+const targetTenuredLiveness = 0.3
+
 // majorCopy is the paper's copying major collection: nursery and tenured
 // survivors are evacuated into a fresh tenured semispace.
 func (c *Generational) majorCopy() {
@@ -948,7 +945,7 @@ func (c *Generational) majorCopy() {
 
 	live := to.Used()
 	// Tenured resize: target liveness 0.3 within the budget share.
-	newCap := uint64(float64(live) / c.cfg.TargetTenuredLiveness)
+	newCap := uint64(float64(live) / targetTenuredLiveness)
 	maxCap := c.initialTenCap()
 	if losWords := c.los.UsedWords(); 2*losWords < c.cfg.BudgetWords-c.cfg.NurseryWords {
 		maxCap = (c.cfg.BudgetWords - c.cfg.NurseryWords - losWords) / 2
@@ -1071,7 +1068,7 @@ func (c *Generational) finishNonmovingMajor() {
 	live := c.tenLive()
 	// Tenured resize: target liveness within the budget share. Without a
 	// copy reserve the whole non-LOS remainder of the budget is usable.
-	newCap := uint64(float64(live) / c.cfg.TargetTenuredLiveness)
+	newCap := uint64(float64(live) / targetTenuredLiveness)
 	maxCap := c.initialTenCap()
 	if c.cfg.BudgetWords > c.cfg.NurseryWords {
 		if avail := c.cfg.BudgetWords - c.cfg.NurseryWords; c.los.UsedWords() < avail {

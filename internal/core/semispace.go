@@ -16,10 +16,6 @@ type SemispaceConfig struct {
 	// k·Min, with Min = twice the maximum live data). Both semispaces
 	// plus the large-object space must fit within it.
 	BudgetWords uint64
-	// TargetLiveness is the resize target r; after a collection with
-	// observed liveness r' the semispace is resized by r'/r, clamped to
-	// the budget. The paper uses r = 0.10.
-	TargetLiveness float64
 	// LargeObjectWords is the LOS threshold: array allocations of at
 	// least this many payload words go to the mark-sweep space.
 	LargeObjectWords uint64
@@ -39,9 +35,6 @@ type SemispaceConfig struct {
 }
 
 func (c *SemispaceConfig) setDefaults() {
-	if c.TargetLiveness == 0 {
-		c.TargetLiveness = 0.10
-	}
 	if c.LargeObjectWords == 0 {
 		c.LargeObjectWords = 1024 // 8KB
 	}
@@ -196,6 +189,11 @@ func (c *Semispace) InitField(a mem.Addr, i uint64, v uint64) {
 	obj.SetField(c.heap, a, i, v)
 }
 
+// targetLiveness is the semispace resize target r: after a collection
+// with observed liveness r' the semispace is resized by r'/r, clamped to
+// the budget. The paper uses r = 0.10.
+const targetLiveness = 0.10
+
 // Collect implements Collector: a full copying collection with Cheney's
 // algorithm, followed by the r'/r resize.
 func (c *Semispace) Collect(bool) {
@@ -248,7 +246,7 @@ func (c *Semispace) Collect(bool) {
 	// toward the liveness ratio — the space budget is shared.
 	oldCap := c.heap.Space(fromID).Capacity()
 	rPrime := float64(live+c.los.UsedWords()) / float64(max(oldCap, 1))
-	newSize := uint64(float64(oldCap) * rPrime / c.cfg.TargetLiveness)
+	newSize := uint64(float64(oldCap) * rPrime / targetLiveness)
 	minSize := live + live/4 + 256
 	maxSize := c.semispaceShare()
 	if newSize < minSize {
