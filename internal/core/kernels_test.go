@@ -1,7 +1,6 @@
 package core
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -146,8 +145,6 @@ func kernelConfigs() []struct {
 // kernelConfigs entry, one line per configuration.
 const kernelImagePath = "testdata/kernel_images.txt"
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite "+kernelImagePath+" from the current kernels")
-
 // kernelImageLine runs driveKernelWorkload plus a final major collection
 // under one kernel configuration and renders what it leaves behind: an
 // FNV-1a digest and the length of the heap image, the GC stats and the
@@ -172,35 +169,25 @@ func kernelImageLine(t *testing.T, name string, mk func(e *testEnv) Collector) s
 // still shipped, and both kernel sets produced them, so a kernel that
 // matches them is equivalent to that reference. kernelSweepCollectors
 // has no non-moving old generation, so this is the unit-level pin of the
-// mark-sweep and mark-compact kernels. Refresh intentionally with:
-//
-//	go test ./internal/core -run TestKernelEquivalence -update-golden
+// mark-sweep and mark-compact kernels. A change that intends to move a
+// pin replaces that configuration's line in kernelImagePath with the
+// line the failure prints, and explains the diff.
 func TestKernelEquivalence(t *testing.T) {
-	want := map[string]string{}
-	if !*updateGolden {
-		data, err := os.ReadFile(kernelImagePath)
-		if err != nil {
-			t.Fatalf("%v (run with -update-golden to create it)", err)
-		}
-		for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
-			name, _, _ := strings.Cut(line, "\t")
-			want[name] = line
-		}
+	data, err := os.ReadFile(kernelImagePath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var got []string
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		name, _, _ := strings.Cut(line, "\t")
+		want[name] = line
+	}
 	for _, kc := range kernelConfigs() {
 		t.Run(kc.name, func(t *testing.T) {
-			line := kernelImageLine(t, kc.name, kc.make)
-			got = append(got, line)
-			if !*updateGolden && line != want[kc.name] {
-				t.Errorf("kernel outputs changed:\n got %s\n pin %s", line, want[kc.name])
+			if got := kernelImageLine(t, kc.name, kc.make); got != want[kc.name] {
+				t.Errorf("kernel outputs changed:\n got %s\n pin %s", got, want[kc.name])
 			}
 		})
-	}
-	if *updateGolden {
-		if err := os.WriteFile(kernelImagePath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
