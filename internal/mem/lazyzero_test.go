@@ -45,7 +45,7 @@ func scribble(s *Space, a Addr, n uint64) {
 // still observe zeroed memory — including allocations that straddle the
 // dirty high-water mark into never-used (already-zero) territory.
 func TestLazyZeroReusedArena(t *testing.T) {
-	s := NewSpace(1, 64)
+	s := NewHeap().AddSpace(64)
 	a := allocAndCheckZero(t, s, 24)
 	scribble(s, a, 24)
 	s.Reset() // dirtyTo is now 25

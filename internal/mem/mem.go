@@ -89,20 +89,6 @@ type Space struct {
 	recycled bool
 }
 
-// NewSpace creates a space holding capacity words of usable storage.
-func NewSpace(id SpaceID, capacity uint64) *Space {
-	if capacity+1 > MaxSpaceWords {
-		panic(fmt.Sprintf("mem: space %d capacity %d exceeds max", id, capacity))
-	}
-	return &Space{
-		id:      id,
-		words:   make([]uint64, capacity+1),
-		top:     1,
-		limit:   capacity + 1,
-		dirtyTo: 1, // a fresh arena is all-zero
-	}
-}
-
 // ID returns the space's id.
 func (s *Space) ID() SpaceID { return s.id }
 

@@ -59,7 +59,7 @@ func TestAddrAdd(t *testing.T) {
 }
 
 func TestSpaceAlloc(t *testing.T) {
-	s := NewSpace(1, 10)
+	s := NewHeap().AddSpace(10)
 	if s.Capacity() != 10 {
 		t.Fatalf("Capacity = %d", s.Capacity())
 	}
@@ -80,10 +80,9 @@ func TestSpaceAlloc(t *testing.T) {
 }
 
 func TestSpaceAllocZeroes(t *testing.T) {
-	s := NewSpace(1, 8)
-	a, _ := s.Alloc(8)
 	h := NewHeap()
-	h.spaces = append(h.spaces, s)
+	s := h.AddSpace(8)
+	a, _ := s.Alloc(8)
 	for i := uint64(0); i < 8; i++ {
 		h.Store(a.Add(i), ^uint64(0))
 	}
@@ -100,7 +99,7 @@ func TestSpaceAllocZeroes(t *testing.T) {
 }
 
 func TestSpaceContains(t *testing.T) {
-	s := NewSpace(2, 10)
+	s := NewHeap().AddSpace(10)
 	a, _ := s.Alloc(3)
 	if !s.Contains(a) || !s.Contains(a.Add(2)) {
 		t.Error("Contains rejects allocated address")
@@ -181,7 +180,7 @@ func TestWordsAliasing(t *testing.T) {
 func TestAllocStressProperty(t *testing.T) {
 	// Sequential allocations never overlap and fill the space exactly.
 	f := func(sizes []uint8) bool {
-		s := NewSpace(1, 4096)
+		s := NewHeap().AddSpace(4096)
 		var prevEnd uint64 = 1
 		for _, raw := range sizes {
 			n := uint64(raw%32) + 1
@@ -246,7 +245,7 @@ func TestPanicsOnInvalidOperations(t *testing.T) {
 	}
 	h := NewHeap()
 	h.AddSpace(8)
-	assertPanics("NewSpace too large", func() { NewSpace(1, MaxSpaceWords) })
+	assertPanics("AddSpace too large", func() { h.AddSpace(MaxSpaceWords) })
 	assertPanics("ReplaceSpace(0)", func() { h.ReplaceSpace(0, 8) })
 	assertPanics("ReplaceSpace(99)", func() { h.ReplaceSpace(99, 8) })
 	assertPanics("FreeSpace(0)", func() { h.FreeSpace(0) })
