@@ -57,8 +57,10 @@ func driveKernelWorkload(t testing.TB, c Collector, e *testEnv) {
 		}
 	}
 	// The list must have survived intact: 1800 cells, head value 5299.
+	// The walk stops one cell past that, so a cycle fails instead of
+	// hanging.
 	n, head := 0, mem.Addr(e.stack.Slot(1))
-	for a := head; !a.IsNil(); a = mem.Addr(c.LoadField(a, 1)) {
+	for a := head; !a.IsNil() && n <= 6*300; a = mem.Addr(c.LoadField(a, 1)) {
 		n++
 	}
 	if n != 6*300 {
@@ -321,9 +323,10 @@ func runKernelStress(tb testing.TB, c Collector, e *testEnv) {
 			c.Collect(k == 3)
 		}
 	}
-	// The full list must have survived every collection.
+	// The full list must have survived every collection; the walk stops
+	// one cell past it, so a cycle fails instead of hanging.
 	n := 0
-	for a := mem.Addr(e.stack.Slot(1)); !a.IsNil(); a = mem.Addr(c.LoadField(a, 1)) {
+	for a := mem.Addr(e.stack.Slot(1)); !a.IsNil() && n <= rounds*1000; a = mem.Addr(c.LoadField(a, 1)) {
 		n++
 	}
 	if n != rounds*1000 {
