@@ -84,8 +84,8 @@ type StackScanner struct {
 type frameCache struct {
 	serial    uint64
 	base      int
-	key       rt.RetKey
 	lo, hi    int // the frame's absolute root slot indices, in StackScanner.roots
+	key       rt.RetKey
 	regStatus uint32
 }
 
