@@ -113,7 +113,7 @@ func FailurePredicate(fail Failure, cfgs []Config) func(*Program) bool {
 		}
 	}
 	if subset == nil {
-		panic(fmt.Sprintf("fuzz: failure config %q is not in the matrix", fail.Config))
+		panic(fmt.Sprintf("fuzz: failure config %q is not among the predicate's configs", fail.Config))
 	}
 	return func(p *Program) bool {
 		for _, f := range CheckProgram(p, subset) {

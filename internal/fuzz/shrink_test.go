@@ -155,3 +155,15 @@ func TestFailurePredicateSubset(t *testing.T) {
 		t.Fatal("failure predicate holds for the empty program")
 	}
 }
+
+// TestFailurePredicateUnknownConfigPanics: a failure whose config is not
+// among the predicate's configs can only come from a caller bug, so the
+// predicate refuses it instead of minimizing against a guess.
+func TestFailurePredicateUnknownConfigPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FailurePredicate accepted a config outside the matrix")
+		}
+	}()
+	FailurePredicate(Failure{Config: "no-such-config", Kind: FailCrash}, nil)
+}
