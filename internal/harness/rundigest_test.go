@@ -13,7 +13,12 @@ import (
 	"tilgc/internal/workload"
 )
 
-const runDigestPath = "testdata/run_digests.txt"
+// The run-digest pins: one line per configuration, the serial runs in
+// the first file and the sharded-worker runs in the second.
+const (
+	runDigestPath         = "testdata/run_digests.txt"
+	parallelRunDigestPath = "testdata/run_digests_parallel.txt"
+)
 
 // runJSONL renders a traced run's full event stream as JSONL bytes.
 func runJSONL(t *testing.T, r *RunResult) []byte {
@@ -29,23 +34,30 @@ func runJSONL(t *testing.T, r *RunResult) []byte {
 	return buf.Bytes()
 }
 
-// digestConfigs are the runs TestRunDigestsPinned covers: every
-// detConfigs entry traced, every third also under the heap-integrity
-// sanitizer, then three configurations that cross the copying kernels,
-// the card drain and the SSB drain at each sharded worker count, so the
-// pins also fix where each kernel places its parallel work quanta.
-func digestConfigs() []RunConfig {
+// serialDigestConfigs are the runs
+// TestReferenceKernelsObservationallyIdentical covers: every detConfigs
+// entry traced, every third also under the heap-integrity sanitizer.
+func serialDigestConfigs() []RunConfig {
 	cfgs := detConfigs()
 	for i := range cfgs {
 		cfgs[i].Trace = true
 		cfgs[i].Sanitize = i%3 == 0
 	}
+	return cfgs
+}
+
+// parallelDigestConfigs are the runs TestReferenceKernelsParallelWorkers
+// covers: three configurations that cross the copying kernels, the card
+// drain and the SSB drain at each sharded worker count, so the pins also
+// fix where each kernel places its parallel work quanta.
+func parallelDigestConfigs() []RunConfig {
 	parallel := []RunConfig{
 		{Workload: "ServerSteady", Scale: workload.Scale{Repeat: 0.004},
 			Kind: KindGenMarkers, K: 2, DeferMajor: true, Trace: true, Sanitize: true},
 		{Workload: "Life", Scale: tiny, Kind: KindGenCards, K: 1.5, Trace: true},
 		{Workload: "Nqueen", Scale: tiny, Kind: KindSemispace, K: 4, Trace: true},
 	}
+	var cfgs []RunConfig
 	for _, w := range gridTW[1:] {
 		for _, cfg := range parallel {
 			cfg.GCWorkers = w
@@ -93,22 +105,37 @@ func checkPinnedLines(t *testing.T, path, got string) {
 	}
 }
 
-// TestRunDigestsPinned pins, for real paper and server workloads, the
-// checksums, cycle breakdowns, GC stats, barrier counts and entire JSONL
-// trace streams, serial and at every sharded worker count. The pins were
-// recorded while a preserved copy of the pre-optimization kernels still
-// shipped, and both kernel sets produced them. Refresh intentionally
-// with:
-//
-//	go test ./internal/harness -run TestRunDigestsPinned -update-golden
-func TestRunDigestsPinned(t *testing.T) {
+// checkRunDigests runs each configuration and compares its run digest
+// with the pin file at path.
+func checkRunDigests(t *testing.T, path string, cfgs []RunConfig) {
+	t.Helper()
 	var got strings.Builder
-	for _, cfg := range digestConfigs() {
+	for _, cfg := range cfgs {
 		r, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Label(), err)
 		}
 		fmt.Fprintf(&got, "%s\t%s\n", runDigest(t, r), cfg.Label())
 	}
-	checkPinnedLines(t, runDigestPath, got.String())
+	checkPinnedLines(t, path, got.String())
+}
+
+// TestReferenceKernelsObservationallyIdentical pins, for real paper
+// workloads, the checksums, cycle breakdowns, GC stats, barrier counts
+// and entire JSONL trace streams of serial runs. The pins were recorded
+// while a preserved copy of the pre-optimization kernels still shipped,
+// and both kernel sets produced them, so the shipped kernels stay
+// observationally identical to that reference. Refresh intentionally
+// with:
+//
+//	go test ./internal/harness -run TestReferenceKernels -update-golden
+func TestReferenceKernelsObservationallyIdentical(t *testing.T) {
+	checkRunDigests(t, runDigestPath, serialDigestConfigs())
+}
+
+// TestReferenceKernelsParallelWorkers pins the same outputs at every
+// sharded worker count, recorded the same way, so the worker schedule
+// each kernel produces stays the reference kernels' schedule.
+func TestReferenceKernelsParallelWorkers(t *testing.T) {
+	checkRunDigests(t, parallelRunDigestPath, parallelDigestConfigs())
 }
