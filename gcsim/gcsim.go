@@ -222,42 +222,40 @@ type Runtime struct {
 // ignore panic here instead of silently running a different experiment.
 func NewRuntime(cfg Config) *Runtime {
 	mustValidate(cfg)
-	budget := cfg.BudgetWords
+	sim := harness.Build(cfg.spec())
+	return &Runtime{sim: sim, mutator: sim.Mutator()}
+}
+
+// spec translates cfg into the runtime harness.Build assembles. Every
+// field passes through whatever the collector choice; Validate rejects
+// the ones the choice would ignore.
+func (c Config) spec() harness.Spec {
+	budget := c.BudgetWords
 	if budget == 0 {
 		budget = 512 << 20
 	}
-	spec := harness.Spec{Sites: cfg.SiteNames, Profile: cfg.Profile, Threads: cfg.Threads}
-	switch cfg.Collector {
-	case Semispace:
-		// §5's stack markers apply to the semispace collector too.
-		spec.Semispace = &core.SemispaceConfig{
-			BudgetWords: budget,
-			MarkerN:     cfg.MarkerN,
-			Workers:     cfg.GCWorkers,
-		}
-	default:
-		spec.Gen = core.GenConfig{
-			BudgetWords:  budget,
-			NurseryWords: cfg.NurseryWords,
-			UseCardTable: cfg.CardTable,
-			AgingMinors:  cfg.AgingMinors,
-			Workers:      cfg.GCWorkers,
-			DeferMajor:   cfg.DeferMajor,
-			OldCollector: cfg.OldCollector,
-		}
-		if cfg.Collector >= GenerationalMarkers {
-			spec.Gen.MarkerN = cfg.MarkerN
-			if spec.Gen.MarkerN == 0 {
-				spec.Gen.MarkerN = 25
-			}
-		}
-		if cfg.Collector == GenerationalFull {
-			spec.Gen.Pretenure = cfg.Pretenure
-			spec.Gen.ScanElision = cfg.ScanElision
-		}
+	markerN := c.MarkerN
+	if markerN == 0 && (c.Collector == GenerationalMarkers || c.Collector == GenerationalFull) {
+		markerN = core.PaperMarkerN
 	}
-	sim := harness.Build(spec)
-	return &Runtime{sim: sim, mutator: sim.Mutator()}
+	return harness.Spec{
+		Collector: core.Config{
+			Semispace:    c.Collector == Semispace,
+			BudgetWords:  budget,
+			NurseryWords: c.NurseryWords,
+			MarkerN:      markerN,
+			AgingMinors:  c.AgingMinors,
+			Pretenure:    c.Pretenure,
+			ScanElision:  c.ScanElision,
+			CardTable:    c.CardTable,
+			DeferMajor:   c.DeferMajor,
+			OldCollector: c.OldCollector,
+			GCWorkers:    c.GCWorkers,
+		},
+		Sites:   c.SiteNames,
+		Profile: c.Profile,
+		Threads: c.Threads,
+	}
 }
 
 // Mutator returns the mutator API for writing programs against this

@@ -10,7 +10,7 @@ import (
 
 func TestAgingDelaysPromotion(t *testing.T) {
 	e := newEnv(2)
-	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512, AgingMinors: 2})
+	c := newGen(e, Config{BudgetWords: 1 << 20, NurseryWords: 512, AgingMinors: 2})
 	a := c.Alloc(obj.Record, 1, 1, 0)
 	c.InitField(a, 0, 55)
 	e.stack.SetSlot(1, uint64(a))
@@ -49,7 +49,7 @@ func TestAgingDelaysPromotion(t *testing.T) {
 
 func TestAgingObjectDiesInAgingSpace(t *testing.T) {
 	e := newEnv(2)
-	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512, AgingMinors: 3})
+	c := newGen(e, Config{BudgetWords: 1 << 20, NurseryWords: 512, AgingMinors: 3})
 	// Objects that die after one survival never reach the tenured space:
 	// the whole point of non-immediate promotion.
 	tenuredBefore := c.ten.Used()
@@ -70,7 +70,7 @@ func TestAgingStickyRememberedSet(t *testing.T) {
 	// An old object pointing at an aging object must keep it alive across
 	// SEVERAL minors (the target moves within the aging space each time).
 	e := newEnv(2)
-	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512, AgingMinors: 3})
+	c := newGen(e, Config{BudgetWords: 1 << 20, NurseryWords: 512, AgingMinors: 3})
 	// Make an old (tenured) holder.
 	holder := c.Alloc(obj.Record, 1, 1, 0b1)
 	e.stack.SetSlot(1, uint64(holder))
@@ -110,20 +110,20 @@ func TestAgingStickyRememberedSet(t *testing.T) {
 func TestAgingShadowGraph(t *testing.T) {
 	configs := map[string]func(e *testEnv) Collector{
 		"gen-aging1": func(e *testEnv) Collector {
-			return NewGenerational(e.stack, e.meter, nil, GenConfig{
+			return NewGenerational(e.stack, e.meter, nil, Config{
 				BudgetWords: 1 << 20, NurseryWords: 512, AgingMinors: 1})
 		},
 		"gen-aging3-markers": func(e *testEnv) Collector {
-			return NewGenerational(e.stack, e.meter, nil, GenConfig{
+			return NewGenerational(e.stack, e.meter, nil, Config{
 				BudgetWords: 1 << 20, NurseryWords: 512, AgingMinors: 3, MarkerN: 4})
 		},
 		"gen-aging2-pretenure": func(e *testEnv) Collector {
 			pol := NewPretenurePolicy(map[obj.SiteID]PretenureDecision{3: {}, 5: {}})
-			return NewGenerational(e.stack, e.meter, nil, GenConfig{
+			return NewGenerational(e.stack, e.meter, nil, Config{
 				BudgetWords: 1 << 20, NurseryWords: 512, AgingMinors: 2, Pretenure: pol})
 		},
 		"gen-aging2-tight": func(e *testEnv) Collector {
-			return NewGenerational(e.stack, e.meter, nil, GenConfig{
+			return NewGenerational(e.stack, e.meter, nil, Config{
 				BudgetWords: 16384, NurseryWords: 256, AgingMinors: 2})
 		},
 	}
@@ -138,7 +138,7 @@ func TestAgingShadowGraph(t *testing.T) {
 
 func TestAgingDeepStackWithMarkers(t *testing.T) {
 	e := newEnv(2)
-	c := newGen(e, GenConfig{
+	c := newGen(e, Config{
 		BudgetWords: 1 << 21, NurseryWords: 512, AgingMinors: 2, MarkerN: 5,
 	})
 	fi := ptrFrame(e)
@@ -166,7 +166,7 @@ func TestAgingAmplifiesPretenuringWin(t *testing.T) {
 	// A site whose objects all live to the end of the run.
 	run := func(aging int, policy *PretenurePolicy) uint64 {
 		e := newEnv(2)
-		c := NewGenerational(e.stack, e.meter, nil, GenConfig{
+		c := NewGenerational(e.stack, e.meter, nil, Config{
 			BudgetWords: 1 << 22, NurseryWords: 512,
 			AgingMinors: aging, Pretenure: policy,
 		})

@@ -8,26 +8,19 @@ import (
 	"tilgc/internal/trace"
 )
 
-// scanOpts configures every stack scanner a collector creates: the
-// primary one and each spawned thread's.
-type scanOpts struct {
-	markerN        int
-	policy         MarkerPolicy
-	revisitOnMinor bool
-}
-
 // base is the skeleton Semispace and Generational share: the runtime they
-// collect for, the thread set, the root scanners, the large-object space,
-// the worker tally, and the statistics block, with the bookkeeping every
-// collection runs the same way.
+// collect for, the configuration (defaults filled), the thread set, the
+// root scanners, the large-object space, the worker tally, and the
+// statistics block, with the bookkeeping every collection runs the same
+// way.
 type base struct {
 	heap  *mem.Heap
 	meter *costmodel.Meter
 	prof  Profiler
-	tr    *trace.Recorder
+	tr    *trace.Recorder // cfg.Trace
 
-	scan scanOpts
-	los  *LOS
+	cfg Config
+	los *LOS
 	// tally shards parallel-phase cycles over simulated workers (nil for
 	// W <= 1; see costmodel.WorkerTally).
 	tally *costmodel.WorkerTally
@@ -44,11 +37,11 @@ type base struct {
 // init builds the shared state over a fresh heap and a thread set whose
 // thread 0 wraps stack. It must run on the collector's own base: the
 // scanners and the LOS keep &b.stats.
-func (b *base) init(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, tr *trace.Recorder, workers int, scan scanOpts) {
+func (b *base) init(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg Config) {
 	b.heap = mem.NewHeap()
-	b.meter, b.prof, b.tr, b.scan = meter, prof, tr, scan
-	if workers > 1 {
-		b.tally = costmodel.NewWorkerTally(meter, workers)
+	b.meter, b.prof, b.tr, b.cfg = meter, prof, cfg.Trace, cfg
+	if cfg.GCWorkers > 1 {
+		b.tally = costmodel.NewWorkerTally(meter, cfg.GCWorkers)
 	}
 	b.threads = rt.NewThreadSet(stack, meter)
 	b.tscanners = []*StackScanner{b.newScanner(stack)}
@@ -58,9 +51,12 @@ func (b *base) init(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, tr *
 // newScanner creates a stack scanner configured like every other one of
 // this collector's.
 func (b *base) newScanner(st *rt.Stack) *StackScanner {
-	sc := NewStackScanner(st, b.meter, &b.stats, b.scan.markerN)
-	sc.SetMarkerPolicy(b.scan.policy)
-	sc.SetRevisitOnMinor(b.scan.revisitOnMinor)
+	sc := NewStackScanner(st, b.meter, &b.stats, b.cfg.MarkerN)
+	sc.SetMarkerPolicy(b.cfg.MarkerPolicy)
+	// Without immediate promotion, frames cached by the stack scanner can
+	// hold aging-space pointers, so minor scans must revisit cached roots
+	// rather than skip frames.
+	sc.SetRevisitOnMinor(b.cfg.AgingMinors > 0)
 	sc.SetTally(b.tally)
 	return sc
 }

@@ -75,12 +75,12 @@ func checkConsList(t testing.TB, c Collector, e *testEnv, slot int, n int) {
 }
 
 func newSemi(e *testEnv, budget uint64) *Semispace {
-	return NewSemispace(e.stack, e.meter, nil, SemispaceConfig{
+	return NewSemispace(e.stack, e.meter, nil, Config{
 		BudgetWords: budget, InitialWords: 256,
 	})
 }
 
-func newGen(e *testEnv, cfg GenConfig) *Generational {
+func newGen(e *testEnv, cfg Config) *Generational {
 	return NewGenerational(e.stack, e.meter, nil, cfg)
 }
 
@@ -111,7 +111,7 @@ func TestSemispaceReclaimsGarbage(t *testing.T) {
 
 func TestSemispaceGCTriggeredByExhaustion(t *testing.T) {
 	e := newEnv(2)
-	c := NewSemispace(e.stack, e.meter, nil, SemispaceConfig{
+	c := NewSemispace(e.stack, e.meter, nil, Config{
 		BudgetWords: 4096, InitialWords: 512,
 	})
 	// Allocate garbage far beyond the budget; collections must keep it fit.
@@ -164,7 +164,7 @@ func TestSemispaceCycleSurvives(t *testing.T) {
 
 func TestGenerationalPromotionAndMinorGC(t *testing.T) {
 	e := newEnv(4)
-	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512})
+	c := newGen(e, Config{BudgetWords: 1 << 20, NurseryWords: 512})
 	consList(t, c, e, 1, 2000, 3) // far exceeds the nursery: many minor GCs
 	if c.Stats().NumGC == 0 {
 		t.Fatal("no minor collections")
@@ -181,7 +181,7 @@ func TestGenerationalPromotionAndMinorGC(t *testing.T) {
 
 func TestGenerationalWriteBarrierOldToYoung(t *testing.T) {
 	e := newEnv(4)
-	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512})
+	c := newGen(e, Config{BudgetWords: 1 << 20, NurseryWords: 512})
 	// Build an old object (survives a minor GC)...
 	oldObj := c.Alloc(obj.Record, 1, 1, 0b1)
 	e.stack.SetSlot(1, uint64(oldObj))
@@ -210,7 +210,7 @@ func TestGenerationalWriteBarrierWithoutBarrierWouldDangle(t *testing.T) {
 	// Meta-test of the test above: verify the SSB is what saves the young
 	// object (the collector processed at least one SSB entry).
 	e := newEnv(4)
-	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512})
+	c := newGen(e, Config{BudgetWords: 1 << 20, NurseryWords: 512})
 	oldObj := c.Alloc(obj.Record, 1, 1, 0b1)
 	e.stack.SetSlot(1, uint64(oldObj))
 	c.Collect(false)
@@ -233,7 +233,7 @@ func TestCollectorOwnsThreadSet(t *testing.T) {
 	for _, cards := range []bool{true, false} {
 		t.Run(map[bool]string{true: "cards", false: "ssb"}[cards], func(t *testing.T) {
 			e := newEnv(4)
-			c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512, UseCardTable: cards})
+			c := newGen(e, Config{BudgetWords: 1 << 20, NurseryWords: 512, CardTable: cards})
 			ts := c.Threads()
 			if ts.Len() != 1 || ts.Thread(0).Stack() != e.stack {
 				t.Fatal("the collector's thread set does not wrap its stack as thread 0")
@@ -276,7 +276,7 @@ func TestCollectorOwnsThreadSet(t *testing.T) {
 
 func TestGenerationalMajorGCReclaimsTenuredGarbage(t *testing.T) {
 	e := newEnv(4)
-	c := newGen(e, GenConfig{BudgetWords: 64 * 1024, NurseryWords: 512})
+	c := newGen(e, Config{BudgetWords: 64 * 1024, NurseryWords: 512})
 	// Repeatedly build lists that survive one minor GC then die: tenured
 	// garbage accumulates until a major collection reclaims it.
 	for round := 0; round < 200; round++ {
@@ -296,7 +296,7 @@ func TestGenerationalMajorGCReclaimsTenuredGarbage(t *testing.T) {
 
 func TestGenerationalMajorPreservesDeepStructure(t *testing.T) {
 	e := newEnv(4)
-	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512})
+	c := newGen(e, Config{BudgetWords: 1 << 20, NurseryWords: 512})
 	consList(t, c, e, 1, 3000, 9)
 	c.Collect(false)
 	c.Collect(true) // major: copies the promoted list between tenured spaces
@@ -306,7 +306,7 @@ func TestGenerationalMajorPreservesDeepStructure(t *testing.T) {
 
 func TestLargeObjectsBypassNursery(t *testing.T) {
 	e := newEnv(4)
-	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512, LargeObjectWords: 64})
+	c := newGen(e, Config{BudgetWords: 1 << 20, NurseryWords: 512, LargeObjectWords: 64})
 	big := c.Alloc(obj.RawArray, 128, 1, 0)
 	if !c.los.Contains(big.Space()) {
 		t.Fatal("large array not in LOS")
@@ -326,7 +326,7 @@ func TestLargeObjectsBypassNursery(t *testing.T) {
 
 func TestLOSSweepFreesDeadLargeObjects(t *testing.T) {
 	e := newEnv(4)
-	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512, LargeObjectWords: 64})
+	c := newGen(e, Config{BudgetWords: 1 << 20, NurseryWords: 512, LargeObjectWords: 64})
 	dead := c.Alloc(obj.RawArray, 128, 1, 0)
 	live := c.Alloc(obj.RawArray, 128, 1, 0)
 	e.stack.SetSlot(1, uint64(live))
@@ -352,7 +352,7 @@ func TestLOSSweepFreesDeadLargeObjects(t *testing.T) {
 // and must not rewrite an inspection taken before it.
 func TestLOSInspectionOwnsSpaceIDs(t *testing.T) {
 	e := newEnv(4)
-	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512, LargeObjectWords: 64})
+	c := newGen(e, Config{BudgetWords: 1 << 20, NurseryWords: 512, LargeObjectWords: 64})
 	dead := c.Alloc(obj.RawArray, 128, 1, 0)
 	live := c.Alloc(obj.RawArray, 128, 1, 0)
 	e.stack.SetSlot(1, uint64(live))
@@ -376,7 +376,7 @@ func TestLOSInspectionOwnsSpaceIDs(t *testing.T) {
 // to the heap's pool, and a large object may then recycle it.)
 func TestLOSArenasSizedToObject(t *testing.T) {
 	e := newEnv(4)
-	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512, LargeObjectWords: 64})
+	c := newGen(e, Config{BudgetWords: 1 << 20, NurseryWords: 512, LargeObjectWords: 64})
 	for i := 0; i < 24; i++ {
 		a := c.Alloc(obj.RawArray, 100, 1, 0)
 		if i%3 == 0 {
@@ -400,7 +400,7 @@ func TestLOSArenasSizedToObject(t *testing.T) {
 
 func TestFreshLOSPointerArrayKeepsYoungTargets(t *testing.T) {
 	e := newEnv(4)
-	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512, LargeObjectWords: 64})
+	c := newGen(e, Config{BudgetWords: 1 << 20, NurseryWords: 512, LargeObjectWords: 64})
 	small := c.Alloc(obj.Record, 1, 2, 0)
 	c.InitField(small, 0, 777)
 	e.stack.SetSlot(1, uint64(small))
@@ -434,7 +434,7 @@ func TestCalleeSaveSlotResolution(t *testing.T) {
 
 	stack.Call(f)
 	var stats GCStats
-	c := NewSemispace(stack, meter, nil, SemispaceConfig{BudgetWords: 1 << 20, InitialWords: 256})
+	c := NewSemispace(stack, meter, nil, Config{BudgetWords: 1 << 20, InitialWords: 256})
 	_ = stats
 
 	p := c.Alloc(obj.Record, 1, 1, 0)
@@ -464,7 +464,7 @@ func TestComputeTraceResolution(t *testing.T) {
 	stack := rt.NewStack(table, meter)
 	f := table.Register("poly", []rt.SlotTrace{rt.NP(), rt.NP(), rt.COMPSLOT(1)}, nil)
 	stack.Call(f)
-	c := NewSemispace(stack, meter, nil, SemispaceConfig{BudgetWords: 1 << 20, InitialWords: 256})
+	c := NewSemispace(stack, meter, nil, Config{BudgetWords: 1 << 20, InitialWords: 256})
 
 	p := c.Alloc(obj.Record, 1, 1, 0)
 	c.InitField(p, 0, 55)
@@ -493,7 +493,7 @@ func TestRegisterRootsForwarded(t *testing.T) {
 	regs[0] = rt.PTR()
 	f := table.Register("f", []rt.SlotTrace{rt.NP(), rt.PTR()}, regs)
 	stack.Call(f)
-	c := NewSemispace(stack, meter, nil, SemispaceConfig{BudgetWords: 1 << 20, InitialWords: 256})
+	c := NewSemispace(stack, meter, nil, Config{BudgetWords: 1 << 20, InitialWords: 256})
 	p := c.Alloc(obj.Record, 1, 1, 0)
 	c.InitField(p, 0, 11)
 	stack.SetSlot(1, uint64(p))
@@ -506,7 +506,7 @@ func TestRegisterRootsForwarded(t *testing.T) {
 
 func TestPauseAccounting(t *testing.T) {
 	e := newEnv(2)
-	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 512})
+	c := newGen(e, Config{BudgetWords: 1 << 20, NurseryWords: 512})
 	consList(t, c, e, 1, 3000, 1)
 	c.Collect(true)
 	s := c.Stats()
@@ -528,7 +528,7 @@ func TestPauseAccounting(t *testing.T) {
 func TestMarkersReducePauseTimes(t *testing.T) {
 	run := func(markerN int) uint64 {
 		e := newEnv(2)
-		c := newGen(e, GenConfig{BudgetWords: 1 << 22, NurseryWords: 512, MarkerN: markerN})
+		c := newGen(e, Config{BudgetWords: 1 << 22, NurseryWords: 512, MarkerN: markerN})
 		fi := ptrFrame(e)
 		deepEnv(t, c, e, fi, 1500)
 		for i := 0; i < 20; i++ {

@@ -10,86 +10,6 @@ import (
 	"tilgc/internal/trace"
 )
 
-// GenConfig parameterizes the two-generation collector of §2.1 and its
-// optional extensions: generational stack collection (MarkerN) and
-// profile-driven pretenuring (Pretenure, ScanElision).
-type GenConfig struct {
-	// BudgetWords is the total memory allowance (k·Min).
-	BudgetWords uint64
-	// NurseryWords sizes the first generation. Following Tarditi-Diwan,
-	// the nursery is never larger than the secondary cache: 512KB =
-	// 65536 words. Benchmarks sometimes use a smaller nursery.
-	NurseryWords uint64
-	// LargeObjectWords is the LOS threshold for array allocations.
-	LargeObjectWords uint64
-	// MarkerN enables generational stack collection with a marker every
-	// n frames. Zero disables it. The paper uses n = 25.
-	MarkerN int
-	// MarkerPolicy selects fixed-interval (the paper's) or exponential
-	// marker placement (§7.1's "more dynamic policy").
-	MarkerPolicy MarkerPolicy
-	// AgingMinors switches off the paper's immediate-promotion policy:
-	// nursery survivors are copied to an aging space and promoted to the
-	// tenured generation only after surviving this many further minor
-	// collections. §7.2 predicts pretenuring pays off even more under
-	// such schemes because tenured-bound objects are copied several times
-	// before promotion. Zero (default) is the paper's configuration.
-	AgingMinors int
-	// Pretenure, when non-nil, allocates the selected sites directly
-	// into the tenured generation (§6).
-	Pretenure *PretenurePolicy
-	// Advisor, when non-nil, is consulted on every small-object allocation
-	// whose site the static policy did not select: a true answer sends the
-	// allocation to the tenured generation (§9 online adaptive
-	// pretenuring). The advisor may change its answers between
-	// collections (promotion and demotion).
-	Advisor SiteAdvisor
-	// ScanElision enables the §7.2 extension: pretenured objects whose
-	// site is flagged OnlyOldRefs are exempted from the region scan.
-	ScanElision bool
-	// UseCardTable replaces the sequential store buffer with card
-	// marking (the §4 remedy for Peg's mutation-heavy behaviour).
-	UseCardTable bool
-	// DeferMajor bounds individual pauses: when a minor collection pushes
-	// the tenured generation over its threshold, the major collection is
-	// deferred to the next GC trigger instead of running inside the same
-	// pause. The mutator runs between the two pauses, so a latency window
-	// never has to absorb a minor and a full collection back to back. The
-	// same collections happen with the same work — only the pause
-	// boundaries move. Default false is the in-pause escalation the
-	// original traces pin.
-	DeferMajor bool
-	// OldCollector selects the tenured-generation algorithm: the paper's
-	// copying collector (zero value, the default), bitmap mark-sweep, or
-	// sliding mark-compact. Client-observable results are byte-identical
-	// across all three; GC cost, pause shape, and footprint differ (see
-	// gcbench -experiment oldgen).
-	OldCollector OldCollector
-	// Workers > 1 enables the deterministic parallel copying phases: the
-	// collection executes the identical serial work order (heap images
-	// are byte-identical at every W), but parallel-phase cycles are
-	// distributed over W simulated workers, so pause wall time is the
-	// critical path (max of workers) while the hidden sum-max cycles are
-	// accounted in the meter's overlap counter. Zero or 1 is the serial
-	// collector, byte-identical to pre-parallel builds.
-	Workers int
-	// Trace, when non-nil, receives phase spans and per-site telemetry.
-	// Tracing charges nothing to the meter.
-	Trace *trace.Recorder
-}
-
-func (c *GenConfig) setDefaults() {
-	if c.NurseryWords == 0 {
-		c.NurseryWords = 64 * 1024 // 512KB
-	}
-	if c.LargeObjectWords == 0 {
-		c.LargeObjectWords = 1024
-	}
-	if c.BudgetWords == 0 {
-		c.BudgetWords = 64 << 20
-	}
-}
-
 // Generational is the two-generation copying collector: new objects are
 // bump-allocated in the nursery; every minor collection promotes all
 // survivors to the tenured generation immediately; the tenured generation
@@ -98,7 +18,6 @@ func (c *GenConfig) setDefaults() {
 // tracked by a sequential store buffer (or optionally a card table).
 type Generational struct {
 	base
-	cfg GenConfig
 
 	cards *rt.CardTable // nil under the SSB barrier: each thread has its own SSB
 
@@ -158,22 +77,18 @@ type Generational struct {
 	cardFAs []mem.Addr
 }
 
-// cardShift is log2 words per card under UseCardTable: 128-word (1KB)
+// cardShift is log2 words per card under CardTable: 128-word (1KB)
 // cards.
 const cardShift = 7
 
 // NewGenerational creates a generational collector over its own heap.
 //
 //gc:nocharge construction builds the heap before the simulated clock starts; the paper's cost model charges mutator and GC work, not arena setup
-func NewGenerational(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg GenConfig) *Generational {
+func NewGenerational(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg Config) *Generational {
 	cfg.setDefaults()
-	c := &Generational{cfg: cfg}
-	// Without immediate promotion, frames cached by the stack scanner can
-	// hold aging-space pointers, so minor scans must revisit cached roots
-	// rather than skip frames.
-	c.init(stack, meter, prof, cfg.Trace, cfg.Workers, scanOpts{
-		markerN: cfg.MarkerN, policy: cfg.MarkerPolicy, revisitOnMinor: cfg.AgingMinors > 0})
-	if cfg.UseCardTable {
+	c := &Generational{}
+	c.init(stack, meter, prof, cfg)
+	if cfg.CardTable {
 		c.cards = rt.NewCardTable(meter, cardShift)
 	} else {
 		// Every thread, thread 0 and each later spawn, gets a private
@@ -271,14 +186,14 @@ func (c *Generational) Name() string {
 	if c.cfg.Advisor != nil {
 		n += "+adapt"
 	}
-	if c.cfg.UseCardTable {
+	if c.cfg.CardTable {
 		n += "+cards"
 	}
 	if c.cfg.AgingMinors > 0 {
 		n += fmt.Sprintf("+aging%d", c.cfg.AgingMinors)
 	}
-	if c.cfg.Workers > 1 {
-		n += fmt.Sprintf("+gcw%d", c.cfg.Workers)
+	if c.cfg.GCWorkers > 1 {
+		n += fmt.Sprintf("+gcw%d", c.cfg.GCWorkers)
 	}
 	return n
 }

@@ -91,23 +91,23 @@ type Inspectable interface {
 }
 
 // inspect fills the Inspection fields the collector skeleton owns.
-func (b *base) inspect(largeObjectWords uint64, workers int) Inspection {
+func (b *base) inspect() Inspection {
 	return Inspection{
 		Heap:             b.heap,
 		Meter:            b.meter,
 		Stats:            &b.stats,
 		LOSSpaces:        b.los.SpaceIDs(),
 		FreshLOS:         slices.Clone(b.los.Fresh()),
-		LargeObjectWords: largeObjectWords,
-		MarkerN:          b.scan.markerN,
+		LargeObjectWords: b.cfg.LargeObjectWords,
+		MarkerN:          b.cfg.MarkerN,
 		Threads:          b.threads,
-		GCWorkers:        workers,
+		GCWorkers:        b.cfg.GCWorkers,
 	}
 }
 
 // Inspect implements Inspectable.
 func (c *Generational) Inspect() Inspection {
-	in := c.inspect(c.cfg.LargeObjectWords, c.cfg.Workers)
+	in := c.inspect()
 	in.YoungSpaces = []mem.SpaceID{c.nursery.ID()}
 	in.OldSpaces = []mem.SpaceID{c.ten.ID()}
 	in.Generational = true
@@ -138,7 +138,7 @@ func (c *Generational) Inspect() Inspection {
 // generation: its current allocation space is reported as "old" and the
 // generational invariants (remembered sets, pretenured regions) are vacuous.
 func (c *Semispace) Inspect() Inspection {
-	in := c.inspect(c.cfg.LargeObjectWords, c.cfg.Workers)
+	in := c.inspect()
 	in.OldSpaces = []mem.SpaceID{c.cur.ID()}
 	return in
 }

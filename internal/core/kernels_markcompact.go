@@ -12,7 +12,7 @@ import (
 )
 
 // The sliding compaction of the non-moving mark-compact old generation
-// (GenConfig.OldCollector == OldMarkCompact). After the mark phase has
+// (Config.OldCollector == OldMarkCompact). After the mark phase has
 // rebuilt the bitmap, compaction runs three passes over the tenured
 // space:
 //

@@ -9,7 +9,7 @@ import (
 )
 
 // The tenured bitmap sweep of the non-moving mark-sweep old generation
-// (GenConfig.OldCollector == OldMarkSweep). The mark phase (the evacuator
+// (Config.OldCollector == OldMarkSweep). The mark phase (the evacuator
 // drain with oldMark set) has rebuilt the bitmap as the live set; the
 // sweep walks the space once, charges the bitmap examination per 64-word
 // stripe, reclaims every unmarked object, and rebuilds the free lists

@@ -98,7 +98,7 @@ func kernelConfigs() []struct {
 	name string
 	make func(e *testEnv) Collector
 } {
-	gen := func(cfg GenConfig) func(e *testEnv) Collector {
+	gen := func(cfg Config) func(e *testEnv) Collector {
 		return func(e *testEnv) Collector { return NewGenerational(e.stack, e.meter, nil, cfg) }
 	}
 	pol := NewPretenurePolicy(map[obj.SiteID]PretenureDecision{
@@ -110,35 +110,35 @@ func kernelConfigs() []struct {
 		make func(e *testEnv) Collector
 	}{
 		{"semispace", func(e *testEnv) Collector {
-			return NewSemispace(e.stack, e.meter, nil, SemispaceConfig{
+			return NewSemispace(e.stack, e.meter, nil, Config{
 				BudgetWords: 64 * 1024, InitialWords: 2 * 1024,
 			})
 		}},
-		{"generational", gen(GenConfig{BudgetWords: 64 * 1024, NurseryWords: 4 * 1024})},
-		{"gen+cards", gen(GenConfig{BudgetWords: 64 * 1024, NurseryWords: 4 * 1024, UseCardTable: true})},
-		{"gen+markers", gen(GenConfig{BudgetWords: 64 * 1024, NurseryWords: 4 * 1024, MarkerN: 5})},
-		{"gen+aging", gen(GenConfig{BudgetWords: 64 * 1024, NurseryWords: 4 * 1024, AgingMinors: 2})},
-		{"gen+pretenure+elide", gen(GenConfig{
+		{"generational", gen(Config{BudgetWords: 64 * 1024, NurseryWords: 4 * 1024})},
+		{"gen+cards", gen(Config{BudgetWords: 64 * 1024, NurseryWords: 4 * 1024, CardTable: true})},
+		{"gen+markers", gen(Config{BudgetWords: 64 * 1024, NurseryWords: 4 * 1024, MarkerN: 5})},
+		{"gen+aging", gen(Config{BudgetWords: 64 * 1024, NurseryWords: 4 * 1024, AgingMinors: 2})},
+		{"gen+pretenure+elide", gen(Config{
 			BudgetWords: 64 * 1024, NurseryWords: 4 * 1024, MarkerN: 5,
 			Pretenure: pol, ScanElision: true,
 		})},
-		{"gen+marksweep", gen(GenConfig{
+		{"gen+marksweep", gen(Config{
 			BudgetWords: 64 * 1024, NurseryWords: 4 * 1024, OldCollector: OldMarkSweep,
 		})},
-		{"gen+markcompact", gen(GenConfig{
+		{"gen+markcompact", gen(Config{
 			BudgetWords: 64 * 1024, NurseryWords: 4 * 1024, OldCollector: OldMarkCompact,
 		})},
-		{"gen+marksweep+pretenure", gen(GenConfig{
+		{"gen+marksweep+pretenure", gen(Config{
 			BudgetWords: 64 * 1024, NurseryWords: 4 * 1024, MarkerN: 5,
 			OldCollector: OldMarkSweep, Pretenure: pol,
 		})},
-		{"gen+markcompact+aging", gen(GenConfig{
+		{"gen+markcompact+aging", gen(Config{
 			BudgetWords: 64 * 1024, NurseryWords: 4 * 1024,
 			OldCollector: OldMarkCompact, AgingMinors: 2,
 		})},
-		{"gen+markcompact+cards", gen(GenConfig{
+		{"gen+markcompact+cards", gen(Config{
 			BudgetWords: 64 * 1024, NurseryWords: 4 * 1024,
-			OldCollector: OldMarkCompact, UseCardTable: true,
+			OldCollector: OldMarkCompact, CardTable: true,
 		})},
 	}
 }
@@ -198,7 +198,7 @@ func TestKernelEquivalence(t *testing.T) {
 // each with a distinct kernel path, at a budget large enough that the
 // stress program's whole live list is re-copied by every major.
 func kernelSweepCollectors() []func(e *testEnv) Collector {
-	gen := func(cfg GenConfig) func(e *testEnv) Collector {
+	gen := func(cfg Config) func(e *testEnv) Collector {
 		return func(e *testEnv) Collector { return NewGenerational(e.stack, e.meter, nil, cfg) }
 	}
 	pol := NewPretenurePolicy(map[obj.SiteID]PretenureDecision{
@@ -208,15 +208,15 @@ func kernelSweepCollectors() []func(e *testEnv) Collector {
 	budget, nursery := uint64(1<<20), uint64(16*1024)
 	return []func(e *testEnv) Collector{
 		func(e *testEnv) Collector {
-			return NewSemispace(e.stack, e.meter, nil, SemispaceConfig{
+			return NewSemispace(e.stack, e.meter, nil, Config{
 				BudgetWords: budget, InitialWords: 64 * 1024,
 			})
 		},
-		gen(GenConfig{BudgetWords: budget, NurseryWords: nursery}),
-		gen(GenConfig{BudgetWords: budget, NurseryWords: nursery, UseCardTable: true}),
-		gen(GenConfig{BudgetWords: budget, NurseryWords: nursery, MarkerN: 5}),
-		gen(GenConfig{BudgetWords: budget, NurseryWords: nursery, AgingMinors: 2}),
-		gen(GenConfig{
+		gen(Config{BudgetWords: budget, NurseryWords: nursery}),
+		gen(Config{BudgetWords: budget, NurseryWords: nursery, CardTable: true}),
+		gen(Config{BudgetWords: budget, NurseryWords: nursery, MarkerN: 5}),
+		gen(Config{BudgetWords: budget, NurseryWords: nursery, AgingMinors: 2}),
+		gen(Config{
 			BudgetWords: budget, NurseryWords: nursery, MarkerN: 5,
 			Pretenure: pol, ScanElision: true,
 		}),
@@ -360,7 +360,7 @@ func fillNurseryGarbage(c Collector) {
 // steady-state minor collection performs no Go heap allocations at all.
 func TestMinorGCSteadyStateAllocsZero(t *testing.T) {
 	e := newEnv(2)
-	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 4 * 1024})
+	c := newGen(e, Config{BudgetWords: 1 << 20, NurseryWords: 4 * 1024})
 	consList(t, c, e, 1, 100, 1)
 	for i := 0; i < 5; i++ { // warm up pools and the tenured arena
 		fillNurseryGarbage(c)
@@ -379,7 +379,7 @@ func TestMinorGCSteadyStateAllocsZero(t *testing.T) {
 // populated remembered set: SSB draining must not allocate either.
 func TestMinorGCSteadyStateAllocsZeroWithBarrier(t *testing.T) {
 	e := newEnv(2)
-	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 4 * 1024})
+	c := newGen(e, Config{BudgetWords: 1 << 20, NurseryWords: 4 * 1024})
 	arr := c.Alloc(obj.PtrArray, 16, 20, 0)
 	e.stack.SetSlot(1, uint64(arr))
 	c.Collect(false) // tenure the array
@@ -409,7 +409,7 @@ func TestMinorGCSteadyStateAllocsZeroWithBarrier(t *testing.T) {
 // semispace collection copying a 2000-cell live list.
 func BenchmarkEvacuate(b *testing.B) {
 	e := newEnv(2)
-	c := NewSemispace(e.stack, e.meter, nil, SemispaceConfig{
+	c := NewSemispace(e.stack, e.meter, nil, Config{
 		BudgetWords: 1 << 20, InitialWords: 32 * 1024,
 	})
 	consList(b, c, e, 1, 2000, 1)
@@ -452,7 +452,7 @@ func BenchmarkKernelSweep(b *testing.B) {
 // nursery over a small tenured live set, the simulator's hottest loop.
 func BenchmarkMinorGC(b *testing.B) {
 	e := newEnv(2)
-	c := newGen(e, GenConfig{BudgetWords: 1 << 20, NurseryWords: 4 * 1024})
+	c := newGen(e, Config{BudgetWords: 1 << 20, NurseryWords: 4 * 1024})
 	consList(b, c, e, 1, 100, 1)
 	for i := 0; i < 3; i++ {
 		fillNurseryGarbage(c)

@@ -40,7 +40,7 @@ func ptrFrame(e *testEnv) *rt.FrameInfo {
 
 func TestMarkersPreserveDeepRoots(t *testing.T) {
 	e := newEnv(2)
-	c := NewGenerational(e.stack, e.meter, nil, GenConfig{
+	c := NewGenerational(e.stack, e.meter, nil, Config{
 		BudgetWords: 1 << 20, NurseryWords: 512, MarkerN: 5,
 	})
 	fi := ptrFrame(e)
@@ -57,7 +57,7 @@ func TestMarkersPreserveDeepRoots(t *testing.T) {
 func TestMarkersReduceFrameDecodes(t *testing.T) {
 	run := func(markerN int) (decoded, reused uint64) {
 		e := newEnv(2)
-		c := NewGenerational(e.stack, e.meter, nil, GenConfig{
+		c := NewGenerational(e.stack, e.meter, nil, Config{
 			BudgetWords: 1 << 22, NurseryWords: 512, MarkerN: markerN,
 		})
 		fi := ptrFrame(e)
@@ -88,7 +88,7 @@ func TestMarkersReduceFrameDecodes(t *testing.T) {
 func TestMarkersReduceGCStackCost(t *testing.T) {
 	run := func(markerN int) costmodel.Cycles {
 		e := newEnv(2)
-		c := NewGenerational(e.stack, e.meter, nil, GenConfig{
+		c := NewGenerational(e.stack, e.meter, nil, Config{
 			BudgetWords: 1 << 22, NurseryWords: 512, MarkerN: markerN,
 		})
 		fi := ptrFrame(e)
@@ -154,7 +154,7 @@ func TestMarkerScanAfterRaise(t *testing.T) {
 	// An exception jumping past markers must not let the collector reuse
 	// stale frames.
 	e := newEnv(2)
-	c := NewGenerational(e.stack, e.meter, nil, GenConfig{
+	c := NewGenerational(e.stack, e.meter, nil, Config{
 		BudgetWords: 1 << 20, NurseryWords: 512, MarkerN: 5,
 	})
 	fi := ptrFrame(e)
@@ -178,7 +178,7 @@ func TestPretenuredAllocationGoesTenured(t *testing.T) {
 	policy := NewPretenurePolicy(map[obj.SiteID]PretenureDecision{
 		42: {},
 	})
-	c := NewGenerational(e.stack, e.meter, nil, GenConfig{
+	c := NewGenerational(e.stack, e.meter, nil, Config{
 		BudgetWords: 1 << 20, NurseryWords: 512, Pretenure: policy,
 	})
 	a := c.Alloc(obj.Record, 2, 42, 0)
@@ -197,7 +197,7 @@ func TestPretenuredAllocationGoesTenured(t *testing.T) {
 func TestPretenuredRegionScanFindsYoungRefs(t *testing.T) {
 	e := newEnv(2)
 	policy := NewPretenurePolicy(map[obj.SiteID]PretenureDecision{42: {}})
-	c := NewGenerational(e.stack, e.meter, nil, GenConfig{
+	c := NewGenerational(e.stack, e.meter, nil, Config{
 		BudgetWords: 1 << 20, NurseryWords: 512, Pretenure: policy,
 	})
 	young := c.Alloc(obj.Record, 1, 1, 0)
@@ -226,7 +226,7 @@ func TestPretenuringReducesCopying(t *testing.T) {
 	// pretenuring they are never copied by minor collections.
 	run := func(policy *PretenurePolicy) uint64 {
 		e := newEnv(2)
-		c := NewGenerational(e.stack, e.meter, nil, GenConfig{
+		c := NewGenerational(e.stack, e.meter, nil, Config{
 			BudgetWords: 1 << 22, NurseryWords: 512, Pretenure: policy,
 		})
 		consList(t, c, e, 1, 5000, 42) // long-lived list from site 42
@@ -247,7 +247,7 @@ func TestScanElisionSkipsOnlyOldSites(t *testing.T) {
 		policy := NewPretenurePolicy(map[obj.SiteID]PretenureDecision{
 			42: {OnlyOldRefs: true},
 		})
-		c := NewGenerational(e.stack, e.meter, nil, GenConfig{
+		c := NewGenerational(e.stack, e.meter, nil, Config{
 			BudgetWords: 1 << 22, NurseryWords: 1024,
 			Pretenure: policy, ScanElision: elide,
 		})
@@ -282,8 +282,8 @@ func TestScanElisionSkipsOnlyOldSites(t *testing.T) {
 
 func TestCardTableBarrierKeepsYoungAlive(t *testing.T) {
 	e := newEnv(4)
-	c := NewGenerational(e.stack, e.meter, nil, GenConfig{
-		BudgetWords: 1 << 20, NurseryWords: 512, UseCardTable: true,
+	c := NewGenerational(e.stack, e.meter, nil, Config{
+		BudgetWords: 1 << 20, NurseryWords: 512, CardTable: true,
 	})
 	oldObj := c.Alloc(obj.Record, 1, 1, 0b1)
 	e.stack.SetSlot(1, uint64(oldObj))
@@ -306,8 +306,8 @@ func TestCardTableBarrierKeepsYoungAlive(t *testing.T) {
 func TestCardTableCheaperThanSSBUnderHeavyMutation(t *testing.T) {
 	run := func(cards bool) costmodel.Cycles {
 		e := newEnv(4)
-		c := NewGenerational(e.stack, e.meter, nil, GenConfig{
-			BudgetWords: 1 << 22, NurseryWords: 1024, UseCardTable: cards,
+		c := NewGenerational(e.stack, e.meter, nil, Config{
+			BudgetWords: 1 << 22, NurseryWords: 1024, CardTable: cards,
 		})
 		oldObj := c.Alloc(obj.Record, 2, 1, 0b11)
 		e.stack.SetSlot(1, uint64(oldObj))
@@ -337,7 +337,7 @@ func TestExponentialMarkerPolicy(t *testing.T) {
 	// collections so both policies start from one placement epoch.
 	run := func(policy MarkerPolicy) (live int, reused uint64, cost costmodel.Cycles) {
 		e := newEnv(2)
-		c := NewGenerational(e.stack, e.meter, nil, GenConfig{
+		c := NewGenerational(e.stack, e.meter, nil, Config{
 			BudgetWords: 1 << 22, NurseryWords: 8 * 1024,
 			MarkerN: 25, MarkerPolicy: policy,
 		})

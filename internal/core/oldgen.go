@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // OldCollector selects the algorithm managing the tenured generation.
 // The copying collector (the paper's, and the default) evacuates tenured
 // survivors between two semispaces at every major collection; the two
@@ -32,8 +34,10 @@ func (oc OldCollector) String() string {
 		return "marksweep"
 	case OldMarkCompact:
 		return "markcompact"
+	case OldCopy:
+		return "copy"
 	}
-	return "copy"
+	return fmt.Sprintf("OldCollector(%d)", uint8(oc))
 }
 
 // ParseOldCollector resolves a configuration name back to its value.

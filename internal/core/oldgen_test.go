@@ -55,10 +55,10 @@ type clientView struct {
 
 // oldgenClientView runs the kernel workload under the given old-generation
 // collector and captures the client-observable outcome.
-func oldgenClientView(t *testing.T, oc OldCollector, extra func(*GenConfig)) clientView {
+func oldgenClientView(t *testing.T, oc OldCollector, extra func(*Config)) clientView {
 	t.Helper()
 	e := newEnv(4)
-	cfg := GenConfig{BudgetWords: 64 * 1024, NurseryWords: 4 * 1024, OldCollector: oc}
+	cfg := Config{BudgetWords: 64 * 1024, NurseryWords: 4 * 1024, OldCollector: oc}
 	if extra != nil {
 		extra(&cfg)
 	}
@@ -87,18 +87,18 @@ func oldgenClientView(t *testing.T, oc OldCollector, extra func(*GenConfig)) cli
 func TestOldCollectorClientDifferential(t *testing.T) {
 	variants := []struct {
 		name  string
-		extra func(*GenConfig)
+		extra func(*Config)
 	}{
 		{"plain", nil},
-		{"markers+pretenure", func(cfg *GenConfig) {
+		{"markers+pretenure", func(cfg *Config) {
 			cfg.MarkerN = 5
 			cfg.Pretenure = NewPretenurePolicy(map[obj.SiteID]PretenureDecision{
 				12: {},
 				50: {OnlyOldRefs: true},
 			})
 		}},
-		{"aging", func(cfg *GenConfig) { cfg.AgingMinors = 2 }},
-		{"workers", func(cfg *GenConfig) { cfg.Workers = 3 }},
+		{"aging", func(cfg *Config) { cfg.AgingMinors = 2 }},
+		{"workers", func(cfg *Config) { cfg.GCWorkers = 3 }},
 	}
 	for _, vr := range variants {
 		t.Run(vr.name, func(t *testing.T) {
@@ -127,7 +127,7 @@ func TestOldCollectorClientDifferential(t *testing.T) {
 func TestNonmovingEliminatesOldCopying(t *testing.T) {
 	run := func(oc OldCollector) GCStats {
 		e := newEnv(4)
-		c := newGen(e, GenConfig{BudgetWords: 64 * 1024, NurseryWords: 4 * 1024, OldCollector: oc})
+		c := newGen(e, Config{BudgetWords: 64 * 1024, NurseryWords: 4 * 1024, OldCollector: oc})
 		driveKernelWorkload(t, c, e)
 		return *c.Stats()
 	}
@@ -188,7 +188,7 @@ func tenuredGarbageCycle(t *testing.T, c *Generational, e *testEnv) {
 func TestMarkSweepFreeListReuse(t *testing.T) {
 	e := newEnv(4)
 	pol := NewPretenurePolicy(map[obj.SiteID]PretenureDecision{12: {}})
-	c := newGen(e, GenConfig{
+	c := newGen(e, Config{
 		BudgetWords: 64 * 1024, NurseryWords: 4 * 1024,
 		OldCollector: OldMarkSweep, Pretenure: pol,
 	})
@@ -235,7 +235,7 @@ func TestMarkSweepFreeListReuse(t *testing.T) {
 // equals the live volume.
 func TestMarkCompactLeavesNoHoles(t *testing.T) {
 	e := newEnv(4)
-	c := newGen(e, GenConfig{
+	c := newGen(e, Config{
 		BudgetWords: 64 * 1024, NurseryWords: 4 * 1024, OldCollector: OldMarkCompact,
 	})
 	tenuredGarbageCycle(t, c, e)
@@ -272,9 +272,9 @@ func TestNonmovingTraceReconciles(t *testing.T) {
 		t.Run(c.oc.String()+"/w"+string(rune('0'+c.workers)), func(t *testing.T) {
 			e := newEnv(4)
 			rec := trace.NewRecorder(e.meter)
-			g := newGen(e, GenConfig{
+			g := newGen(e, Config{
 				BudgetWords: 64 * 1024, NurseryWords: 4 * 1024,
-				OldCollector: c.oc, Workers: c.workers, Trace: rec,
+				OldCollector: c.oc, GCWorkers: c.workers, Trace: rec,
 			})
 			driveKernelWorkload(t, g, e)
 			rec.Finish()
@@ -312,9 +312,9 @@ func TestNonmovingParallelMatchesSerial(t *testing.T) {
 		t.Run(oc.String(), func(t *testing.T) {
 			run := func(w int) ([]uint64, GCStats) {
 				e := newEnv(4)
-				c := newGen(e, GenConfig{
+				c := newGen(e, Config{
 					BudgetWords: 64 * 1024, NurseryWords: 4 * 1024,
-					OldCollector: oc, Workers: w,
+					OldCollector: oc, GCWorkers: w,
 				})
 				driveKernelWorkload(t, c, e)
 				c.Collect(true)

@@ -18,7 +18,7 @@ func TestQuickListSurvivesAnyCollectionSchedule(t *testing.T) {
 	f := func(ops []uint8, nurseryShift uint8) bool {
 		e := newEnv(2)
 		nursery := uint64(256) << (nurseryShift % 4)
-		c := NewGenerational(e.stack, e.meter, nil, GenConfig{
+		c := NewGenerational(e.stack, e.meter, nil, Config{
 			BudgetWords: 1 << 20, NurseryWords: nursery,
 		})
 		var want []uint64
@@ -184,7 +184,7 @@ func TestQuickPretenurePreservesSemantics(t *testing.T) {
 			}
 		}
 		e := newEnv(2)
-		c := NewGenerational(e.stack, e.meter, nil, GenConfig{
+		c := NewGenerational(e.stack, e.meter, nil, Config{
 			BudgetWords: 1 << 20, NurseryWords: 512,
 			Pretenure: NewPretenurePolicy(sites),
 		})
@@ -221,7 +221,7 @@ func TestQuickPretenurePreservesSemantics(t *testing.T) {
 func TestQuickSSBOrderIndependence(t *testing.T) {
 	f := func(writes []uint8) bool {
 		e := newEnv(2)
-		c := NewGenerational(e.stack, e.meter, nil, GenConfig{
+		c := NewGenerational(e.stack, e.meter, nil, Config{
 			BudgetWords: 1 << 20, NurseryWords: 512,
 		})
 		// An old array of 8 pointer fields.
@@ -261,7 +261,7 @@ func TestQuickSSBOrderIndependence(t *testing.T) {
 // stack collection also applies to non-generational collectors.
 func TestSemispaceWithMarkers(t *testing.T) {
 	e := newEnv(2)
-	c := NewSemispace(e.stack, e.meter, nil, SemispaceConfig{
+	c := NewSemispace(e.stack, e.meter, nil, Config{
 		BudgetWords: 1 << 20, InitialWords: 512, MarkerN: 5,
 	})
 	if c.Name() != "semispace+markers" {

@@ -10,47 +10,10 @@ import (
 	"tilgc/internal/trace"
 )
 
-// SemispaceConfig parameterizes the baseline semispace collector.
-type SemispaceConfig struct {
-	// BudgetWords is the total memory the collector may use (the paper's
-	// k·Min, with Min = twice the maximum live data). Both semispaces
-	// plus the large-object space must fit within it.
-	BudgetWords uint64
-	// LargeObjectWords is the LOS threshold: array allocations of at
-	// least this many payload words go to the mark-sweep space.
-	LargeObjectWords uint64
-	// MarkerN enables generational stack collection with a marker every
-	// n frames (§7.1 notes the technique applies to non-generational
-	// collectors too). Zero disables it — the paper's baseline.
-	MarkerN int
-	// InitialWords sizes the first semispace; zero picks a small default.
-	InitialWords uint64
-	// Workers > 1 enables the deterministic parallel copying phases (see
-	// GenConfig.Workers): identical serial work order, cycles sharded
-	// over W simulated workers. Zero or 1 is the serial collector.
-	Workers int
-	// Trace, when non-nil, receives phase spans and per-site telemetry.
-	// Tracing charges nothing to the meter.
-	Trace *trace.Recorder
-}
-
-func (c *SemispaceConfig) setDefaults() {
-	if c.LargeObjectWords == 0 {
-		c.LargeObjectWords = 1024 // 8KB
-	}
-	if c.InitialWords == 0 {
-		c.InitialWords = 16 * 1024
-	}
-	if c.BudgetWords == 0 {
-		c.BudgetWords = 64 << 20 // effectively unconstrained
-	}
-}
-
 // Semispace is the Fenichel-Yochelson two-space copying collector using
 // Cheney's scan, with the paper's liveness-ratio resize policy (§2.1).
 type Semispace struct {
 	base
-	cfg SemispaceConfig
 
 	idA mem.SpaceID
 	idB mem.SpaceID
@@ -61,13 +24,13 @@ type Semispace struct {
 // NewSemispace creates a semispace collector over its own fresh heap.
 //
 //gc:nocharge construction builds the heap before the simulated clock starts; the paper's cost model charges mutator and GC work, not arena setup
-func NewSemispace(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg SemispaceConfig) *Semispace {
+func NewSemispace(stack *rt.Stack, meter *costmodel.Meter, prof Profiler, cfg Config) *Semispace {
 	cfg.setDefaults()
 	if cfg.InitialWords > cfg.BudgetWords/2 {
 		cfg.InitialWords = max(cfg.BudgetWords/2, 512)
 	}
-	c := &Semispace{cfg: cfg}
-	c.init(stack, meter, prof, cfg.Trace, cfg.Workers, scanOpts{markerN: cfg.MarkerN})
+	c := &Semispace{}
+	c.init(stack, meter, prof, cfg)
 	a := c.heap.AddSpace(cfg.InitialWords)
 	b := c.heap.AddSpace(0)
 	c.idA, c.idB = a.ID(), b.ID()
@@ -92,8 +55,8 @@ func (c *Semispace) Name() string {
 	if c.cfg.MarkerN > 0 {
 		n += "+markers"
 	}
-	if c.cfg.Workers > 1 {
-		n += fmt.Sprintf("+gcw%d", c.cfg.Workers)
+	if c.cfg.GCWorkers > 1 {
+		n += fmt.Sprintf("+gcw%d", c.cfg.GCWorkers)
 	}
 	return n
 }

@@ -172,36 +172,36 @@ func shadowConfigs() map[string]func(e *testEnv) Collector {
 	pol := NewPretenurePolicy(map[obj.SiteID]PretenureDecision{3: {}, 5: {}})
 	return map[string]func(e *testEnv) Collector{
 		"semispace": func(e *testEnv) Collector {
-			return NewSemispace(e.stack, e.meter, nil, SemispaceConfig{
+			return NewSemispace(e.stack, e.meter, nil, Config{
 				BudgetWords: 1 << 20, InitialWords: 512})
 		},
 		"semispace-tight": func(e *testEnv) Collector {
-			return NewSemispace(e.stack, e.meter, nil, SemispaceConfig{
+			return NewSemispace(e.stack, e.meter, nil, Config{
 				BudgetWords: 8192, InitialWords: 256})
 		},
 		"gen": func(e *testEnv) Collector {
-			return NewGenerational(e.stack, e.meter, nil, GenConfig{
+			return NewGenerational(e.stack, e.meter, nil, Config{
 				BudgetWords: 1 << 20, NurseryWords: 512})
 		},
 		"gen-tight": func(e *testEnv) Collector {
-			return NewGenerational(e.stack, e.meter, nil, GenConfig{
+			return NewGenerational(e.stack, e.meter, nil, Config{
 				BudgetWords: 12288, NurseryWords: 256})
 		},
 		"gen-markers": func(e *testEnv) Collector {
-			return NewGenerational(e.stack, e.meter, nil, GenConfig{
+			return NewGenerational(e.stack, e.meter, nil, Config{
 				BudgetWords: 1 << 20, NurseryWords: 512, MarkerN: 3})
 		},
 		"gen-pretenure": func(e *testEnv) Collector {
-			return NewGenerational(e.stack, e.meter, nil, GenConfig{
+			return NewGenerational(e.stack, e.meter, nil, Config{
 				BudgetWords: 1 << 20, NurseryWords: 512, Pretenure: pol})
 		},
 		"gen-full": func(e *testEnv) Collector {
-			return NewGenerational(e.stack, e.meter, nil, GenConfig{
+			return NewGenerational(e.stack, e.meter, nil, Config{
 				BudgetWords: 1 << 20, NurseryWords: 512, MarkerN: 4, Pretenure: pol})
 		},
 		"gen-cards": func(e *testEnv) Collector {
-			return NewGenerational(e.stack, e.meter, nil, GenConfig{
-				BudgetWords: 1 << 20, NurseryWords: 512, UseCardTable: true})
+			return NewGenerational(e.stack, e.meter, nil, Config{
+				BudgetWords: 1 << 20, NurseryWords: 512, CardTable: true})
 		},
 	}
 }

@@ -54,12 +54,15 @@ func checkKnobs[C any](t *testing.T, base C, cases knobCases[C], exempt map[stri
 // harness.RunConfig and fuzz.Config, set to a non-default value, changes
 // the collector its front end builds — seen through the collector's Name
 // or Inspect where they show the field, otherwise through its effect on a
-// short run. It lives in package fuzz because a fuzz.Config reaches its
-// collector only through the unexported wrap hook; the other two front
-// ends are driven through their public APIs.
+// short run. Every batch override of harness.Options (gcsim's RunOptions)
+// likewise reaches the runs RunAll makes, or skips the semispace ones
+// where its documentation says so. It lives in package fuzz because a
+// fuzz.Config reaches its collector only through the unexported wrap
+// hook; the other front ends are driven through their public APIs.
 func TestEveryKnobReachesTheCollector(t *testing.T) {
 	t.Run("gcsim.Config", testGcsimKnobs)
 	t.Run("harness.RunConfig", testHarnessKnobs)
+	t.Run("harness.Options", testOptionsKnobs)
 	t.Run("fuzz.Config", testFuzzKnobs)
 }
 
@@ -321,6 +324,109 @@ func testHarnessKnobs(t *testing.T) {
 		"Workload": "selects the program, not the collector",
 		"Scale":    "sizes the program, not the collector",
 		"Sanitize": "a checking decorator whose results are byte-identical by contract (TestSanitizedTableByteIdentical)",
+	})
+}
+
+// runAll runs cfgs through RunAll under opts and returns the results.
+func runAll(t *testing.T, opts harness.Options, cfgs ...harness.RunConfig) []*harness.RunResult {
+	t.Helper()
+	rs, err := harness.RunAll(cfgs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+func testOptionsKnobs(t *testing.T) {
+	gen := harness.RunConfig{Workload: "Color", Scale: knobScale, Kind: harness.KindGenerational}
+	semi := gen
+	semi.Kind = harness.KindSemispace
+	checkKnobs(t, harness.Options{Parallelism: 1}, knobCases[harness.Options]{
+		"Sanitize": func(t *testing.T, o harness.Options) {
+			// The sanitizer's results are byte-identical by contract, so
+			// what can be seen is that the run asked for it.
+			o.Sanitize = true
+			if !runAll(t, o, gen)[0].Config.Sanitize {
+				t.Fatal("the run was not sanitized")
+			}
+		},
+		"Trace": func(t *testing.T, o harness.Options) {
+			o.Trace = true
+			if r := runAll(t, o, gen)[0]; r.Trace == nil || len(r.Trace.Events()) == 0 {
+				t.Fatal("no trace events")
+			}
+		},
+		"TraceHeap": func(t *testing.T, o harness.Options) {
+			o.Trace, o.TraceHeap = true, true
+			if r := runAll(t, o, gen)[0]; len(r.Trace.Data("").Heap) == 0 {
+				t.Fatal("no heap samples")
+			}
+		},
+		"TraceSink": func(t *testing.T, o harness.Options) {
+			var got []*trace.RunData
+			o.TraceSink = func(b []*trace.RunData) { got = b }
+			if r := runAll(t, o, gen)[0]; r.Trace == nil || len(got) != 1 {
+				t.Fatalf("recorder %v, %d runs sunk; want a traced run, sunk once", r.Trace != nil, len(got))
+			}
+		},
+		"Adapt": func(t *testing.T, o harness.Options) {
+			o.Adapt = true
+			rs := runAll(t, o, gen, semi)
+			if rs[0].Adapt == nil || rs[0].Adapt.Samples == 0 {
+				t.Fatal("the advisor saw no samples")
+			}
+			if rs[1].Adapt != nil {
+				t.Fatal("the semispace run was given an advisor")
+			}
+		},
+		"AdaptWarm": func(t *testing.T, o harness.Options) {
+			o.Adapt = true
+			o.AdaptWarm = &adapt.Store{Profiles: []*adapt.RunProfile{{Workload: "Color",
+				Sites: []adapt.SiteSeed{{Site: obj.SiteID(1), Pretenured: true}}}}}
+			r := runAll(t, o, gen)[0]
+			if len(r.Adapt.Decisions) == 0 || r.Adapt.Decisions[0].Verb != trace.AdaptWarm {
+				t.Fatal("the advisor did not start from the stored profile")
+			}
+		},
+		"AdaptSink": func(t *testing.T, o harness.Options) {
+			var got []*adapt.RunProfile
+			o.AdaptSink = func(b []*adapt.RunProfile) { got = b }
+			rs := runAll(t, o, gen, semi)
+			if rs[0].Adapt == nil || rs[1].Adapt != nil || len(got) != 1 || got[0].Workload != "Color" {
+				t.Fatalf("%d profiles sunk; want the generational run's alone", len(got))
+			}
+		},
+		"Threads": func(t *testing.T, o harness.Options) {
+			// The server family serves request r on thread r mod Threads.
+			server := harness.RunConfig{Workload: "ServerSteady", Scale: workload.Scale{Repeat: 0.01},
+				Kind: harness.KindGenerational, K: 2}
+			single := runAll(t, o, server)[0]
+			o.Threads = 3
+			if r := runAll(t, o, server)[0]; r.Stats == single.Stats {
+				t.Fatal("three threads left every collector statistic unchanged")
+			}
+		},
+		"GCWorkers": func(t *testing.T, o harness.Options) {
+			o.GCWorkers = 4
+			if r := runAll(t, o, gen)[0]; r.Stats.ParallelQuanta == 0 {
+				t.Fatal("no parallel quanta")
+			}
+		},
+		"OldCollector": func(t *testing.T, o harness.Options) {
+			o.OldCollector = core.OldMarkSweep
+			g, s := gen, semi
+			g.K, s.K = 2, 2
+			rs := runAll(t, o, g, s)
+			if rs[0].Stats.WordsMarked == 0 {
+				t.Fatal("mark-sweep marked no words")
+			}
+			if rs[1].Config.OldCollector != core.OldCopy {
+				t.Fatalf("the semispace run was given old collector %v", rs[1].Config.OldCollector)
+			}
+		},
+	}, map[string]string{
+		"Parallelism": "sizes the worker pool; results are identical at every size (TestParallelTableIdenticalToSerial)",
+		"Events":      "a progress hook that observes runs and configures none",
 	})
 }
 

@@ -47,7 +47,8 @@ type Config struct {
 	// Old selects the old-generation collector (copy, marksweep, or
 	// markcompact). The three produce different GC-side costs and heap
 	// layouts but identical client-visible results, so the divergence
-	// oracle holds across them. Ignored for semispace entries.
+	// oracle holds across them. A semispace entry that sets it is
+	// rejected: harness.Build panics, and the oracles report a crash.
 	Old core.OldCollector
 
 	// wrap, when non-nil, decorates the freshly-built collector before

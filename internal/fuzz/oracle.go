@@ -84,35 +84,28 @@ func executeTo(p *Program, cfg Config, sanitized bool, traceTo io.Writer) (out r
 		}
 	}()
 
-	spec := harness.Spec{Sites: siteNames, Trace: traced}
+	spec := harness.Spec{Sites: siteNames, Trace: traced, Collector: core.Config{
+		Semispace:        cfg.Semispace,
+		BudgetWords:      budgetFor(p),
+		LargeObjectWords: largeObjectWords,
+		MarkerN:          cfg.MarkerN,
+		AgingMinors:      cfg.AgingMinors,
+		CardTable:        cfg.Cards,
+		OldCollector:     cfg.Old,
+		GCWorkers:        cfg.Workers,
+	}}
+	if cfg.Semispace {
+		spec.Collector.InitialWords = nurseryWords * 4
+	} else {
+		spec.Collector.NurseryWords = nurseryWords
+	}
+	if cfg.Pretenure {
+		spec.Collector.Pretenure = pretenurePolicy()
+	}
 	if cfg.Adapt {
 		// Small mass thresholds so decisions actually flip inside a few
 		// hundred ops' worth of allocation.
 		spec.Adapt = &adapt.Params{MinSampleWords: 64, MinOldWords: 64, CooldownEpochs: 2}
-	}
-	budget := budgetFor(p)
-	if cfg.Semispace {
-		spec.Semispace = &core.SemispaceConfig{
-			BudgetWords:      budget,
-			LargeObjectWords: largeObjectWords,
-			MarkerN:          cfg.MarkerN,
-			InitialWords:     nurseryWords * 4,
-			Workers:          cfg.Workers,
-		}
-	} else {
-		spec.Gen = core.GenConfig{
-			BudgetWords:      budget,
-			NurseryWords:     nurseryWords,
-			LargeObjectWords: largeObjectWords,
-			MarkerN:          cfg.MarkerN,
-			AgingMinors:      cfg.AgingMinors,
-			UseCardTable:     cfg.Cards,
-			Workers:          cfg.Workers,
-			OldCollector:     cfg.Old,
-		}
-		if cfg.Pretenure {
-			spec.Gen.Pretenure = pretenurePolicy()
-		}
 	}
 	sim := harness.Build(spec)
 	col := sim.Col
@@ -178,9 +171,10 @@ func (c *traceComparer) Write(p []byte) (int, error) {
 func (c *traceComparer) equal() bool { return !c.diff && c.n == len(c.want) }
 
 // checkConfig runs every per-config oracle for one matrix entry and
-// returns (failures, primary output). The primary output is only
-// meaningful when the run did not crash.
-func checkConfig(p *Program, cfg Config) ([]Failure, runOutput) {
+// returns (failures, primary output, plain output). The primary output
+// is only meaningful when the run did not crash; a crashed run skips the
+// plain run and returns the primary output in its place.
+func checkConfig(p *Program, cfg Config) ([]Failure, runOutput, runOutput) {
 	fail := func(kind FailKind, format string, args ...any) Failure {
 		return Failure{Seed: p.Seed, Config: cfg.Name, Kind: kind,
 			Detail: fmt.Sprintf(format, args...)}
@@ -189,7 +183,7 @@ func checkConfig(p *Program, cfg Config) ([]Failure, runOutput) {
 
 	out := execute(p, cfg, true, true)
 	if out.panicked != nil {
-		return append(fails, fail(FailCrash, "%v", out.panicked)), out
+		return append(fails, fail(FailCrash, "%v", out.panicked)), out, out
 	}
 	if len(out.sanViol) > 0 {
 		f := fail(FailSanitizer, "%d violation(s): %s", len(out.sanViol), out.sanViol[0])
@@ -234,31 +228,36 @@ func checkConfig(p *Program, cfg Config) ([]Failure, runOutput) {
 		fails = append(fails, fail(FailWrapper, "plain checksum %s vs wrapped %s", fmtHash(plain.checksum), fmtHash(out.checksum)))
 	}
 
-	return fails, out
+	return fails, out, plain
 }
 
 // CheckProgram runs the program across cfgs (nil means the standard
 // Matrix) and returns every oracle failure. The first configuration is
 // the cross-config baseline.
 func CheckProgram(p *Program, cfgs []Config) []Failure {
+	fails, _ := checkProgram(p, cfgs)
+	return fails
+}
+
+// checkProgram is CheckProgram that also returns the first
+// configuration's plain output, which is its primary output instead when
+// that configuration crashed.
+func checkProgram(p *Program, cfgs []Config) ([]Failure, runOutput) {
 	if cfgs == nil {
 		cfgs = Matrix()
 	}
 	var fails []Failure
 	haveBase := false
-	var baseOut runOutput
+	var baseOut, first runOutput
 	var baseName string
-	for _, cfg := range cfgs {
-		cfgFails, out := checkConfig(p, cfg)
-		fails = append(fails, cfgFails...)
-		crashed := false
-		for _, f := range cfgFails {
-			if f.Kind == FailCrash {
-				crashed = true
-			}
+	for i, cfg := range cfgs {
+		cfgFails, out, plain := checkConfig(p, cfg)
+		if i == 0 {
+			first = plain
 		}
-		if crashed {
-			continue
+		fails = append(fails, cfgFails...)
+		if out.panicked != nil {
+			continue // a crash, already reported
 		}
 		if !haveBase {
 			haveBase, baseOut, baseName = true, out, cfg.Name
@@ -274,7 +273,7 @@ func CheckProgram(p *Program, cfgs []Config) []Failure {
 					fmtHash(out.checksum), baseName, fmtHash(baseOut.checksum))})
 		}
 	}
-	return fails
+	return fails, first
 }
 
 // SeedResult summarizes one seed's differential check.
@@ -288,13 +287,18 @@ type SeedResult struct {
 
 // CheckSeed generates the seed's program and checks it across the
 // standard matrix, also capturing the baseline config's fingerprint and
-// checksum for the sweep report.
+// checksum for the sweep report from the plain run the check made.
 func CheckSeed(seed uint64) SeedResult {
 	p := Generate(seed)
 	res := SeedResult{Seed: seed, Profile: ProfileOf(seed)}
 	cfgs := Matrix()
-	res.Failures = CheckProgram(p, cfgs)
-	base := execute(p, cfgs[0], false, false)
+	var base runOutput
+	res.Failures, base = checkProgram(p, cfgs)
+	if base.panicked != nil {
+		// The baseline crashed before its plain run, or in it: run it
+		// alone, as the report always has.
+		base = execute(p, cfgs[0], false, false)
+	}
 	if base.panicked == nil {
 		res.FP = base.fp
 		res.Checksum = base.checksum

@@ -3,7 +3,10 @@ package fuzz
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
+
+	"tilgc/internal/core"
 )
 
 // compareInChunks streams got into a comparer against want, split into
@@ -81,5 +84,26 @@ func TestStreamedRunTwiceMatchesBuffered(t *testing.T) {
 	cmp = traceComparer{want: bad}
 	if executeTo(p, cfg, true, &cmp); cmp.equal() {
 		t.Fatal("streamed comparison accepted a reference with one flipped byte")
+	}
+}
+
+// TestSemispaceEntryRejectsGenerationalKnobs: a semispace entry that sets
+// a knob only the generational collector honours is a crash naming the
+// field, never a plain semispace run reported under the entry's name.
+func TestSemispaceEntryRejectsGenerationalKnobs(t *testing.T) {
+	p := Generate(3)
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"CardTable", Config{Name: "semispace+cards", Semispace: true, Cards: true}},
+		{"AgingMinors", Config{Name: "semispace+aging", Semispace: true, AgingMinors: fuzzAgingMinors}},
+		{"Pretenure", Config{Name: "semispace+pretenure", Semispace: true, Pretenure: true}},
+		{"OldCollector", Config{Name: "semispace+marksweep", Semispace: true, Old: core.OldMarkSweep}},
+	} {
+		fails := CheckProgram(p, []Config{tc.cfg})
+		if len(fails) != 1 || fails[0].Kind != FailCrash || !strings.Contains(fails[0].Detail, tc.field) {
+			t.Errorf("%s: failures %v, want one crash naming %s", tc.cfg.Name, fails, tc.field)
+		}
 	}
 }

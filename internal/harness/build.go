@@ -1,6 +1,10 @@
 package harness
 
 import (
+	"errors"
+	"fmt"
+	"strings"
+
 	"tilgc/internal/adapt"
 	"tilgc/internal/core"
 	"tilgc/internal/costmodel"
@@ -14,13 +18,14 @@ import (
 
 // Spec describes one simulated runtime: its collector and the instruments
 // attached to it. Every front end (gcsim, Run, calibration, the fuzz
-// fleet) translates its configuration into a Spec for Build.
+// fleet) translates its configuration into a Spec for Build, which
+// rejects any Spec that fails Validate. The front ends check only their
+// own presets; which knob each collector honours is core.Config.Validate's
+// to say.
 type Spec struct {
-	// Semispace, when non-nil, selects the semispace collector with this
-	// configuration and Gen is ignored; otherwise Gen configures the
-	// generational collector. Build sets the Trace and Advisor fields.
-	Semispace *core.SemispaceConfig
-	Gen       core.GenConfig
+	// Collector configures the collector; Collector.Semispace selects
+	// which one. Build sets the Trace and Advisor fields.
+	Collector core.Config
 	// Sites names the allocation sites in profiler and trace output.
 	Sites map[obj.SiteID]string
 	// Profile attaches the heap profiler. Trace and Adapt attach it too,
@@ -51,8 +56,25 @@ type Sim struct {
 	Col      core.Collector
 }
 
-// Build assembles the runtime s describes.
+// Validate reports every problem with s, joined: the collector
+// configuration's (core.Config.Validate) and the instruments'.
+func (s Spec) Validate() error {
+	errs := []error{s.Collector.Validate()}
+	if s.Adapt != nil && s.Collector.Semispace {
+		errs = append(errs, errors.New("Adapt is set but the adaptive advisor requires a generational collector"))
+	}
+	if s.Threads < 0 {
+		errs = append(errs, fmt.Errorf("Threads %d is negative", s.Threads))
+	}
+	return errors.Join(errs...)
+}
+
+// Build assembles the runtime s describes. It panics, naming every
+// problem, on a Spec that fails Validate.
 func Build(s Spec) *Sim {
+	if err := s.Validate(); err != nil {
+		panic("harness: invalid Spec:\n  " + strings.ReplaceAll(err.Error(), "\n", "\n  "))
+	}
 	sim := &Sim{Table: rt.NewTraceTable(), Meter: costmodel.NewMeter()}
 	sim.Stack = rt.NewStack(sim.Table, sim.Meter)
 	var hook core.Profiler
@@ -74,19 +96,14 @@ func Build(s Spec) *Sim {
 		sim.Profiler.SetObserver(sim.Advisor)
 	}
 
-	if s.Semispace != nil {
-		if s.Adapt != nil {
-			panic("harness: the adaptive advisor requires a generational collector")
-		}
-		cfg := *s.Semispace
-		cfg.Trace = sim.Rec
+	cfg := s.Collector
+	cfg.Trace = sim.Rec
+	if sim.Advisor != nil {
+		cfg.Advisor = sim.Advisor
+	}
+	if cfg.Semispace {
 		sim.Col = core.NewSemispace(sim.Stack, sim.Meter, hook, cfg)
 	} else {
-		cfg := s.Gen
-		cfg.Trace = sim.Rec
-		if sim.Advisor != nil {
-			cfg.Advisor = sim.Advisor
-		}
 		sim.Col = core.NewGenerational(sim.Stack, sim.Meter, hook, cfg)
 	}
 	for i := 1; i < s.Threads; i++ {

@@ -151,13 +151,13 @@ type RunConfig struct {
 	// live-set bound and site profile are schedule-independent.
 	Threads int
 	// GCWorkers enables the deterministic parallel copying phases with
-	// this many simulated workers (see core.GenConfig.Workers): identical
+	// this many simulated workers (see core.Config.GCWorkers): identical
 	// heap images at every W, pause wall time shrunk to the critical
 	// path. 0 or 1 is the serial collector.
 	GCWorkers int
 	// DeferMajor runs over-threshold major collections as their own pause
 	// at the next GC trigger instead of inside the minor that crossed the
-	// threshold (see core.GenConfig.DeferMajor). Same collections, moved
+	// threshold (see core.Config.DeferMajor). Same collections, moved
 	// pause boundaries; bounds the worst pause a latency window absorbs.
 	// Requires a generational kind.
 	DeferMajor bool
@@ -290,9 +290,9 @@ func calibrate(name string, scale workload.Scale, cutoffPct float64) (*calibrati
 	runPass := func(budget uint64, profile bool) *Sim {
 		// Small nursery: frequent live-set samples for a tight estimate.
 		sim := Build(Spec{
-			Gen:     core.GenConfig{BudgetWords: budget, NurseryWords: 4 * 1024},
-			Sites:   w.Sites(),
-			Profile: profile,
+			Collector: core.Config{BudgetWords: budget, NurseryWords: 4 * 1024},
+			Sites:     w.Sites(),
+			Profile:   profile,
 		})
 		w.Run(sim.Mutator(), scale)
 		sim.Col.Collect(true) // final major: exact live floor
@@ -363,7 +363,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		}
 	}
 
-	sim := Build(cfg.spec(w, cal.maxLiveWords, polCal.policy))
+	sim := Build(cfg.spec(w.Sites(), cal.maxLiveWords, polCal.policy))
 	if cfg.TraceHeap {
 		sim.Rec.EnableHeapSampling()
 	}
@@ -401,8 +401,12 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	return r, nil
 }
 
-// validate rejects option combinations the run would otherwise ignore,
-// naming the field and the kind that cannot honour it.
+// validate rejects a run the harness would misread: an unknown kind, a
+// negative K, a MarkerN on a kind that places no markers, and an
+// instrument option without the option it refines. Every other rule
+// belongs to the Spec the run builds (Spec.Validate), so it is checked
+// there, before any calibration is paid for. Each error names the run
+// and the field.
 func (c RunConfig) validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("harness: %s: "+format, append([]any{c.Label()}, args...)...)
@@ -410,14 +414,8 @@ func (c RunConfig) validate() error {
 	switch {
 	case c.Kind < KindSemispace || c.Kind > KindGenAgingPretenure:
 		return fmt.Errorf("harness: unknown collector kind %v", c.Kind)
-	case c.Kind == KindSemispace && c.Adapt:
-		return bad("the adaptive advisor requires a generational collector")
-	case c.Kind == KindSemispace && c.OldCollector != core.OldCopy:
-		return bad("OldCollector %s requires a generational collector", c.OldCollector)
-	case c.Kind == KindSemispace && c.DeferMajor:
-		return bad("DeferMajor is set but the semispace collector has no minor collection to defer a major from")
-	case c.MarkerN < 0 || c.Threads < 0 || c.GCWorkers < 0 || c.K < 0:
-		return bad("negative option: MarkerN %d, Threads %d, GCWorkers %d, K %g", c.MarkerN, c.Threads, c.GCWorkers, c.K)
+	case c.K < 0:
+		return bad("K %g is negative", c.K)
 	case c.MarkerN != 0 && !c.Kind.placesMarkers():
 		return bad("MarkerN is set but %v places no stack markers", c.Kind)
 	case c.TraceHeap && !c.Trace:
@@ -426,6 +424,9 @@ func (c RunConfig) validate() error {
 		return bad("AdaptNoDemote is set but Adapt is off")
 	case c.AdaptWarm != nil && !c.Adapt:
 		return bad("AdaptWarm is set but Adapt is off")
+	}
+	if err := c.spec(nil, 0, nil).Validate(); err != nil {
+		return bad("%w", err)
 	}
 	return nil
 }
@@ -436,15 +437,15 @@ func (k CollectorKind) placesMarkers() bool {
 	return k == KindSemispace || k >= KindGenMarkers && k <= KindGenMarkersPretenureElide
 }
 
-// spec translates a validated run into the runtime Build assembles: the
-// paper's budget of k·Min (Min = 2·max live), the collector kind's
-// options, and the instruments the run asks for.
-func (c RunConfig) spec(w workload.Workload, maxLiveWords uint64, policy *core.PretenurePolicy) Spec {
+// spec translates a run into the runtime Build assembles: the paper's
+// budget of k·Min (Min = 2·max live), the collector kind's options, and
+// the instruments the run asks for.
+func (c RunConfig) spec(sites map[obj.SiteID]string, maxLiveWords uint64, policy *core.PretenurePolicy) Spec {
 	budget := uint64(1) << 24 // unconstrained default
 	if c.K > 0 {
 		budget = uint64(c.K * 2 * float64(maxLiveWords))
 	}
-	s := Spec{Sites: w.Sites(), Profile: c.Profile, Trace: c.Trace, Threads: c.Threads}
+	s := Spec{Sites: sites, Profile: c.Profile, Trace: c.Trace, Threads: c.Threads}
 	if c.Adapt {
 		cutoff := c.PretenureCutoff
 		if cutoff == 0 {
@@ -455,41 +456,40 @@ func (c RunConfig) spec(w workload.Workload, maxLiveWords uint64, policy *core.P
 			DisableDemotion: c.AdaptNoDemote,
 		}
 	}
-	if c.Kind == KindSemispace {
-		s.Semispace = &core.SemispaceConfig{BudgetWords: budget, MarkerN: c.MarkerN, Workers: c.GCWorkers}
-		return s
-	}
-	g := core.GenConfig{
+	g := core.Config{
 		BudgetWords:  budget,
-		NurseryWords: nurseryFor(budget),
-		Workers:      c.GCWorkers,
+		MarkerN:      c.MarkerN,
+		GCWorkers:    c.GCWorkers,
 		DeferMajor:   c.DeferMajor,
 		OldCollector: c.OldCollector,
 	}
-	if c.Profile && c.K == 0 {
-		// Unconstrained profiling runs (Figure 2) use a small nursery
-		// so object lifetimes are sampled frequently.
-		g.NurseryWords = 4 * 1024
-	}
-	if c.Kind.placesMarkers() {
-		g.MarkerN = c.MarkerN
-		if g.MarkerN == 0 {
-			g.MarkerN = 25 // the paper's n
-		}
-	}
 	switch c.Kind {
+	case KindSemispace:
+		g.Semispace = true
 	case KindGenMarkersPretenure, KindGenPretenure:
 		g.Pretenure = policy
 	case KindGenMarkersPretenureElide:
 		g.Pretenure, g.ScanElision = policy, true
 	case KindGenCards:
-		g.UseCardTable = true
+		g.CardTable = true
 	case KindGenAging:
 		g.AgingMinors = 3
 	case KindGenAgingPretenure:
 		g.AgingMinors, g.Pretenure = 3, policy
 	}
-	s.Gen = g
+	if g.MarkerN == 0 && c.Kind >= KindGenMarkers && c.Kind <= KindGenMarkersPretenureElide {
+		g.MarkerN = core.PaperMarkerN // the gen+markers kinds' default spacing
+	}
+	// The nursery is the one size the two collectors do not share.
+	if !g.Semispace {
+		g.NurseryWords = nurseryFor(budget)
+		if c.Profile && c.K == 0 {
+			// Unconstrained profiling runs (Figure 2) use a small nursery
+			// so object lifetimes are sampled frequently.
+			g.NurseryWords = 4 * 1024
+		}
+	}
+	s.Collector = g
 	return s
 }
 
@@ -497,12 +497,5 @@ func (c RunConfig) spec(w workload.Workload, maxLiveWords uint64, policy *core.P
 // shrunk when the total budget is small ("for benchmarking reasons, the
 // nursery is sometimes made significantly smaller").
 func nurseryFor(budgetWords uint64) uint64 {
-	n := uint64(64 * 1024) // 512KB
-	if n > budgetWords/4 {
-		n = budgetWords / 4
-	}
-	if n < 1024 {
-		n = 1024
-	}
-	return n
+	return max(min(64*1024, budgetWords/4), 1024) // 512KB at most
 }

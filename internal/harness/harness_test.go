@@ -285,6 +285,7 @@ func TestRunRejectsIgnoredOptions(t *testing.T) {
 		{"warm without adapt", func(c *RunConfig) { c.Kind, c.AdaptWarm = KindGenerational, &adapt.RunProfile{} }, "AdaptWarm"},
 		{"semispace defer", func(c *RunConfig) { c.Kind, c.DeferMajor = KindSemispace, true }, "DeferMajor"},
 		{"semispace old", func(c *RunConfig) { c.Kind, c.OldCollector = KindSemispace, core.OldMarkSweep }, "OldCollector"},
+		{"unknown old", func(c *RunConfig) { c.Kind, c.OldCollector = KindGenerational, 9 }, "unknown OldCollector"},
 		{"negative markerN", func(c *RunConfig) { c.Kind, c.MarkerN = KindGenMarkers, -3 }, "negative"},
 		{"negative workers", func(c *RunConfig) { c.Kind, c.GCWorkers = KindGenMarkers, -2 }, "negative"},
 		{"unknown kind", func(c *RunConfig) { c.Kind = KindGenAgingPretenure + 1 }, "unknown collector kind"},

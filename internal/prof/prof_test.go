@@ -172,7 +172,7 @@ func TestProfilerDrivesPretenuringEndToEnd(t *testing.T) {
 		slots := []rt.SlotTrace{rt.NP(), rt.PTR()}
 		fi := table.Register("root", slots, nil)
 		stack.Call(fi)
-		c := core.NewGenerational(stack, meter, prof, core.GenConfig{
+		c := core.NewGenerational(stack, meter, prof, core.Config{
 			BudgetWords: 1 << 20, NurseryWords: 512, Pretenure: pol,
 		})
 		// Long-lived list from liveSite, garbage from dieSite.

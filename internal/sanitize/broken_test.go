@@ -33,7 +33,7 @@ func newEnv(nRoots int) *env {
 	return &env{table: table, meter: meter, stack: stack}
 }
 
-func newGen(e *env, cfg core.GenConfig) core.Collector {
+func newGen(e *env, cfg core.Config) core.Collector {
 	if cfg.BudgetWords == 0 {
 		cfg.BudgetWords = 1 << 20
 	}
@@ -71,7 +71,7 @@ var brokenCases = []brokenCase{
 		// A pointer-mask bit at an index >= the record length: object
 		// traversal never looks there, so only the structural pass sees it.
 		pass:  "headers",
-		build: func(e *env) core.Collector { return newGen(e, core.GenConfig{}) },
+		build: func(e *env) core.Collector { return newGen(e, core.Config{}) },
 		corrupt: func(t *testing.T, c core.Collector, e *env) {
 			a := c.Alloc(obj.Record, 2, 1, 0b01)
 			c.InitField(a, 0, uint64(mem.Nil))
@@ -84,7 +84,7 @@ var brokenCases = []brokenCase{
 		// A root pointing past a live space's allocation frontier — a
 		// dangling pointer the next evacuation would copy garbage from.
 		pass:  "fromspace",
-		build: func(e *env) core.Collector { return newGen(e, core.GenConfig{}) },
+		build: func(e *env) core.Collector { return newGen(e, core.Config{}) },
 		corrupt: func(t *testing.T, c core.Collector, e *env) {
 			a := c.Alloc(obj.Record, 2, 1, 0)
 			sp := c.Heap().SpaceOf(a)
@@ -96,7 +96,7 @@ var brokenCases = []brokenCase{
 		// are live and well-formed, so only remembered-set completeness
 		// can notice the next minor GC would miss this edge.
 		pass:  "remembered",
-		build: func(e *env) core.Collector { return newGen(e, core.GenConfig{}) },
+		build: func(e *env) core.Collector { return newGen(e, core.Config{}) },
 		corrupt: func(t *testing.T, c core.Collector, e *env) {
 			consList(c, e, 1, 5, 1)
 			c.Collect(false) // promote the list (immediate promotion)
@@ -112,7 +112,7 @@ var brokenCases = []brokenCase{
 		// An orphan marker stub in a collector that has markers disabled:
 		// returning through it would panic in the stub dispatcher.
 		pass:  "markers",
-		build: func(e *env) core.Collector { return newGen(e, core.GenConfig{}) },
+		build: func(e *env) core.Collector { return newGen(e, core.Config{}) },
 		corrupt: func(t *testing.T, c core.Collector, e *env) {
 			fi := e.table.Register("victim", make([]rt.SlotTrace, 3), nil)
 			e.stack.Call(fi)
@@ -125,7 +125,7 @@ var brokenCases = []brokenCase{
 		pass: "pretenure",
 		build: func(e *env) core.Collector {
 			pol := core.NewPretenurePolicy(map[obj.SiteID]core.PretenureDecision{3: {}})
-			return newGen(e, core.GenConfig{Pretenure: pol})
+			return newGen(e, core.Config{Pretenure: pol})
 		},
 		corrupt: func(t *testing.T, c core.Collector, e *env) {
 			a := c.Alloc(obj.Record, 2, 3, 0)
@@ -141,7 +141,7 @@ var brokenCases = []brokenCase{
 		// lost mark the next sweep would turn into a reclaimed live object.
 		pass: "oldbitmap",
 		build: func(e *env) core.Collector {
-			return newGen(e, core.GenConfig{OldCollector: core.OldMarkSweep})
+			return newGen(e, core.Config{OldCollector: core.OldMarkSweep})
 		},
 		corrupt: func(t *testing.T, c core.Collector, e *env) {
 			consList(c, e, 1, 20, 1)
@@ -156,7 +156,7 @@ var brokenCases = []brokenCase{
 		// with the counter, so only the free-list pass fires.
 		pass: "freelist",
 		build: func(e *env) core.Collector {
-			return newGen(e, core.GenConfig{OldCollector: core.OldMarkSweep})
+			return newGen(e, core.Config{OldCollector: core.OldMarkSweep})
 		},
 		corrupt: func(t *testing.T, c core.Collector, e *env) {
 			consList(c, e, 1, 20, 1)
@@ -168,7 +168,7 @@ var brokenCases = []brokenCase{
 		// Statistics that stopped reconciling: more major collections
 		// than collections, as a dropped counter increment would produce.
 		pass:  "costs",
-		build: func(e *env) core.Collector { return newGen(e, core.GenConfig{}) },
+		build: func(e *env) core.Collector { return newGen(e, core.Config{}) },
 		corrupt: func(t *testing.T, c core.Collector, e *env) {
 			consList(c, e, 1, 10, 1)
 			c.Stats().NumMajor = c.Stats().NumGC + 3
@@ -210,7 +210,7 @@ func TestNonmovingCollectorsClean(t *testing.T) {
 	for _, oc := range []core.OldCollector{core.OldMarkSweep, core.OldMarkCompact} {
 		t.Run(oc.String(), func(t *testing.T) {
 			e := newEnv(8)
-			c := newGen(e, core.GenConfig{OldCollector: oc})
+			c := newGen(e, core.Config{OldCollector: oc})
 			w := sanitize.Wrap(c, sanitize.Options{}) // panics on any violation
 			for round := 0; round < 4; round++ {
 				consList(w, e, 1, 200, obj.SiteID(1+round))
@@ -232,7 +232,7 @@ func TestNonmovingCollectorsClean(t *testing.T) {
 // the OnViolation hook.
 func TestWrapperAutoCheck(t *testing.T) {
 	e := newEnv(4)
-	c := newGen(e, core.GenConfig{})
+	c := newGen(e, core.Config{})
 	var fired [][]sanitize.Violation
 	w := sanitize.Wrap(c, sanitize.Options{OnViolation: func(vs []sanitize.Violation) {
 		fired = append(fired, vs)
@@ -258,7 +258,7 @@ func TestWrapperAutoCheck(t *testing.T) {
 // failed automatic check panics with the rendered violation list.
 func TestWrapperPanicsByDefault(t *testing.T) {
 	e := newEnv(4)
-	c := newGen(e, core.GenConfig{})
+	c := newGen(e, core.Config{})
 	w := sanitize.Wrap(c, sanitize.Options{})
 	consList(w, e, 1, 50, 1)
 	c.Stats().NumMajor = c.Stats().NumGC + 7

@@ -32,7 +32,7 @@ func warmUp(t *testing.T, w *sanitize.Wrapper, e *env) {
 // seen set would skip the object and miss the dangling field.
 var traversedCase = brokenCase{
 	pass:  "fromspace",
-	build: func(e *env) core.Collector { return newGen(e, core.GenConfig{}) },
+	build: func(e *env) core.Collector { return newGen(e, core.Config{}) },
 	corrupt: func(t *testing.T, c core.Collector, e *env) {
 		head := mem.Addr(e.stack.Slot(5))
 		o := obj.Decode(c.Heap(), head)
@@ -78,22 +78,22 @@ var cleanConfigs = []struct {
 	build func(e *env) core.Collector
 }{
 	{"semispace", func(e *env) core.Collector {
-		return core.NewSemispace(e.stack, e.meter, nil, core.SemispaceConfig{
+		return core.NewSemispace(e.stack, e.meter, nil, core.Config{
 			BudgetWords: 1 << 20, InitialWords: 1024, LargeObjectWords: 64})
 	}},
-	{"gen", func(e *env) core.Collector { return newGen(e, core.GenConfig{LargeObjectWords: 64}) }},
-	{"gen+markers", func(e *env) core.Collector { return newGen(e, core.GenConfig{MarkerN: 2}) }},
-	{"gen+cards", func(e *env) core.Collector { return newGen(e, core.GenConfig{UseCardTable: true}) }},
-	{"gen+aging", func(e *env) core.Collector { return newGen(e, core.GenConfig{AgingMinors: 1}) }},
+	{"gen", func(e *env) core.Collector { return newGen(e, core.Config{LargeObjectWords: 64}) }},
+	{"gen+markers", func(e *env) core.Collector { return newGen(e, core.Config{MarkerN: 2}) }},
+	{"gen+cards", func(e *env) core.Collector { return newGen(e, core.Config{CardTable: true}) }},
+	{"gen+aging", func(e *env) core.Collector { return newGen(e, core.Config{AgingMinors: 1}) }},
 	{"gen+pretenure", func(e *env) core.Collector {
 		pol := core.NewPretenurePolicy(map[obj.SiteID]core.PretenureDecision{2: {}})
-		return newGen(e, core.GenConfig{Pretenure: pol})
+		return newGen(e, core.Config{Pretenure: pol})
 	}},
 	{"marksweep", func(e *env) core.Collector {
-		return newGen(e, core.GenConfig{OldCollector: core.OldMarkSweep, LargeObjectWords: 64})
+		return newGen(e, core.Config{OldCollector: core.OldMarkSweep, LargeObjectWords: 64})
 	}},
 	{"markcompact", func(e *env) core.Collector {
-		return newGen(e, core.GenConfig{OldCollector: core.OldMarkCompact})
+		return newGen(e, core.Config{OldCollector: core.OldMarkCompact})
 	}},
 }
 

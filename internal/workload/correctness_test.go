@@ -19,7 +19,7 @@ func runOnce(t *testing.T, name string, scale Scale) (Result, *Mutator) {
 	table := rt.NewTraceTable()
 	meter := costmodel.NewMeter()
 	stack := rt.NewStack(table, meter)
-	col := core.NewGenerational(stack, meter, nil, core.GenConfig{
+	col := core.NewGenerational(stack, meter, nil, core.Config{
 		BudgetWords: 1 << 22, NurseryWords: 8 * 1024,
 	})
 	m := NewMutator(col, stack, table, meter)

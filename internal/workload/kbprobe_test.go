@@ -12,7 +12,7 @@ func TestKBAssocRewriteProbe(t *testing.T) {
 	table := rt.NewTraceTable()
 	meter := costmodel.NewMeter()
 	stack := rt.NewStack(table, meter)
-	col := core.NewGenerational(stack, meter, nil, core.GenConfig{
+	col := core.NewGenerational(stack, meter, nil, core.Config{
 		BudgetWords: 1 << 22, NurseryWords: 8 * 1024,
 	})
 	m := NewMutator(col, stack, table, meter)

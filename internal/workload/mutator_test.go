@@ -17,7 +17,7 @@ func newTestMutator(t *testing.T) *Mutator {
 	table := rt.NewTraceTable()
 	meter := costmodel.NewMeter()
 	stack := rt.NewStack(table, meter)
-	col := core.NewGenerational(stack, meter, nil, core.GenConfig{
+	col := core.NewGenerational(stack, meter, nil, core.Config{
 		BudgetWords: 1 << 20, NurseryWords: 512,
 	})
 	return NewMutator(col, stack, table, meter)
@@ -174,7 +174,7 @@ func TestMutatorDeepUnwindPastMarkers(t *testing.T) {
 	table := rt.NewTraceTable()
 	meter := costmodel.NewMeter()
 	stack := rt.NewStack(table, meter)
-	gen := core.NewGenerational(stack, meter, nil, core.GenConfig{
+	gen := core.NewGenerational(stack, meter, nil, core.Config{
 		BudgetWords: 1 << 20, NurseryWords: 512, MarkerN: 25,
 	})
 	col := sanitize.Wrap(gen, sanitize.Options{})

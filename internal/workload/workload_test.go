@@ -37,27 +37,27 @@ func runUnder(t *testing.T, w Workload, mk func(stack *rt.Stack, meter *costmode
 func collectorConfigs() map[string]func(stack *rt.Stack, meter *costmodel.Meter) core.Collector {
 	return map[string]func(stack *rt.Stack, meter *costmodel.Meter) core.Collector{
 		"semispace": func(s *rt.Stack, m *costmodel.Meter) core.Collector {
-			return core.NewSemispace(s, m, nil, core.SemispaceConfig{BudgetWords: 1 << 22})
+			return core.NewSemispace(s, m, nil, core.Config{BudgetWords: 1 << 22})
 		},
 		"gen": func(s *rt.Stack, m *costmodel.Meter) core.Collector {
-			return core.NewGenerational(s, m, nil, core.GenConfig{
+			return core.NewGenerational(s, m, nil, core.Config{
 				BudgetWords: 1 << 22, NurseryWords: 8 * 1024})
 		},
 		"gen-markers": func(s *rt.Stack, m *costmodel.Meter) core.Collector {
-			return core.NewGenerational(s, m, nil, core.GenConfig{
+			return core.NewGenerational(s, m, nil, core.Config{
 				BudgetWords: 1 << 22, NurseryWords: 8 * 1024, MarkerN: 25})
 		},
 		"gen-tiny-nursery": func(s *rt.Stack, m *costmodel.Meter) core.Collector {
-			return core.NewGenerational(s, m, nil, core.GenConfig{
+			return core.NewGenerational(s, m, nil, core.Config{
 				BudgetWords: 1 << 22, NurseryWords: 1024, MarkerN: 10})
 		},
 		"gen-marksweep": func(s *rt.Stack, m *costmodel.Meter) core.Collector {
-			return core.NewGenerational(s, m, nil, core.GenConfig{
+			return core.NewGenerational(s, m, nil, core.Config{
 				BudgetWords: 1 << 22, NurseryWords: 8 * 1024,
 				OldCollector: core.OldMarkSweep})
 		},
 		"gen-markcompact": func(s *rt.Stack, m *costmodel.Meter) core.Collector {
-			return core.NewGenerational(s, m, nil, core.GenConfig{
+			return core.NewGenerational(s, m, nil, core.Config{
 				BudgetWords: 1 << 22, NurseryWords: 8 * 1024,
 				OldCollector: core.OldMarkCompact})
 		},
