@@ -31,6 +31,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -40,68 +41,178 @@ import (
 	"tilgc/internal/trace"
 )
 
-func main() {
-	table := flag.Int("table", 0, "regenerate table N (1-7)")
-	figure := flag.Int("figure", 0, "regenerate figure N (2)")
-	experiment := flag.String("experiment", "", "named experiment (see -list), or 'all'")
-	repeat := flag.Float64("repeat", gcsim.DefaultScale.Repeat,
+// cli is gcbench's parsed command line; defineFlags documents each field
+// as its flag's help text.
+type cli struct {
+	table, figure, parallel, threads, gcWorkers int
+	repeat, depth                               float64
+	experiment, traceOut, traceFormat, old      string
+	adaptStore, adaptWarm                       string
+	progress, sanitize, traceHeap, adapt        bool
+	metrics, list                               bool
+	fuzz, fuzzMinimize, fuzzVerbose             bool
+	fuzzSeeds, fuzzCorpus                       string
+}
+
+// defineFlags registers gcbench's flags on fs; fs.Parse fills the
+// returned cli.
+func defineFlags(fs *flag.FlagSet) *cli {
+	f := &cli{}
+	fs.IntVar(&f.table, "table", 0, "regenerate table N (1-7)")
+	fs.IntVar(&f.figure, "figure", 0, "regenerate figure N (2)")
+	fs.StringVar(&f.experiment, "experiment", "", "named experiment (see -list), or 'all'")
+	fs.Float64Var(&f.repeat, "repeat", gcsim.DefaultScale.Repeat,
 		"workload repetition scale (1.0 = the paper's full iteration counts)")
-	depth := flag.Float64("depth", 1.0,
+	fs.Float64Var(&f.depth, "depth", 1.0,
 		"structural recursion depth scale (1.0 = the paper's stack-depth profile)")
-	parallel := flag.Int("parallel", runtime.NumCPU(),
+	// The host-dependent default is stored before the flag is bound so
+	// gclint's detflow sees it reach the field.
+	f.parallel = runtime.NumCPU()
+	fs.IntVar(&f.parallel, "parallel", f.parallel,
 		"experiment worker-pool size (1 = serial; output is identical either way)")
-	progress := flag.Bool("progress", false, "stream per-run progress to stderr")
-	sanitizeRuns := flag.Bool("sanitize", false,
+	fs.BoolVar(&f.progress, "progress", false, "stream per-run progress to stderr")
+	fs.BoolVar(&f.sanitize, "sanitize", false,
 		"run the heap-integrity sanitizer after every collection (slower; output is identical, violations panic)")
-	traceOut := flag.String("trace", "",
+	fs.StringVar(&f.traceOut, "trace", "",
 		"capture a per-run GC trace of every experiment run to FILE (cycle-timestamped, byte-identical under -parallel)")
-	traceFormat := flag.String("trace-format", "jsonl",
+	fs.StringVar(&f.traceFormat, "trace-format", "jsonl",
 		"trace sink format: jsonl (schema-versioned, gctrace-readable) or chrome (Perfetto-loadable)")
-	traceHeap := flag.Bool("trace-heap", false,
+	fs.BoolVar(&f.traceHeap, "trace-heap", false,
 		"sample per-space heap occupancy (live/committed words) at every collection into the trace (needs -trace or -metrics)")
-	threads := flag.Int("threads", 0,
+	fs.IntVar(&f.threads, "threads", 0,
 		"simulated mutator threads per run (0/1 = single-threaded; only thread-scheduling workloads change results)")
-	oldCollector := flag.String("old", "",
+	fs.StringVar(&f.old, "old", "",
 		"old-generation collector for every generational run: copy (default), marksweep, or markcompact")
-	gcWorkers := flag.Int("gc-workers", 0,
+	fs.IntVar(&f.gcWorkers, "gc-workers", 0,
 		"parallel copying workers per collection (0/1 = serial; heap contents and client results are identical, pauses shard)")
-	adaptRuns := flag.Bool("adapt", false,
+	fs.BoolVar(&f.adapt, "adapt", false,
 		"attach the online adaptive-pretenuring advisor to every generational run (semispace runs are unaffected)")
-	adaptStore := flag.String("adapt-store", "",
+	fs.StringVar(&f.adaptStore, "adapt-store", "",
 		"write the advisor profiles learned by every adaptive run to FILE as a warm-startable store (implies -adapt)")
-	adaptWarm := flag.String("adapt-warm", "",
+	fs.StringVar(&f.adaptWarm, "adapt-warm", "",
 		"warm-start every adaptive run from the profile store at FILE (implies -adapt)")
-	metrics := flag.Bool("metrics", false,
-		"print every run's metrics registry (counters, gauges, pause histogram) after the experiment")
-	list := flag.Bool("list", false, "list benchmarks and experiments")
-	fuzzRun := flag.Bool("fuzz", false,
+	fs.BoolVar(&f.metrics, "metrics", false,
+		"print every run's metrics registry (counters and pause histogram) after the experiment")
+	fs.BoolVar(&f.list, "list", false, "list benchmarks and experiments")
+	fs.BoolVar(&f.fuzz, "fuzz", false,
 		"run the differential fuzzing fleet: corpus replay plus a seed sweep over the collector matrix")
-	fuzzSeeds := flag.String("fuzz-seeds", "0..256",
+	fs.StringVar(&f.fuzzSeeds, "fuzz-seeds", "0..256",
 		"seed range 'A..B' (half-open) or single seed for -fuzz")
-	fuzzMinimize := flag.Bool("fuzz-minimize", false,
+	fs.BoolVar(&f.fuzzMinimize, "fuzz-minimize", false,
 		"shrink failing programs to minimal reproducers (printed in corpus format)")
-	fuzzCorpus := flag.String("fuzz-corpus", "internal/fuzz/corpus",
+	fs.StringVar(&f.fuzzCorpus, "fuzz-corpus", "internal/fuzz/corpus",
 		"corpus directory replayed before the seed sweep")
-	fuzzVerbose := flag.Bool("fuzz-verbose", false,
+	fs.BoolVar(&f.fuzzVerbose, "fuzz-verbose", false,
 		"print one report line per seed (deterministic at any -parallel; CI byte-compares this)")
+	return f
+}
+
+// usageError is a rejected flag value. gcbench exits 2 on it, as the
+// flag package does on a malformed flag, and 1 on any other error.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// exitCode is the status gcbench exits with after err.
+func exitCode(err error) int {
+	var u usageError
+	if errors.As(err, &u) {
+		return 2
+	}
+	return 1
+}
+
+// fail reports err and exits with its status.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "gcbench:", err)
+	os.Exit(exitCode(err))
+}
+
+// checkTrace rejects trace flags that cannot be honoured.
+func (f *cli) checkTrace() error {
+	if f.traceFormat != "jsonl" && f.traceFormat != "chrome" {
+		return usageError(fmt.Sprintf("unknown -trace-format %q (want jsonl or chrome)", f.traceFormat))
+	}
+	if f.traceHeap && f.traceOut == "" && !f.metrics {
+		return usageError("-trace-heap needs -trace or -metrics: it samples into the trace")
+	}
+	return nil
+}
+
+// session is what the run flags configure: the options and scale every
+// experiment of this invocation runs with, and what the trace and
+// advisor sinks collect for writing after the last experiment.
+type session struct {
+	opts          gcsim.RunOptions
+	scale         gcsim.Scale
+	traceRuns     []*trace.RunData
+	adaptProfiles []*gcsim.AdaptProfile
+}
+
+// session translates the run flags into the options every experiment
+// runs with. An unknown -old is a usageError; an unreadable -adapt-warm
+// store is not.
+func (f *cli) session() (*session, error) {
+	oldc, ok := gcsim.ParseOldCollector(f.old)
+	if !ok {
+		return nil, usageError(fmt.Sprintf("unknown -old %q (want copy, marksweep, or markcompact)", f.old))
+	}
+	s := &session{scale: gcsim.Scale{Repeat: f.repeat, Depth: f.depth}}
+	s.opts = gcsim.RunOptions{Parallelism: f.parallel, Sanitize: f.sanitize, TraceHeap: f.traceHeap,
+		Threads: f.threads, GCWorkers: f.gcWorkers, OldCollector: oldc}
+	if f.progress {
+		s.opts.Events = progressWriter
+	}
+	// Adaptive pretenuring: -adapt turns the advisor on for every
+	// generational run; -adapt-warm seeds it from a stored profile and
+	// -adapt-store collects what this invocation learned. The store sink
+	// receives batches in input order, so the written file is byte-identical
+	// at every -parallel level (the `adapt` CI job diffs exactly that).
+	s.opts.Adapt = f.adapt || f.adaptStore != "" || f.adaptWarm != ""
+	if f.adaptWarm != "" {
+		in, err := os.Open(f.adaptWarm)
+		if err != nil {
+			return nil, err
+		}
+		store, err := gcsim.ReadAdaptStore(in)
+		in.Close()
+		if err != nil {
+			return nil, fmt.Errorf("reading -adapt-warm store: %v", err)
+		}
+		s.opts.AdaptWarm = store
+	}
+	if f.adaptStore != "" {
+		s.opts.AdaptSink = func(batch []*gcsim.AdaptProfile) {
+			s.adaptProfiles = append(s.adaptProfiles, batch...)
+		}
+	}
+	// Trace capture: the experiment renderers batch runs through the
+	// harness internally, so the sink is how the per-run recorders reach
+	// us. Batches arrive in the order the experiment issues them and each
+	// batch is in input order, so the assembled file is deterministic at
+	// every -parallel level.
+	if f.traceOut != "" || f.metrics {
+		s.opts.TraceSink = func(batch []*trace.RunData) {
+			s.traceRuns = append(s.traceRuns, batch...)
+		}
+	}
+	return s, nil
+}
+
+func main() {
+	f := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *fuzzRun {
+	if f.fuzz {
 		//lint:ignore detflow -parallel defaults to NumCPU but only sizes the worker pool; fuzz reports are assembled in seed order and CI byte-compares them at every -parallel level
-		runFuzzCLI(*fuzzSeeds, *fuzzCorpus, *parallel, *fuzzMinimize, *fuzzVerbose, *progress)
+		runFuzzCLI(f.fuzzSeeds, f.fuzzCorpus, f.parallel, f.fuzzMinimize, f.fuzzVerbose, f.progress)
 		return
 	}
-
-	if *traceFormat != "jsonl" && *traceFormat != "chrome" {
-		fmt.Fprintf(os.Stderr, "gcbench: unknown -trace-format %q (want jsonl or chrome)\n", *traceFormat)
-		os.Exit(2)
-	}
-	if *traceHeap && *traceOut == "" && !*metrics {
-		fmt.Fprintln(os.Stderr, "gcbench: -trace-heap needs -trace or -metrics: it samples into the trace")
-		os.Exit(2)
+	if err := f.checkTrace(); err != nil {
+		fail(err)
 	}
 
-	if *list {
+	if f.list {
 		fmt.Println("Benchmarks:")
 		for _, n := range gcsim.Benchmarks() {
 			info, _ := gcsim.Describe(n)
@@ -114,105 +225,54 @@ func main() {
 		return
 	}
 
-	oldc, ok := gcsim.ParseOldCollector(*oldCollector)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "gcbench: unknown -old %q (want copy, marksweep, or markcompact)\n", *oldCollector)
-		os.Exit(2)
+	s, err := f.session()
+	if err != nil {
+		fail(err)
 	}
-
-	opts := gcsim.RunOptions{Parallelism: *parallel, Sanitize: *sanitizeRuns, TraceHeap: *traceHeap,
-		Threads: *threads, GCWorkers: *gcWorkers, OldCollector: oldc}
-	if *progress {
-		opts.Events = progressWriter
-	}
-	// Adaptive pretenuring: -adapt turns the advisor on for every
-	// generational run; -adapt-warm seeds it from a stored profile and
-	// -adapt-store collects what this invocation learned. The store sink
-	// receives batches in input order, so the written file is byte-identical
-	// at every -parallel level (the `adapt` CI job diffs exactly that).
-	opts.Adapt = *adaptRuns || *adaptStore != "" || *adaptWarm != ""
-	if *adaptWarm != "" {
-		in, err := os.Open(*adaptWarm)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gcbench:", err)
-			os.Exit(1)
-		}
-		store, err := gcsim.ReadAdaptStore(in)
-		in.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gcbench: reading -adapt-warm store: %v\n", err)
-			os.Exit(1)
-		}
-		opts.AdaptWarm = store
-	}
-	var adaptProfiles []*gcsim.AdaptProfile
-	if *adaptStore != "" {
-		opts.AdaptSink = func(batch []*gcsim.AdaptProfile) {
-			adaptProfiles = append(adaptProfiles, batch...)
-		}
-	}
-	// Trace capture: the experiment renderers batch runs through the
-	// harness internally, so the sink is how the per-run recorders reach
-	// us. Batches arrive in the order the experiment issues them and each
-	// batch is in input order, so the assembled file is deterministic at
-	// every -parallel level.
-	var traceRuns []*trace.RunData
-	if *traceOut != "" || *metrics {
-		opts.TraceSink = func(batch []*trace.RunData) {
-			traceRuns = append(traceRuns, batch...)
-		}
-	}
-
-	scale := gcsim.Scale{Repeat: *repeat, Depth: *depth}
 	run := func(name string) {
-		//lint:ignore detflow opts.Parallel defaults to NumCPU but only sizes the worker pool; batches land in issue order and each batch is input-ordered, so the output is identical at every -parallel level
-		if err := gcsim.ExperimentOpts(os.Stdout, name, scale, opts); err != nil {
-			fmt.Fprintln(os.Stderr, "gcbench:", err)
-			os.Exit(1)
+		if err := gcsim.ExperimentOpts(os.Stdout, name, s.scale, s.opts); err != nil {
+			fail(err)
 		}
 	}
 
 	switch {
-	case *table >= 1 && *table <= 7:
-		run(fmt.Sprintf("table%d", *table))
-	case *figure == 2:
+	case f.table >= 1 && f.table <= 7:
+		run(fmt.Sprintf("table%d", f.table))
+	case f.figure == 2:
 		run("figure2")
-	case *experiment == "all":
-		fmt.Printf("(workload scale: repeat=%g depth=%g; see EXPERIMENTS.md)\n", *repeat, *depth)
+	case f.experiment == "all":
+		fmt.Printf("(workload scale: repeat=%g depth=%g; see EXPERIMENTS.md)\n", f.repeat, f.depth)
 		for _, e := range gcsim.Experiments() {
 			run(e)
 		}
-	case *experiment != "":
-		run(*experiment)
+	case f.experiment != "":
+		run(f.experiment)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	if *adaptStore != "" {
-		if err := writeAdaptStore(adaptProfiles, *adaptStore); err != nil {
-			fmt.Fprintln(os.Stderr, "gcbench:", err)
-			os.Exit(1)
+	if f.adaptStore != "" {
+		if err := writeAdaptStore(s.adaptProfiles, f.adaptStore); err != nil {
+			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "gcbench: wrote advisor store of %d profiles to %s\n",
-			len(adaptProfiles), *adaptStore)
+			len(s.adaptProfiles), f.adaptStore)
 	}
 
-	if opts.TraceSink != nil {
-		f := trace.NewFile(traceRuns...)
-		if *traceOut != "" {
-			if err := writeTrace(f, *traceOut, *traceFormat); err != nil {
-				fmt.Fprintln(os.Stderr, "gcbench:", err)
-				os.Exit(1)
+	if s.opts.TraceSink != nil {
+		tf := trace.NewFile(s.traceRuns...)
+		if f.traceOut != "" {
+			if err := writeTrace(tf, f.traceOut, f.traceFormat); err != nil {
+				fail(err)
 			}
 			fmt.Fprintf(os.Stderr, "gcbench: wrote %s trace of %d runs to %s\n",
-				*traceFormat, len(f.Runs), *traceOut)
+				f.traceFormat, len(tf.Runs), f.traceOut)
 		}
-		if *metrics {
+		if f.metrics {
 			fmt.Println()
-			if err := f.WriteMetrics(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "gcbench:", err)
-				os.Exit(1)
+			if err := tf.WriteMetrics(os.Stdout); err != nil {
+				fail(err)
 			}
 		}
 	}

@@ -1,0 +1,131 @@
+package main
+
+import (
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"testing"
+
+	"tilgc/gcsim"
+	"tilgc/internal/trace"
+)
+
+// parse parses args as gcbench's command line.
+func parse(t *testing.T, args ...string) *cli {
+	t.Helper()
+	fs := flag.NewFlagSet("gcbench", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := defineFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("%q: %v", args, err)
+	}
+	return f
+}
+
+// sessionOf parses args and builds the run session they configure.
+func sessionOf(t *testing.T, args ...string) *session {
+	t.Helper()
+	f := parse(t, args...)
+	if err := f.checkTrace(); err != nil {
+		t.Fatalf("%q: %v", args, err)
+	}
+	s, err := f.session()
+	if err != nil {
+		t.Fatalf("%q: %v", args, err)
+	}
+	return s
+}
+
+// TestRunFlagsReachRunOptions checks that every flag that configures runs
+// lands in its RunOptions or Scale field: each case's predicate must fail
+// on the default command line and hold once the flag is given.
+func TestRunFlagsReachRunOptions(t *testing.T) {
+	warm := filepath.Join(t.TempDir(), "warm.jsonl")
+	out, err := os.Create(warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (&gcsim.AdaptStore{}).WriteJSONL(out); err != nil {
+		t.Fatal(err)
+	}
+	out.Close()
+	workers := runtime.NumCPU() + 1
+
+	for _, tc := range []struct {
+		args    []string
+		reached func(s *session) bool
+	}{
+		{[]string{"-parallel", strconv.Itoa(workers)}, func(s *session) bool { return s.opts.Parallelism == workers }},
+		{[]string{"-progress"}, func(s *session) bool { return s.opts.Events != nil }},
+		{[]string{"-sanitize"}, func(s *session) bool { return s.opts.Sanitize }},
+		{[]string{"-trace", "t.jsonl"}, func(s *session) bool { return collectsTrace(s) }},
+		{[]string{"-trace-heap", "-trace", "t.jsonl"}, func(s *session) bool { return s.opts.TraceHeap }},
+		{[]string{"-metrics"}, func(s *session) bool { return collectsTrace(s) }},
+		{[]string{"-threads", "3"}, func(s *session) bool { return s.opts.Threads == 3 }},
+		{[]string{"-old", "marksweep"}, func(s *session) bool { return s.opts.OldCollector == gcsim.OldMarkSweep }},
+		{[]string{"-old", "markcompact"}, func(s *session) bool { return s.opts.OldCollector == gcsim.OldMarkCompact }},
+		{[]string{"-gc-workers", "4"}, func(s *session) bool { return s.opts.GCWorkers == 4 }},
+		{[]string{"-adapt"}, func(s *session) bool { return s.opts.Adapt }},
+		{[]string{"-adapt-store", "s.jsonl"}, func(s *session) bool { return s.opts.Adapt && collectsProfiles(s) }},
+		{[]string{"-adapt-warm", warm}, func(s *session) bool { return s.opts.Adapt && s.opts.AdaptWarm != nil }},
+		{[]string{"-repeat", "0.5"}, func(s *session) bool { return s.scale.Repeat == 0.5 }},
+		{[]string{"-depth", "0.25"}, func(s *session) bool { return s.scale.Depth == 0.25 }},
+	} {
+		if tc.reached(sessionOf(t)) {
+			t.Errorf("%q: predicate already holds on the default command line", tc.args)
+		}
+		if !tc.reached(sessionOf(t, tc.args...)) {
+			t.Errorf("%q: flag did not reach its run option", tc.args)
+		}
+	}
+}
+
+// collectsTrace reports whether the session's trace sink keeps what it is
+// handed for the trace file and metrics written after the experiments.
+func collectsTrace(s *session) bool {
+	if s.opts.TraceSink == nil {
+		return false
+	}
+	s.opts.TraceSink([]*trace.RunData{{}})
+	return len(s.traceRuns) == 1
+}
+
+// collectsProfiles is collectsTrace for the advisor-store sink.
+func collectsProfiles(s *session) bool {
+	if s.opts.AdaptSink == nil {
+		return false
+	}
+	s.opts.AdaptSink([]*gcsim.AdaptProfile{{}})
+	return len(s.adaptProfiles) == 1
+}
+
+// TestRejectedFlagsExitTwo checks that flag values gcbench cannot honour
+// are usage errors (exit status 2), and that an unreadable warm-start
+// store is an ordinary failure (status 1).
+func TestRejectedFlagsExitTwo(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-old", "bogus"}, 2},
+		{[]string{"-trace-format", "x"}, 2},
+		{[]string{"-trace-heap"}, 2},
+		{[]string{"-adapt-warm", filepath.Join(t.TempDir(), "missing.jsonl")}, 1},
+	} {
+		f := parse(t, tc.args...)
+		err := f.checkTrace()
+		if err == nil {
+			_, err = f.session()
+		}
+		if err == nil {
+			t.Errorf("%q accepted", tc.args)
+			continue
+		}
+		if got := exitCode(err); got != tc.want {
+			t.Errorf("%q: exit %d (%v), want %d", tc.args, got, err, tc.want)
+		}
+	}
+}

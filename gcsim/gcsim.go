@@ -363,59 +363,55 @@ const (
 	EventRunFinished = harness.EventRunFinished
 )
 
+// experiments is every Experiment in the order Experiments lists them
+// (and `gcbench -experiment all` runs them), each with its renderer.
+var experiments = []struct {
+	name   string
+	render func(io.Writer, Scale, RunOptions) error
+}{
+	{"table1", func(w io.Writer, _ Scale, _ RunOptions) error { return harness.Table1(w) }},
+	{"table2", harness.Table2},
+	{"table3", harness.Table3},
+	{"table4", harness.Table4},
+	{"table5", harness.Table5},
+	{"table6", harness.Table6},
+	{"table7", harness.Table7},
+	{"figure2", harness.Figure2},
+	{"elide", harness.ExtensionElide},
+	{"barrier", harness.ExtensionBarrier},
+	{"aging", harness.ExtensionAging},
+	{"markersweep", func(w io.Writer, scale Scale, opts RunOptions) error {
+		return harness.MarkerSweep(w, scale, []string{"Knuth-Bendix", "Color"}, []int{5, 10, 25, 50, 100}, opts)
+	}},
+	{"adapt", harness.ExperimentAdapt},
+	{"slo", harness.ExperimentSLO},
+	{"oldgen", harness.ExperimentOldgen},
+}
+
 // Experiment regenerates one of the paper's tables or figures, writing
-// the rendered result to w. Valid names: "table1" ... "table7",
-// "figure2", "elide", "barrier", "markersweep", "adapt", "slo",
-// "oldgen".
+// the rendered result to w. Experiments lists the valid names.
 func Experiment(w io.Writer, name string, scale Scale) error {
 	return ExperimentOpts(w, name, scale, RunOptions{})
 }
 
 // ExperimentOpts is Experiment with explicit execution options.
 func ExperimentOpts(w io.Writer, name string, scale Scale, opts RunOptions) error {
-	switch name {
-	case "table1":
-		return harness.Table1(w)
-	case "table2":
-		return harness.Table2(w, scale, opts)
-	case "table3":
-		return harness.Table3(w, scale, opts)
-	case "table4":
-		return harness.Table4(w, scale, opts)
-	case "table5":
-		return harness.Table5(w, scale, opts)
-	case "table6":
-		return harness.Table6(w, scale, opts)
-	case "table7":
-		return harness.Table7(w, scale, opts)
-	case "figure2":
-		return harness.Figure2(w, scale, opts)
-	case "elide":
-		return harness.ExtensionElide(w, scale, opts)
-	case "barrier":
-		return harness.ExtensionBarrier(w, scale, opts)
-	case "aging":
-		return harness.ExtensionAging(w, scale, opts)
-	case "markersweep":
-		return harness.MarkerSweep(w, scale,
-			[]string{"Knuth-Bendix", "Color"}, []int{5, 10, 25, 50, 100}, opts)
-	case "adapt":
-		return harness.ExperimentAdapt(w, scale, opts)
-	case "slo":
-		return harness.ExperimentSLO(w, scale, opts)
-	case "oldgen":
-		return harness.ExperimentOldgen(w, scale, opts)
+	for _, e := range experiments {
+		if e.name == name {
+			return e.render(w, scale, opts)
+		}
 	}
 	return fmt.Errorf("gcsim: unknown experiment %q", name)
 }
 
-// Experiments lists the valid Experiment names.
+// Experiments lists the valid Experiment names, in paper order: the
+// tables, Figure 2, then the extensions.
 func Experiments() []string {
-	return []string{
-		"table1", "table2", "table3", "table4", "table5", "table6",
-		"table7", "figure2", "elide", "barrier", "aging", "markersweep",
-		"adapt", "slo", "oldgen",
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
 	}
+	return names
 }
 
 // ---- Adaptive pretenuring ---------------------------------------------------

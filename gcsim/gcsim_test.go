@@ -1,6 +1,7 @@
 package gcsim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -182,14 +183,13 @@ func TestAgingConfigThroughFacade(t *testing.T) {
 }
 
 func TestExperimentAgingListed(t *testing.T) {
-	found := false
-	for _, e := range Experiments() {
-		if e == "aging" {
-			found = true
-		}
+	want := []string{
+		"table1", "table2", "table3", "table4", "table5", "table6",
+		"table7", "figure2", "elide", "barrier", "aging", "markersweep",
+		"adapt", "slo", "oldgen",
 	}
-	if !found {
-		t.Fatal("aging experiment not listed")
+	if got := Experiments(); !slices.Equal(got, want) {
+		t.Fatalf("Experiments() = %q, want %q", got, want)
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"tilgc/internal/costmodel"
 	"tilgc/internal/mem"
 	"tilgc/internal/obj"
@@ -10,9 +12,13 @@ import (
 
 // base is the skeleton Semispace and Generational share: the runtime they
 // collect for, the configuration (defaults filled), the thread set, the
-// root scanners, the large-object space, the worker tally, and the
-// statistics block, with the bookkeeping every collection runs the same
-// way.
+// root scanners, the large-object space, the worker tally, the pooled
+// evacuator, and the statistics block. It runs every step the two
+// collectors take the same way: the mutator's loads and initializing
+// stores, the allocation charge and notice, the LOS share of the budget,
+// arming the evacuator, and opening and closing each collection. The
+// collectors keep what differs: allocation routing, the barriered store,
+// the root scan, and the collection algorithm itself.
 type base struct {
 	heap  *mem.Heap
 	meter *costmodel.Meter
@@ -30,6 +36,11 @@ type base struct {
 	// own scanner.
 	threads   *rt.ThreadSet
 	tscanners []*StackScanner // per-thread scanners, indexed by thread id
+
+	// ev is pooled across collections (see evacuation): its frontiers and
+	// LOS queue are reused, so a steady-state collection allocates nothing
+	// on the Go heap.
+	ev evacuator
 
 	stats GCStats
 }
@@ -129,6 +140,65 @@ func (b *base) chargeAlloc(k obj.Kind, size uint64) {
 	} else {
 		b.stats.ArrayBytes += size * mem.WordSize
 	}
+}
+
+// noteAlloc reports one allocation of size words at a to the trace and
+// the profiler.
+func (b *base) noteAlloc(a mem.Addr, site obj.SiteID, k obj.Kind, size uint64, pretenured bool) {
+	b.tr.AllocSite(site, size, pretenured)
+	if b.prof != nil {
+		b.prof.OnAlloc(a, site, k, size, pretenured)
+	}
+}
+
+// losLimit is the large-object share of the budget: up to half the total
+// (the semispace and tenured sizing adapt to the live LOS share after
+// each sweep).
+func (b *base) losLimit() uint64 {
+	return b.cfg.BudgetWords / 2
+}
+
+// LoadField implements Collector.
+func (b *base) LoadField(a mem.Addr, i uint64) uint64 {
+	b.meter.Charge(costmodel.Client, costmodel.MutatorLoad)
+	return obj.Field(b.heap, a, i)
+}
+
+// InitField implements Collector: initializing stores are not pointer
+// updates and skip the barrier.
+//
+//gc:nobarrier initializing stores skip the barrier by design (§6): the semispace collector evacuates the entire heap at every GC and keeps no remembered set; under the generational collector nursery objects are scanned at the next minor GC anyway, and pretenured objects are covered by the allocated-into region rescan
+func (b *base) InitField(a mem.Addr, i uint64, v uint64) {
+	b.meter.Charge(costmodel.Client, costmodel.MutatorStore)
+	obj.SetField(b.heap, a, i, v)
+}
+
+// evacuation rearms the pooled evacuator for an evacuation of the
+// condemned spaces into to, with this collector's heap, meter, statistics,
+// profiler, LOS, trace and worker tally. Pre-existing objects in to
+// (allocated before this collection) are not rescanned; scanning starts at
+// the current allocation frontier. Every other field starts zero: the
+// caller sets the generational roles (tenuredID, old, route, ...) itself.
+func (b *base) evacuation(condemned []mem.SpaceID, to *mem.Space) *evacuator {
+	e := &b.ev
+	if len(condemned) > len(e.condemned) {
+		panic(fmt.Sprintf("core: %d condemned spaces exceed the evacuator's capacity", len(condemned)))
+	}
+	scans := append(e.scans[:0], spaceScan{space: to, next: to.Used() + 1})
+	*e = evacuator{
+		heap:     b.heap,
+		meter:    b.meter,
+		stats:    &b.stats,
+		prof:     b.prof,
+		to:       to,
+		los:      b.los,
+		tr:       b.tr,
+		tally:    b.tally,
+		scans:    scans,
+		losQueue: e.losQueue[:0],
+	}
+	e.ncondemned = copy(e.condemned[:], condemned)
+	return e
 }
 
 // gcSpan is one open collection: the statistics and the GC clock at its

@@ -68,11 +68,9 @@ type Generational struct {
 	// policy view (Inspect) must keep naming it.
 	advPolicy *PretenurePolicy
 
-	// Pooled per-collection scratch (see evacuator.begin): the evacuator
-	// itself, the sorted dirty-card ids, and the expanded card field
-	// addresses. Reused so steady-state minor collections allocate
-	// nothing on the Go heap.
-	ev      evacuator
+	// Pooled per-collection scratch, like the skeleton's evacuator: the
+	// sorted dirty-card ids and the expanded card field addresses. Reused
+	// so steady-state minor collections allocate nothing on the Go heap.
 	cardBuf []uint64
 	cardFAs []mem.Addr
 }
@@ -198,21 +196,6 @@ func (c *Generational) Name() string {
 	return n
 }
 
-// beginQ/endQ bracket one unit of parallel-phase work on the collector
-// side (remembered-set entries, pretenured-region objects); no-ops with
-// a nil tally.
-func (c *Generational) beginQ() {
-	if c.tally != nil {
-		c.tally.BeginQuantum()
-	}
-}
-
-func (c *Generational) endQ() {
-	if c.tally != nil {
-		c.tally.EndQuantum()
-	}
-}
-
 // PointerUpdates returns the lifetime count of barriered pointer stores
 // across every thread: the shared card table's count, or the per-thread
 // SSB counts summed.
@@ -259,10 +242,7 @@ func (c *Generational) Alloc(k obj.Kind, length uint64, site obj.SiteID, mask ui
 	if !ok {
 		a = c.allocNurserySlow(k, length, site, mask, size)
 	}
-	c.tr.AllocSite(site, size, false)
-	if c.prof != nil {
-		c.prof.OnAlloc(a, site, k, size, false)
-	}
+	c.noteAlloc(a, site, k, size, false)
 	return a
 }
 
@@ -273,10 +253,7 @@ func (c *Generational) allocLarge(k obj.Kind, length uint64, site obj.SiteID, ma
 		c.Collect(true)
 	}
 	a := c.los.Alloc(k, length, site, mask)
-	c.tr.AllocSite(site, size, false)
-	if c.prof != nil {
-		c.prof.OnAlloc(a, site, k, size, false)
-	}
+	c.noteAlloc(a, site, k, size, false)
 	return a
 }
 
@@ -326,10 +303,7 @@ func (c *Generational) allocPretenured(k obj.Kind, length uint64, site obj.SiteI
 		if a, ok := c.old.allocObject(k, length, site, mask); ok {
 			c.pretenured.add(a.Space(), a.Offset(), size)
 			c.stats.Pretenured++
-			c.tr.AllocSite(site, size, true)
-			if c.prof != nil {
-				c.prof.OnAlloc(a, site, k, size, true)
-			}
+			c.noteAlloc(a, site, k, size, true)
 			return a
 		}
 	}
@@ -346,23 +320,8 @@ func (c *Generational) allocPretenured(k obj.Kind, length uint64, site obj.SiteI
 	}
 	c.pretenured.add(a.Space(), a.Offset(), size)
 	c.stats.Pretenured++
-	c.tr.AllocSite(site, size, true)
-	if c.prof != nil {
-		c.prof.OnAlloc(a, site, k, size, true)
-	}
+	c.noteAlloc(a, site, k, size, true)
 	return a
-}
-
-// losLimit is the large-object share of the budget: up to half the total
-// (tenured sizing adapts to the live LOS share after each major).
-func (c *Generational) losLimit() uint64 {
-	return c.cfg.BudgetWords / 2
-}
-
-// LoadField implements Collector.
-func (c *Generational) LoadField(a mem.Addr, i uint64) uint64 {
-	c.meter.Charge(costmodel.Client, costmodel.MutatorLoad)
-	return obj.Field(c.heap, a, i)
 }
 
 // StoreField implements Collector: pointer stores pass through the write
@@ -382,15 +341,6 @@ func (c *Generational) StoreField(a mem.Addr, i uint64, v uint64, isPtr bool) {
 			c.threads.Current().SSB().Record(fa)
 		}
 	}
-}
-
-// InitField implements Collector: initializing stores are not pointer
-// updates and skip the barrier.
-//
-//gc:nobarrier initializing stores skip the barrier by design (§6): nursery objects are scanned at the next minor GC anyway, and pretenured objects are covered by the allocated-into region rescan
-func (c *Generational) InitField(a mem.Addr, i uint64, v uint64) {
-	c.meter.Charge(costmodel.Client, costmodel.MutatorStore)
-	obj.SetField(c.heap, a, i, v)
 }
 
 // Collect implements Collector.
@@ -439,11 +389,8 @@ func (c *Generational) minorGC() {
 		}
 		agingTo = c.heap.ReplaceSpace(toID, c.nursery.Used()+c.aging.Used()+64)
 	}
-	ev := &c.ev
-	ev.begin(c.heap, c.meter, &c.stats, c.prof, condemned[:ncond], c.ten, c.los)
-	ev.tr = c.tr
+	ev := c.evacuation(condemned[:ncond], c.ten)
 	ev.tenuredID = c.ten.ID()
-	ev.tally = c.tally
 	// Non-moving old generation: promotions reuse free-list spans and set
 	// allocation bits (oldMark stays false — minors leave tenured pointers
 	// untouched, exactly like the copying collector).
@@ -483,19 +430,19 @@ func (c *Generational) minorGC() {
 	c.endParallelPhase(trace.PhaseRoots)
 	c.tr.BeginPhase(trace.PhaseRemSet)
 	for _, fa := range oldSticky {
-		c.beginQ()
+		c.tally.BeginQuantum()
 		c.meter.Charge(costmodel.GCCopy, costmodel.SSBEntry)
 		c.forwardIfYoung(ev, fa, c.nursery.ID())
-		c.endQ()
+		c.tally.EndQuantum()
 	}
 	c.processBarrier(ev)
 	c.endParallelPhase(trace.PhaseRemSet)
 	c.tr.BeginPhase(trace.PhasePretenured)
 	c.scanPretenuredRegions(ev)
 	for _, a := range c.los.Fresh() {
-		c.beginQ()
+		c.tally.BeginQuantum()
 		c.scanForYoung(ev, a)
-		c.endQ()
+		c.tally.EndQuantum()
 	}
 	c.los.TakeFresh()
 	c.endParallelPhase(trace.PhasePretenured)
@@ -503,13 +450,7 @@ func (c *Generational) minorGC() {
 	c.tr.BeginPhase(trace.PhaseCopy)
 	ev.drain()
 	c.endParallelPhase(trace.PhaseCopy)
-	if c.prof != nil {
-		c.prof.OnSpaceCondemned(c.nursery.ID())
-		if agingTo != nil {
-			c.prof.OnSpaceCondemned(c.aging.ID())
-		}
-		c.prof.OnGCEnd()
-	}
+	ev.condemnedDead()
 	c.nursery.Reset()
 	if agingTo != nil {
 		c.heap.ReplaceSpace(c.aging.ID(), 0)
@@ -552,15 +493,15 @@ func (c *Generational) processBarrier(ev *evacuator) {
 		// spanning the frontier pick up newly promoted fields.
 		c.collectCardFieldAddrs()
 		for _, fa := range c.cardFAs {
-			c.beginQ()
+			c.tally.BeginQuantum()
 			c.forwardIfYoung(ev, fa, nid)
-			c.endQ()
+			c.tally.EndQuantum()
 		}
 		c.cards.Drain()
 		return
 	}
 	cb := func(fa mem.Addr) {
-		c.beginQ()
+		c.tally.BeginQuantum()
 		c.meter.Charge(costmodel.GCCopy, costmodel.SSBEntry)
 		c.stats.SSBProcessed++
 		if !c.isYoung(fa.Space()) {
@@ -568,7 +509,7 @@ func (c *Generational) processBarrier(ev *evacuator) {
 			// (if live) is fully scanned during evacuation anyway.
 			c.forwardIfYoung(ev, fa, nid)
 		}
-		c.endQ()
+		c.tally.EndQuantum()
 	}
 	// Every thread's buffer drains in thread-id order, dead threads'
 	// included: their stores were real pointer updates.
@@ -639,9 +580,9 @@ func (c *Generational) appendSpaceCardFAs(fas []mem.Addr, spid mem.SpaceID, card
 		if hi > lo {
 			// One quantum per dirty card: card examination parallelizes
 			// card-by-card across the simulated workers.
-			c.beginQ()
+			c.tally.BeginQuantum()
 			c.meter.ChargeN(costmodel.GCCopy, costmodel.ScanPtrTest, hi-lo)
-			c.endQ()
+			c.tally.EndQuantum()
 		}
 	}
 	if la, ok := c.los.ObjectIn(spid); ok {
@@ -735,13 +676,13 @@ func (c *Generational) scanPretenuredRegions(ev *evacuator) {
 		for off < r.end {
 			a := mem.MakeAddr(r.space, off)
 			o := obj.Decode(c.heap, a)
-			c.beginQ()
+			c.tally.BeginQuantum()
 			if d, ok := c.cfg.Pretenure.Lookup(o.Site); ok && d.OnlyOldRefs && c.cfg.ScanElision {
 				c.meter.Charge(costmodel.GCCopy, costmodel.ScanPtrTest)
 			} else {
 				c.scanForYoungObject(ev, o)
 			}
-			c.endQ()
+			c.tally.EndQuantum()
 			off += o.SizeWords()
 		}
 	}
@@ -822,11 +763,8 @@ func (c *Generational) majorCopy() {
 		condemned[2] = c.aging.ID()
 		ncond = 3
 	}
-	ev := &c.ev
-	ev.begin(c.heap, c.meter, &c.stats, c.prof, condemned[:ncond], to, c.los)
-	ev.tr = c.tr
+	ev := c.evacuation(condemned[:ncond], to)
 	ev.tenuredID = toID
-	ev.tally = c.tally
 	ev.oldFromID = fromID
 
 	c.tr.BeginPhase(trace.PhaseRoots)
@@ -836,43 +774,16 @@ func (c *Generational) majorCopy() {
 	ev.drain()
 	c.endParallelPhase(trace.PhaseCopy)
 	c.tr.BeginPhase(trace.PhaseSweep)
-	c.los.Sweep(c.prof)
+	c.los.Sweep(c.prof, nil)
 	c.tr.EndPhase(trace.PhaseSweep)
-	c.los.TakeFresh()
-	if c.prof != nil {
-		c.prof.OnSpaceCondemned(c.nursery.ID())
-		c.prof.OnSpaceCondemned(fromID)
-		if c.aging != nil {
-			c.prof.OnSpaceCondemned(c.aging.ID())
-		}
-		c.prof.OnGCEnd()
-	}
-	c.nursery.Reset()
-	if c.aging != nil {
-		c.aging = c.heap.ReplaceSpace(c.aging.ID(), c.cfg.NurseryWords+64)
-	}
-	c.sticky = c.sticky[:0] // no old-to-young refs survive a full collection
-	// The barrier's remembered set and the pretenured regions are stale
-	// and unnecessary: there are no old-to-young pointers after a full
-	// collection.
-	c.dropBarrier()
-	c.pretenured.clear()
 
 	live := to.Used()
-	// Tenured resize: target liveness 0.3 within the budget share.
-	newCap := uint64(float64(live) / targetTenuredLiveness)
+	// Tenured resize within the budget share, less a copy reserve.
 	maxCap := c.initialTenCap()
 	if losWords := c.los.UsedWords(); 2*losWords < c.cfg.BudgetWords-c.cfg.NurseryWords {
 		maxCap = (c.cfg.BudgetWords - c.cfg.NurseryWords - losWords) / 2
 	}
-	if newCap > maxCap {
-		newCap = maxCap
-	}
-	minCap := live + c.cfg.NurseryWords/4 + 256
-	if newCap < minCap {
-		newCap = minCap // budget-starved: keep limping with minimum headroom
-	}
-	c.tenCap = newCap
+	c.finishMajor(live, maxCap)
 	// Physical capacity grows lazily toward the logical threshold; just
 	// leave room for the next nursery promotion.
 	need := live + c.cfg.NurseryWords + 1024
@@ -902,11 +813,8 @@ func (c *Generational) beginNonmovingMajor() *evacuator {
 		condemned[1] = c.aging.ID()
 		ncond = 2
 	}
-	ev := &c.ev
-	ev.begin(c.heap, c.meter, &c.stats, c.prof, condemned[:ncond], c.ten, c.los)
-	ev.tr = c.tr
+	ev := c.evacuation(condemned[:ncond], c.ten)
 	ev.tenuredID = c.ten.ID()
-	ev.tally = c.tally
 	ev.old = c.old
 	ev.oldMark = true
 	return ev
@@ -925,7 +833,7 @@ func (c *Generational) majorMarkSweep() {
 	c.endParallelPhase(trace.PhaseMark)
 	c.tr.BeginPhase(trace.PhaseSweep)
 	c.sweepOld()
-	c.los.SweepWith(c.prof, c.beginQ, c.endQ)
+	c.los.Sweep(c.prof, c.tally)
 	c.endParallelPhase(trace.PhaseSweep)
 
 	c.finishNonmovingMajor()
@@ -952,56 +860,51 @@ func (c *Generational) majorMarkCompact() {
 	c.compactOld()
 	c.endParallelPhase(trace.PhaseCompact)
 	c.tr.BeginPhase(trace.PhaseSweep)
-	c.los.SweepWith(c.prof, c.beginQ, c.endQ)
+	c.los.Sweep(c.prof, c.tally)
 	c.endParallelPhase(trace.PhaseSweep)
 
 	c.finishNonmovingMajor()
 }
 
-// finishNonmovingMajor is the shared back half of the non-moving majors:
-// the same epilogue as the copying major (fresh-list, profiler, space
-// resets, remembered-set drop) with the tenured resize driven by
-// occupancy rather than a new semispace's frontier, and no from-space to
+// finishNonmovingMajor is the back half of the non-moving majors: the
+// shared epilogue with the tenured resize driven by occupancy rather than
+// a new semispace's frontier. Without a copy reserve the whole non-LOS
+// remainder of the budget is usable, and there is no from-space to
 // release.
 func (c *Generational) finishNonmovingMajor() {
-	c.los.TakeFresh()
-	if c.prof != nil {
-		c.prof.OnSpaceCondemned(c.nursery.ID())
-		if c.aging != nil {
-			c.prof.OnSpaceCondemned(c.aging.ID())
-		}
-		c.prof.OnGCEnd()
-	}
-	c.nursery.Reset()
-	if c.aging != nil {
-		c.aging = c.heap.ReplaceSpace(c.aging.ID(), c.cfg.NurseryWords+64)
-	}
-	c.sticky = c.sticky[:0] // no old-to-young refs survive a full collection
-	c.dropBarrier()
-	c.pretenured.clear()
-
-	live := c.tenLive()
-	// Tenured resize: target liveness within the budget share. Without a
-	// copy reserve the whole non-LOS remainder of the budget is usable.
-	newCap := uint64(float64(live) / targetTenuredLiveness)
 	maxCap := c.initialTenCap()
 	if c.cfg.BudgetWords > c.cfg.NurseryWords {
 		if avail := c.cfg.BudgetWords - c.cfg.NurseryWords; c.los.UsedWords() < avail {
 			maxCap = avail - c.los.UsedWords()
 		}
 	}
-	if newCap > maxCap {
-		newCap = maxCap
-	}
-	minCap := live + c.cfg.NurseryWords/4 + 256
-	if newCap < minCap {
-		newCap = minCap // budget-starved: keep limping with minimum headroom
-	}
-	c.tenCap = newCap
+	c.finishMajor(c.tenLive(), maxCap)
 	// The bitmap now coincides with the traced reachable set; any mutator
 	// allocation or store invalidates that reading (noteOldMutation).
 	c.old.marksFresh = true
 	c.updateMaxLive()
+}
+
+// finishMajor is the epilogue every major collection shares: the LOS
+// fresh list and the condemned spaces are closed, the young spaces reset,
+// and the sticky set, the barrier's remembered set and the pretenured
+// regions dropped — no old-to-young pointers survive a full collection.
+// The tenured threshold is then resized to the target liveness, clamped
+// to maxCap and to minimum headroom above the live words.
+func (c *Generational) finishMajor(live, maxCap uint64) {
+	c.los.TakeFresh()
+	c.ev.condemnedDead()
+	c.nursery.Reset()
+	if c.aging != nil {
+		c.aging = c.heap.ReplaceSpace(c.aging.ID(), c.cfg.NurseryWords+64)
+	}
+	c.sticky = c.sticky[:0]
+	c.dropBarrier()
+	c.pretenured.clear()
+
+	newCap := min(uint64(float64(live)/targetTenuredLiveness), maxCap)
+	// Budget-starved: keep limping with minimum headroom.
+	c.tenCap = max(newCap, live+c.cfg.NurseryWords/4+256)
 }
 
 // updateMaxLive records the live-set high-water mark. It is only called

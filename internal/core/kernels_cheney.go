@@ -16,10 +16,10 @@ import (
 // breadth-first queue. Large objects (which live in the mark-sweep LOS and
 // are never copied) are marked and queued for field scanning instead.
 //
-// Collectors keep one evacuator value alive across collections and rearm
-// it with begin() each cycle, so the scan frontiers and LOS queue are
-// pooled: a steady-state minor collection allocates nothing on the Go
-// heap.
+// The collector skeleton keeps one evacuator value alive across
+// collections and rearms it each cycle (base.evacuation), so the scan
+// frontiers and LOS queue are pooled: a steady-state minor collection
+// allocates nothing on the Go heap.
 type evacuator struct {
 	heap  *mem.Heap
 	meter *costmodel.Meter
@@ -84,47 +84,23 @@ type spaceScan struct {
 	next  uint64
 }
 
-// begin rearms the evacuator for an evacuation of the condemned spaces
-// into to, reusing the pooled frontier and LOS-queue storage. Pre-existing
-// objects in to (allocated before this collection) are not rescanned;
-// scanning starts at the current allocation frontier.
-func (e *evacuator) begin(heap *mem.Heap, meter *costmodel.Meter, stats *GCStats, prof Profiler,
-	condemned []mem.SpaceID, to *mem.Space, los *LOS) {
-	if len(condemned) > len(e.condemned) {
-		panic(fmt.Sprintf("core: %d condemned spaces exceed the evacuator's capacity", len(condemned)))
-	}
-	scans := append(e.scans[:0], spaceScan{space: to, next: to.Used() + 1})
-	*e = evacuator{
-		heap:     heap,
-		meter:    meter,
-		stats:    stats,
-		prof:     prof,
-		to:       to,
-		los:      los,
-		scans:    scans,
-		losQueue: e.losQueue[:0],
-	}
-	e.ncondemned = copy(e.condemned[:], condemned)
-}
-
 // addDest registers an additional destination space for routing; objects
 // copied into it are Cheney-scanned like the primary to-space.
 func (e *evacuator) addDest(s *mem.Space) {
 	e.scans = append(e.scans, spaceScan{space: s, next: s.Used() + 1})
 }
 
-// beginQ/endQ bracket one unit of parallel-phase work; no-ops with a nil
-// tally (the single-worker case).
-func (e *evacuator) beginQ() {
-	if e.tally != nil {
-		e.tally.BeginQuantum()
+// condemnedDead closes the collection for the profiler: every object
+// still recorded in a condemned space died, declared space by space in
+// condemned order, then the collection ends.
+func (e *evacuator) condemnedDead() {
+	if e.prof == nil {
+		return
 	}
-}
-
-func (e *evacuator) endQ() {
-	if e.tally != nil {
-		e.tally.EndQuantum()
+	for _, id := range e.condemned[:e.ncondemned] {
+		e.prof.OnSpaceCondemned(id)
 	}
+	e.prof.OnGCEnd()
 }
 
 // isCondemned reports whether space id is being collected this cycle.
@@ -318,24 +294,24 @@ func (e *evacuator) scanAt(sp *mem.Space, off uint64) uint64 {
 	k := obj.HeaderKind(hd)
 	length := obj.HeaderLen(hd)
 	size := obj.SizeWords(k, length)
-	e.beginQ()
+	e.tally.BeginQuantum()
 	e.meter.ChargeN(costmodel.GCCopy, costmodel.ScanWord, size)
-	e.endQ()
+	e.tally.EndQuantum()
 	switch k {
 	case obj.RawArray:
 	case obj.PtrArray:
 		base := off + 1
 		for i := uint64(0); i < length; i++ {
-			e.beginQ()
+			e.tally.BeginQuantum()
 			e.forwardWord(words, sp.ID(), base+i)
-			e.endQ()
+			e.tally.EndQuantum()
 		}
 	case obj.Record:
 		base := off + 2
 		for mask := words[off+1]; mask != 0; mask &= mask - 1 {
-			e.beginQ()
+			e.tally.BeginQuantum()
 			e.forwardWord(words, sp.ID(), base+uint64(bits.TrailingZeros64(mask)))
-			e.endQ()
+			e.tally.EndQuantum()
 		}
 	default:
 		panic(fmt.Sprintf("core: scanning %v object at %v", k, mem.MakeAddr(sp.ID(), off)))
@@ -368,23 +344,23 @@ func (e *evacuator) scanObject(a mem.Addr) {
 // Quanta are per field, matching scanAt (large objects in particular are
 // chunked across workers, not scanned as one unit).
 func (e *evacuator) scanDecoded(o obj.Object) {
-	e.beginQ()
+	e.tally.BeginQuantum()
 	e.meter.ChargeN(costmodel.GCCopy, costmodel.ScanWord, o.SizeWords())
-	e.endQ()
+	e.tally.EndQuantum()
 	switch o.Kind {
 	case obj.RawArray:
 		return
 	case obj.PtrArray:
 		for i := uint64(0); i < o.Len; i++ {
-			e.beginQ()
+			e.tally.BeginQuantum()
 			e.forwardField(o.PayloadAddr(i))
-			e.endQ()
+			e.tally.EndQuantum()
 		}
 	case obj.Record:
 		for mask := o.Mask; mask != 0; mask &= mask - 1 {
-			e.beginQ()
+			e.tally.BeginQuantum()
 			e.forwardField(o.PayloadAddr(uint64(bits.TrailingZeros64(mask))))
-			e.endQ()
+			e.tally.EndQuantum()
 		}
 	default:
 		panic(fmt.Sprintf("core: scanning %v object at %v", o.Kind, o.Addr))

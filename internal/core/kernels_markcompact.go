@@ -70,12 +70,12 @@ func (c *Generational) compactOld() {
 // mark-sweep collector nothing is "returned to free lists" — the slide
 // reclaims by repacking — so WordsSwept stays untouched.
 func (c *Generational) compactDead(off uint64) {
-	c.beginQ()
+	c.tally.BeginQuantum()
 	c.meter.Charge(costmodel.GCCopy, costmodel.SweepObject)
 	if c.prof != nil {
 		c.prof.OnLOSDead(mem.MakeAddr(c.old.id, off))
 	}
-	c.endQ()
+	c.tally.EndQuantum()
 }
 
 // compactPlan is pass A: live runs come straight off
@@ -115,7 +115,7 @@ func (c *Generational) compactPlan() []compactRun {
 func (c *Generational) compactFixRoots(runs []compactRun) {
 	os := c.old
 	for _, rf := range c.rootFix {
-		c.beginQ()
+		c.tally.BeginQuantum()
 		c.meter.Charge(costmodel.GCCopy, costmodel.ScanPtrTest)
 		if rf.loc.IsReg {
 			v := rf.st.Reg(rf.loc.Index)
@@ -128,7 +128,7 @@ func (c *Generational) compactFixRoots(runs []compactRun) {
 				rf.st.SetRawSlot(rf.loc.Index, uint64(mem.MakeAddr(os.id, remapOldOffset(runs, a.Offset()))))
 			}
 		}
-		c.endQ()
+		c.tally.EndQuantum()
 	}
 	c.rootFix = c.rootFix[:0]
 }
@@ -146,7 +146,7 @@ func (c *Generational) compactFixHeap(runs []compactRun) {
 			hd := w[off]
 			k := obj.HeaderKind(hd)
 			length := obj.HeaderLen(hd)
-			c.beginQ()
+			c.tally.BeginQuantum()
 			switch k {
 			case obj.PtrArray:
 				base := off + 1
@@ -161,7 +161,7 @@ func (c *Generational) compactFixHeap(runs []compactRun) {
 					c.remapWordRaw(runs, w, base+uint64(bits.TrailingZeros64(m)))
 				}
 			}
-			c.endQ()
+			c.tally.EndQuantum()
 			off += obj.SizeWords(k, length)
 		}
 	}
@@ -188,7 +188,7 @@ func (c *Generational) compactFixLOS(runs []compactRun) {
 			continue
 		}
 		o := obj.Decode(c.heap, a)
-		c.beginQ()
+		c.tally.BeginQuantum()
 		if o.Kind != obj.RawArray {
 			for i := uint64(0); i < o.Len; i++ {
 				if !o.IsPtrField(i) {
@@ -201,7 +201,7 @@ func (c *Generational) compactFixLOS(runs []compactRun) {
 				}
 			}
 		}
-		c.endQ()
+		c.tally.EndQuantum()
 	}
 }
 
@@ -226,14 +226,14 @@ func (c *Generational) compactSlide(runs []compactRun) uint64 {
 		for src < r.src+r.size {
 			hd := w[src]
 			size := obj.SizeWords(obj.HeaderKind(hd), obj.HeaderLen(hd))
-			c.beginQ()
+			c.tally.BeginQuantum()
 			c.meter.ChargeN(costmodel.GCCopy, costmodel.SlideWordTest, size)
 			c.stats.WordsSlid += size
 			copy(w[dst:dst+size], w[src:src+size])
 			if c.prof != nil {
 				c.prof.OnMove(mem.MakeAddr(os.id, src), mem.MakeAddr(os.id, dst))
 			}
-			c.endQ()
+			c.tally.EndQuantum()
 			src += size
 			dst += size
 		}

@@ -22,9 +22,9 @@ import (
 // quantum.
 func (c *Generational) sweepOldStripes(used uint64) {
 	for n := (used + 63) / 64; n > 0; n-- {
-		c.beginQ()
+		c.tally.BeginQuantum()
 		c.meter.Charge(costmodel.GCCopy, costmodel.SweepWordTest)
-		c.endQ()
+		c.tally.EndQuantum()
 	}
 }
 
@@ -33,13 +33,13 @@ func (c *Generational) sweepOldStripes(used uint64) {
 // classifies the death from its own record, so tenured and large-object
 // deaths share the callback).
 func (c *Generational) sweepOldDead(off, size uint64) {
-	c.beginQ()
+	c.tally.BeginQuantum()
 	c.meter.Charge(costmodel.GCCopy, costmodel.SweepObject)
 	c.stats.WordsSwept += size
 	if c.prof != nil {
 		c.prof.OnLOSDead(mem.MakeAddr(c.old.id, off))
 	}
-	c.endQ()
+	c.tally.EndQuantum()
 }
 
 // sweepOld reclaims every unmarked tenured object into the free lists.

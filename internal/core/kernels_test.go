@@ -429,9 +429,8 @@ func BenchmarkScanObject(b *testing.B) {
 	if !ok {
 		b.Fatal("alloc failed")
 	}
-	var stats GCStats
-	var ev evacuator
-	ev.begin(heap, costmodel.NewMeter(), &stats, nil, nil, sp, nil)
+	c := base{heap: heap, meter: costmodel.NewMeter()}
+	ev := c.evacuation(nil, sp)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -127,29 +127,19 @@ func (l *LOS) ObjectIn(id mem.SpaceID) (mem.Addr, bool) {
 // the end of a major collection, after the trace has marked the live set.
 // Spaces are visited in ascending id order so the profiler's OnLOSDead
 // callbacks (which accumulate float age sums) fire in a deterministic
-// sequence.
-func (l *LOS) Sweep(prof Profiler) {
-	l.SweepWith(prof, nil, nil)
-}
-
-// SweepWith is Sweep with optional per-object quantum hooks: when the
-// sweep runs inside a phase closed with per-worker tallies (the
-// non-moving majors' sweep phase), each object's examination must be
-// bracketed as one work quantum so the phase reconciles under W > 1.
-// Nil hooks reproduce Sweep exactly.
-func (l *LOS) SweepWith(prof Profiler, beginQ, endQ func()) {
+// sequence. When the sweep runs inside a phase closed with per-worker
+// tallies (the non-moving majors' sweep phase), tally brackets each
+// object's examination as one work quantum so the phase reconciles under
+// W > 1; the copying collectors pass nil.
+func (l *LOS) Sweep(prof Profiler, tally *costmodel.WorkerTally) {
 	live := l.ids[:0]
 	for _, id := range l.ids {
 		a := l.objs[id]
-		if beginQ != nil {
-			beginQ()
-		}
+		tally.BeginQuantum()
 		l.meter.Charge(costmodel.GCCopy, costmodel.SweepObject)
 		if _, ok := l.marked[a]; ok {
 			live = append(live, id)
-			if endQ != nil {
-				endQ()
-			}
+			tally.EndQuantum()
 			continue
 		}
 		size := obj.Decode(l.heap, a).SizeWords()
@@ -160,9 +150,7 @@ func (l *LOS) SweepWith(prof Profiler, beginQ, endQ func()) {
 		l.heap.FreeSpace(id)
 		l.objs[id] = mem.Nil
 		l.stats.LOSSwept++
-		if endQ != nil {
-			endQ()
-		}
+		tally.EndQuantum()
 	}
 	l.ids = live
 	clear(l.marked)

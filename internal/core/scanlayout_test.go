@@ -29,43 +29,31 @@ type interpScanner struct {
 	roots          []int
 }
 
-func (sc *interpScanner) beginQ() {
-	if sc.tally != nil {
-		sc.tally.BeginQuantum()
-	}
-}
-
-func (sc *interpScanner) endQ() {
-	if sc.tally != nil {
-		sc.tally.EndQuantum()
-	}
-}
-
 func (sc *interpScanner) Scan(minor bool, visit func(RootLoc)) {
 	depth := sc.stack.FrameCount()
 	reuse := 0
 	if sc.markerN > 0 {
-		sc.beginQ()
+		sc.tally.BeginQuantum()
 		sc.meter.Charge(costmodel.GCStack, costmodel.WatermarkCheck)
-		sc.endQ()
+		sc.tally.EndQuantum()
 		reuse = min(max(sc.stack.ReuseBoundary(), 0), len(sc.cache), depth)
 	}
 	var regStatus uint32
 	if reuse > 0 {
 		regStatus = sc.cache[reuse-1].regStatus
 		if minor && !sc.revisitOnMinor {
-			sc.beginQ()
+			sc.tally.BeginQuantum()
 			sc.meter.ChargeN(costmodel.GCStack, costmodel.FrameReuse, uint64(reuse))
-			sc.endQ()
+			sc.tally.EndQuantum()
 		} else {
 			for i := 0; i < reuse; i++ {
-				sc.beginQ()
+				sc.tally.BeginQuantum()
 				sc.meter.Charge(costmodel.GCStack, costmodel.FrameReuse)
 				for _, idx := range sc.roots[sc.cache[i].lo:sc.cache[i].hi] {
 					sc.meter.Charge(costmodel.GCStack, costmodel.CachedRoot)
 					visit(RootLoc{Index: idx})
 				}
-				sc.endQ()
+				sc.tally.EndQuantum()
 			}
 		}
 	}
@@ -82,12 +70,12 @@ func (sc *interpScanner) Scan(minor bool, visit func(RootLoc)) {
 		sc.roots = sc.roots[:sc.cache[reuse-1].hi]
 	}
 	for i := reuse; i < depth; i++ {
-		sc.beginQ()
+		sc.tally.BeginQuantum()
 		regStatus = sc.decodeFrame(i, keys[i], regStatus, visit)
-		sc.endQ()
+		sc.tally.EndQuantum()
 	}
 	if depth > 0 {
-		sc.beginQ()
+		sc.tally.BeginQuantum()
 		fi := sc.stack.Table().Lookup(sc.stack.CurrentKey())
 		base := sc.stack.FrameBase(depth - 1)
 		for r := 0; r < rt.NumRegs; r++ {
@@ -97,7 +85,7 @@ func (sc *interpScanner) Scan(minor bool, visit func(RootLoc)) {
 				visit(RootLoc{IsReg: true, Index: r})
 			}
 		}
-		sc.endQ()
+		sc.tally.EndQuantum()
 	}
 	if sc.markerN > 0 {
 		for i := sc.markerN - 1; i < depth; i += sc.markerN {
@@ -112,9 +100,9 @@ func (sc *interpScanner) Scan(minor bool, visit func(RootLoc)) {
 
 func (sc *interpScanner) placeMarker(i int) {
 	if sc.stack.PlaceMarker(i) {
-		sc.beginQ()
+		sc.tally.BeginQuantum()
 		sc.meter.Charge(costmodel.GCStack, costmodel.MarkerPlace)
-		sc.endQ()
+		sc.tally.EndQuantum()
 	}
 }
 

@@ -18,7 +18,6 @@ type Semispace struct {
 	idA mem.SpaceID
 	idB mem.SpaceID
 	cur *mem.Space // allocation space
-	ev  evacuator  // pooled across collections (see evacuator.begin)
 }
 
 // NewSemispace creates a semispace collector over its own fresh heap.
@@ -75,10 +74,7 @@ func (c *Semispace) Alloc(k obj.Kind, length uint64, site obj.SiteID, mask uint6
 	if !ok {
 		a = c.allocSlow(k, length, site, mask, size)
 	}
-	c.tr.AllocSite(site, size, false)
-	if c.prof != nil {
-		c.prof.OnAlloc(a, site, k, size, false)
-	}
+	c.noteAlloc(a, site, k, size, false)
 	return a
 }
 
@@ -89,10 +85,7 @@ func (c *Semispace) allocLarge(k obj.Kind, length uint64, site obj.SiteID, mask 
 		c.Collect(true)
 	}
 	a := c.los.Alloc(k, length, site, mask)
-	c.tr.AllocSite(site, size, false)
-	if c.prof != nil {
-		c.prof.OnAlloc(a, site, k, size, false)
-	}
+	c.noteAlloc(a, site, k, size, false)
 	return a
 }
 
@@ -123,31 +116,11 @@ func semispaceGrowthFailure(sp *mem.Space, size uint64) mem.GrowthError {
 	return mem.GrowthError{Op: "semispace emergency growth failed", Space: sp.ID(), Used: sp.Used(), Requested: size}
 }
 
-// losLimit is the large-object share of the budget: up to half the total
-// (the semispace sizing adapts to the live LOS share after each sweep).
-func (c *Semispace) losLimit() uint64 {
-	return c.cfg.BudgetWords / 2
-}
-
-// LoadField implements Collector.
-func (c *Semispace) LoadField(a mem.Addr, i uint64) uint64 {
-	c.meter.Charge(costmodel.Client, costmodel.MutatorLoad)
-	return obj.Field(c.heap, a, i)
-}
-
 // StoreField implements Collector. The semispace collector has no write
 // barrier; isPtr is accepted for interface compatibility.
 //
 //gc:nobarrier the semispace collector evacuates the entire heap at every GC; there is no remembered set for a barrier to maintain
 func (c *Semispace) StoreField(a mem.Addr, i uint64, v uint64, isPtr bool) {
-	c.meter.Charge(costmodel.Client, costmodel.MutatorStore)
-	obj.SetField(c.heap, a, i, v)
-}
-
-// InitField implements Collector.
-//
-//gc:nobarrier the semispace collector evacuates the entire heap at every GC; there is no remembered set for a barrier to maintain
-func (c *Semispace) InitField(a mem.Addr, i uint64, v uint64) {
 	c.meter.Charge(costmodel.Client, costmodel.MutatorStore)
 	obj.SetField(c.heap, a, i, v)
 }
@@ -173,11 +146,8 @@ func (c *Semispace) Collect(bool) {
 	}
 	// The survivors cannot exceed what was allocated in from-space.
 	to := c.heap.ReplaceSpace(toID, c.cur.Used())
-	ev := &c.ev
 	condemned := [1]mem.SpaceID{fromID}
-	ev.begin(c.heap, c.meter, &c.stats, c.prof, condemned[:], to, c.los)
-	ev.tr = c.tr
-	ev.tally = c.tally
+	ev := c.evacuation(condemned[:], to)
 	c.endParallelPhase(trace.PhaseSetup)
 
 	// With workers, the root scan shards per frame: each frame's quantum
@@ -190,13 +160,10 @@ func (c *Semispace) Collect(bool) {
 	ev.drain()
 	c.endParallelPhase(trace.PhaseCopy)
 	c.tr.BeginPhase(trace.PhaseSweep)
-	c.los.Sweep(c.prof)
+	c.los.Sweep(c.prof, nil)
 	c.tr.EndPhase(trace.PhaseSweep)
 	c.los.TakeFresh()
-	if c.prof != nil {
-		c.prof.OnSpaceCondemned(fromID)
-		c.prof.OnGCEnd()
-	}
+	ev.condemnedDead()
 
 	live := to.Used()
 	liveBytes := (live + c.los.UsedWords()) * mem.WordSize

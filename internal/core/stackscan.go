@@ -100,20 +100,6 @@ func NewStackScanner(stack *rt.Stack, meter *costmodel.Meter, stats *GCStats, ma
 // inside a quantum, so the roots phase reconciles as a parallel phase.
 func (sc *StackScanner) SetTally(t *costmodel.WorkerTally) { sc.tally = t }
 
-// beginQ/endQ bracket one unit of parallel root-scan work; no-ops with a
-// nil tally.
-func (sc *StackScanner) beginQ() {
-	if sc.tally != nil {
-		sc.tally.BeginQuantum()
-	}
-}
-
-func (sc *StackScanner) endQ() {
-	if sc.tally != nil {
-		sc.tally.EndQuantum()
-	}
-}
-
 // NoteCollection records the Table 2 depth and new-frame statistics for
 // one collection event. Collectors call it exactly once per collection,
 // even when a minor collection escalates to a major one (which scans the
@@ -149,9 +135,9 @@ func (sc *StackScanner) Scan(minor bool, visit func(RootLoc)) {
 	// Determine the reusable prefix [0, reuse).
 	reuse := 0
 	if sc.markerN > 0 {
-		sc.beginQ()
+		sc.tally.BeginQuantum()
 		sc.meter.Charge(costmodel.GCStack, costmodel.WatermarkCheck)
-		sc.endQ()
+		sc.tally.EndQuantum()
 		b := sc.stack.ReuseBoundary()
 		reuse = b // frames 0..b-1 are unchanged
 		if reuse < 0 {
@@ -175,20 +161,20 @@ func (sc *StackScanner) Scan(minor bool, visit func(RootLoc)) {
 		if minor && !sc.revisitOnMinor {
 			// Immediate promotion: reused frames contribute no nursery
 			// roots at a minor collection.
-			sc.beginQ()
+			sc.tally.BeginQuantum()
 			sc.meter.ChargeN(costmodel.GCStack, costmodel.FrameReuse, uint64(reuse))
-			sc.endQ()
+			sc.tally.EndQuantum()
 		} else {
 			// Major collection: re-trace the cached root locations, one
 			// quantum per reused frame.
 			for i := 0; i < reuse; i++ {
-				sc.beginQ()
+				sc.tally.BeginQuantum()
 				sc.meter.Charge(costmodel.GCStack, costmodel.FrameReuse)
 				for _, idx := range sc.roots[sc.cache[i].lo:sc.cache[i].hi] {
 					sc.meter.Charge(costmodel.GCStack, costmodel.CachedRoot)
 					visit(RootLoc{Index: idx})
 				}
-				sc.endQ()
+				sc.tally.EndQuantum()
 			}
 		}
 	}
@@ -212,17 +198,17 @@ func (sc *StackScanner) Scan(minor bool, visit func(RootLoc)) {
 	// those visits trigger all belong to the frame's worker).
 	sc.truncateCache(reuse)
 	for i := reuse; i < depth; i++ {
-		sc.beginQ()
+		sc.tally.BeginQuantum()
 		regStatus = sc.decodeFrame(i, keys[i], regStatus, visit)
-		sc.endQ()
+		sc.tally.EndQuantum()
 	}
 
 	// Registers of the current execution point are always roots when the
 	// trace information says so.
 	if depth > 0 {
-		sc.beginQ()
+		sc.tally.BeginQuantum()
 		sc.scanTopRegs(regStatus, visit)
-		sc.endQ()
+		sc.tally.EndQuantum()
 	}
 
 	// Place markers for the next collection.
@@ -261,9 +247,9 @@ func (sc *StackScanner) SetRevisitOnMinor(v bool) { sc.revisitOnMinor = v }
 
 func (sc *StackScanner) placeMarker(i int) {
 	if sc.stack.PlaceMarker(i) {
-		sc.beginQ()
+		sc.tally.BeginQuantum()
 		sc.meter.Charge(costmodel.GCStack, costmodel.MarkerPlace)
-		sc.endQ()
+		sc.tally.EndQuantum()
 		sc.stats.MarkersPlaced++
 	}
 }

@@ -87,3 +87,19 @@ func TestMeterAdditivityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestNilWorkerTallyBracketsNothing(t *testing.T) {
+	// W = 1 is a nil tally: collectors bracket every quantum without a
+	// nil check, so both brackets must be no-ops that move no cycles.
+	m := NewMeter()
+	var tally *WorkerTally
+	for i := 0; i < 3; i++ {
+		tally.BeginQuantum()
+		m.Charge(GCCopy, 10)
+		tally.EndQuantum()
+	}
+	tally.EndQuantum() // unpaired: a non-nil tally would panic
+	if m.Get(GCCopy) != 30 || m.GC() != 30 {
+		t.Errorf("GCCopy = %d, GC = %d, want 30 and 30", m.Get(GCCopy), m.GC())
+	}
+}

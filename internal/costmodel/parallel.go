@@ -16,9 +16,10 @@ package costmodel
 // meter's overlap counter, so pause cycles genuinely shrink with workers
 // while the sum-of-workers cost stays fully accounted.
 //
-// A nil *WorkerTally is the single-worker case: collectors skip all
-// bracketing, no cycles move, and every trace byte is identical to the
-// pre-parallel collector.
+// A nil *WorkerTally is the single-worker case: BeginQuantum and
+// EndQuantum are no-ops on it, so collectors bracket unconditionally, no
+// cycles move, and every trace byte is identical to the pre-parallel
+// collector.
 type WorkerTally struct {
 	meter  *Meter
 	cycles []Cycles // per-worker tally within the current phase
@@ -56,8 +57,16 @@ func (t *WorkerTally) Quanta() uint64 { return t.quanta }
 func (t *WorkerTally) Steals() uint64 { return t.steals }
 
 // BeginQuantum opens a unit of parallel-phase work; all GC cycles
-// charged until the matching EndQuantum belong to one worker.
+// charged until the matching EndQuantum belong to one worker. It is a
+// no-op on a nil tally, and small enough to inline so the serial path
+// pays no call.
 func (t *WorkerTally) BeginQuantum() {
+	if t != nil {
+		t.beginQuantum()
+	}
+}
+
+func (t *WorkerTally) beginQuantum() {
 	if t.inQuantum {
 		panic("costmodel: nested WorkerTally quantum")
 	}
@@ -68,8 +77,15 @@ func (t *WorkerTally) BeginQuantum() {
 
 // EndQuantum closes the open quantum and assigns its cycle delta to the
 // least-loaded worker (lowest rank on ties) — the deterministic claim
-// arbitration of the simulated steal.
+// arbitration of the simulated steal. Like BeginQuantum, it is an
+// inlinable no-op on a nil tally.
 func (t *WorkerTally) EndQuantum() {
+	if t != nil {
+		t.endQuantum()
+	}
+}
+
+func (t *WorkerTally) endQuantum() {
 	if !t.inQuantum {
 		panic("costmodel: EndQuantum without BeginQuantum")
 	}
@@ -107,9 +123,9 @@ func (t *WorkerTally) ChargeSplit(c Component, total Cycles) {
 		if n == 0 {
 			continue
 		}
-		t.BeginQuantum()
+		t.beginQuantum()
 		t.meter.Charge(c, n)
-		t.EndQuantum()
+		t.endQuantum()
 	}
 }
 

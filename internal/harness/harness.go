@@ -477,7 +477,7 @@ func (c RunConfig) spec(sites map[obj.SiteID]string, maxLiveWords uint64, policy
 	case KindGenAgingPretenure:
 		g.AgingMinors, g.Pretenure = 3, policy
 	}
-	if g.MarkerN == 0 && c.Kind >= KindGenMarkers && c.Kind <= KindGenMarkersPretenureElide {
+	if g.MarkerN == 0 && !g.Semispace && c.Kind.placesMarkers() {
 		g.MarkerN = core.PaperMarkerN // the gen+markers kinds' default spacing
 	}
 	// The nursery is the one size the two collectors do not share.

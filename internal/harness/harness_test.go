@@ -187,10 +187,13 @@ func TestNurseryFor(t *testing.T) {
 }
 
 func TestCollectorKindStrings(t *testing.T) {
-	for k := KindSemispace; k <= KindGenPretenure; k++ {
+	for k := KindSemispace; k <= KindGenAgingPretenure; k++ {
 		if strings.Contains(k.String(), "CollectorKind") {
 			t.Errorf("kind %d has no name", k)
 		}
+	}
+	if got := CollectorKind(9).String(); got != "CollectorKind(9)" {
+		t.Errorf("kind 9 = %q, want CollectorKind(9)", got)
 	}
 }
 
