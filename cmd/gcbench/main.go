@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 
 	"tilgc/gcsim"
 	"tilgc/internal/trace"
@@ -65,10 +66,7 @@ func defineFlags(fs *flag.FlagSet) *cli {
 		"workload repetition scale (1.0 = the paper's full iteration counts)")
 	fs.Float64Var(&f.depth, "depth", 1.0,
 		"structural recursion depth scale (1.0 = the paper's stack-depth profile)")
-	// The host-dependent default is stored before the flag is bound so
-	// gclint's detflow sees it reach the field.
-	f.parallel = runtime.NumCPU()
-	fs.IntVar(&f.parallel, "parallel", f.parallel,
+	fs.IntVar(&f.parallel, "parallel", runtime.NumCPU(),
 		"experiment worker-pool size (1 = serial; output is identical either way)")
 	fs.BoolVar(&f.progress, "progress", false, "stream per-run progress to stderr")
 	fs.BoolVar(&f.sanitize, "sanitize", false,
@@ -128,8 +126,25 @@ func fail(err error) {
 	os.Exit(exitCode(err))
 }
 
-// checkTrace rejects trace flags that cannot be honoured.
-func (f *cli) checkTrace() error {
+// check rejects flags that cannot be honoured, among them every flag set
+// on fs that the chosen mode would ignore: with -fuzz only the -fuzz-*
+// flags, -parallel and -progress apply, and without it no -fuzz-* flag
+// does.
+func (f *cli) check(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(fl *flag.Flag) {
+		fuzzOnly := strings.HasPrefix(fl.Name, "fuzz-")
+		switch {
+		case err != nil:
+		case f.fuzz && !fuzzOnly && fl.Name != "fuzz" && fl.Name != "parallel" && fl.Name != "progress":
+			err = usageError(fmt.Sprintf("-%s does not apply to -fuzz", fl.Name))
+		case !f.fuzz && fuzzOnly:
+			err = usageError(fmt.Sprintf("-%s applies only to -fuzz", fl.Name))
+		}
+	})
+	if err != nil {
+		return err
+	}
 	if f.traceFormat != "jsonl" && f.traceFormat != "chrome" {
 		return usageError(fmt.Sprintf("unknown -trace-format %q (want jsonl or chrome)", f.traceFormat))
 	}
@@ -202,14 +217,14 @@ func (f *cli) session() (*session, error) {
 func main() {
 	f := defineFlags(flag.CommandLine)
 	flag.Parse()
+	if err := f.check(flag.CommandLine); err != nil {
+		fail(err)
+	}
 
 	if f.fuzz {
 		//lint:ignore detflow -parallel defaults to NumCPU but only sizes the worker pool; fuzz reports are assembled in seed order and CI byte-compares them at every -parallel level
 		runFuzzCLI(f.fuzzSeeds, f.fuzzCorpus, f.parallel, f.fuzzMinimize, f.fuzzVerbose, f.progress)
 		return
-	}
-	if err := f.checkTrace(); err != nil {
-		fail(err)
 	}
 
 	if f.list {
@@ -230,6 +245,7 @@ func main() {
 		fail(err)
 	}
 	run := func(name string) {
+		//lint:ignore detflow opts.Parallelism defaults to NumCPU but only sizes the worker pool; batches arrive in the order the experiment runs them and each is input-ordered, so the output is identical at every -parallel level
 		if err := gcsim.ExperimentOpts(os.Stdout, name, s.scale, s.opts); err != nil {
 			fail(err)
 		}

@@ -13,8 +13,8 @@ import (
 	"tilgc/internal/trace"
 )
 
-// parse parses args as gcbench's command line.
-func parse(t *testing.T, args ...string) *cli {
+// parse parses args as gcbench's command line and checks the flags.
+func parse(t *testing.T, args ...string) (*cli, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("gcbench", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
@@ -22,14 +22,14 @@ func parse(t *testing.T, args ...string) *cli {
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("%q: %v", args, err)
 	}
-	return f
+	return f, f.check(fs)
 }
 
 // sessionOf parses args and builds the run session they configure.
 func sessionOf(t *testing.T, args ...string) *session {
 	t.Helper()
-	f := parse(t, args...)
-	if err := f.checkTrace(); err != nil {
+	f, err := parse(t, args...)
+	if err != nil {
 		t.Fatalf("%q: %v", args, err)
 	}
 	s, err := f.session()
@@ -102,9 +102,10 @@ func collectsProfiles(s *session) bool {
 	return len(s.adaptProfiles) == 1
 }
 
-// TestRejectedFlagsExitTwo checks that flag values gcbench cannot honour
-// are usage errors (exit status 2), and that an unreadable warm-start
-// store is an ordinary failure (status 1).
+// TestRejectedFlagsExitTwo checks that flag values gcbench cannot honour,
+// and flags the chosen mode would ignore, are usage errors (exit status
+// 2), and that an unreadable warm-start store is an ordinary failure
+// (status 1). The flags -fuzz does take are accepted with it (status 0).
 func TestRejectedFlagsExitTwo(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -114,14 +115,24 @@ func TestRejectedFlagsExitTwo(t *testing.T) {
 		{[]string{"-trace-format", "x"}, 2},
 		{[]string{"-trace-heap"}, 2},
 		{[]string{"-adapt-warm", filepath.Join(t.TempDir(), "missing.jsonl")}, 1},
+		{[]string{"-fuzz", "-old", "bogus"}, 2},
+		{[]string{"-fuzz", "-table", "5", "-trace", "t.jsonl"}, 2},
+		{[]string{"-fuzz", "-list"}, 2},
+		{[]string{"-fuzz-seeds", "0..4"}, 2},
+		{[]string{"-fuzz-minimize"}, 2},
+		{[]string{"-fuzz-corpus", "corpus"}, 2},
+		{[]string{"-fuzz-verbose"}, 2},
+		{[]string{"-fuzz", "-fuzz-seeds", "0..4", "-fuzz-minimize", "-fuzz-corpus", "corpus",
+			"-fuzz-verbose", "-parallel", "2", "-progress"}, 0},
 	} {
-		f := parse(t, tc.args...)
-		err := f.checkTrace()
-		if err == nil {
+		f, err := parse(t, tc.args...)
+		if err == nil && !f.fuzz {
 			_, err = f.session()
 		}
 		if err == nil {
-			t.Errorf("%q accepted", tc.args)
+			if tc.want != 0 {
+				t.Errorf("%q accepted", tc.args)
+			}
 			continue
 		}
 		if got := exitCode(err); got != tc.want {

@@ -35,28 +35,30 @@ import (
 	"tilgc/internal/trace"
 )
 
-// Params tunes the decision engine. The zero value selects defaults
-// matching the paper's offline rule (80% survival cutoff).
-type Params struct {
-	// PromotePPM is the survival-fraction estimate, in parts per million,
-	// at or above which a site is promoted. Default 800000 (the paper's
-	// 80% old cutoff).
-	PromotePPM uint64
-	// DemotePPM is the tenured-garbage fraction (pretenured words that
+// The engine's fixed thresholds, in parts per million and collections.
+const (
+	// promotePPM is the survival-fraction estimate at or above which a
+	// site is promoted: the paper's offline old% cutoff (§6).
+	promotePPM = prof.PaperCutoffPct * 10_000
+	// demotePPM is the tenured-garbage fraction (pretenured words that
 	// died in the old generation / pretenured words placed, this
-	// promotion episode) at or above which a site is demoted. Default
-	// 500000: demote once half the words the decision placed are garbage.
-	DemotePPM uint64
+	// promotion episode) at or above which a site is demoted: demote once
+	// half the words the decision placed are garbage.
+	demotePPM = 500_000
+	// decayDen is the per-epoch decay denominator: at each collection a
+	// touched site's accumulators lose a 1/decayDen share before the
+	// epoch's deltas are added, an integer EWMA.
+	decayDen = 8
+)
+
+// Params tunes the decision engine. The zero value selects the defaults.
+type Params struct {
 	// MinSampleWords is the decayed sample mass (survived + died-young
 	// words) required before the survival estimate is trusted. Default 256.
 	MinSampleWords uint64
 	// MinOldWords is the pretenured placement mass required before the
 	// garbage fraction is judged. Default 256.
 	MinOldWords uint64
-	// DecayDen is the per-epoch decay denominator: at each collection a
-	// touched site's accumulators lose a 1/DecayDen share before the
-	// epoch's deltas are added, an integer EWMA. Default 8.
-	DecayDen uint64
 	// CooldownEpochs is how many collections a demoted site must wait
 	// before it may be promoted again (hysteresis). Default 8.
 	CooldownEpochs uint64
@@ -66,20 +68,11 @@ type Params struct {
 }
 
 func (p *Params) setDefaults() {
-	if p.PromotePPM == 0 {
-		p.PromotePPM = 800_000
-	}
-	if p.DemotePPM == 0 {
-		p.DemotePPM = 500_000
-	}
 	if p.MinSampleWords == 0 {
 		p.MinSampleWords = 256
 	}
 	if p.MinOldWords == 0 {
 		p.MinOldWords = 256
-	}
-	if p.DecayDen == 0 {
-		p.DecayDen = 8
 	}
 	if p.CooldownEpochs == 0 {
 		p.CooldownEpochs = 8
@@ -276,10 +269,10 @@ func (e *Engine) fold(decide bool) {
 		st.touched = false
 		e.meter.Charge(costmodel.Adapt, costmodel.AdaptEpochSite)
 
-		st.survWords -= st.survWords / e.params.DecayDen
-		st.deadWords -= st.deadWords / e.params.DecayDen
-		st.ageBytes -= st.ageBytes / e.params.DecayDen
-		st.ageSamples -= st.ageSamples / e.params.DecayDen
+		st.survWords -= st.survWords / decayDen
+		st.deadWords -= st.deadWords / decayDen
+		st.ageBytes -= st.ageBytes / decayDen
+		st.ageSamples -= st.ageSamples / decayDen
 		st.survWords += st.epochSurv
 		st.deadWords += st.epochDead
 		st.ageBytes += st.epochAge
@@ -292,12 +285,12 @@ func (e *Engine) fold(decide bool) {
 		if !st.pretenured {
 			mass := st.survWords + st.deadWords
 			if e.epoch > st.cooldownUntil && mass >= e.params.MinSampleWords {
-				if ppm := st.survWords * 1_000_000 / mass; ppm >= e.params.PromotePPM {
+				if ppm := st.survWords * 1_000_000 / mass; ppm >= promotePPM {
 					e.promote(st, ppm, mass)
 				}
 			}
 		} else if !e.params.DisableDemotion && st.pretPlaced >= e.params.MinOldWords {
-			if gppm := st.pretDied * 1_000_000 / st.pretPlaced; gppm >= e.params.DemotePPM {
+			if gppm := st.pretDied * 1_000_000 / st.pretPlaced; gppm >= demotePPM {
 				e.demote(st, gppm)
 			}
 		}

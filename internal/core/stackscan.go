@@ -372,12 +372,6 @@ func (sc *StackScanner) typeValue(tr *rt.ScanRef, base int, isTop bool) uint64 {
 	return sc.stack.RawSlot(base + int(tr.Arg))
 }
 
-// InvalidateCache discards all cached scan results (used by tests and when
-// reconfiguring a collector).
-func (sc *StackScanner) InvalidateCache() {
-	sc.truncateCache(0)
-}
-
 // truncateCache keeps the first n cached frames and their roots.
 func (sc *StackScanner) truncateCache(n int) {
 	sc.cache = sc.cache[:n]
@@ -387,6 +381,3 @@ func (sc *StackScanner) truncateCache(n int) {
 		sc.roots = sc.roots[:sc.cache[n-1].hi]
 	}
 }
-
-// CacheLen returns the number of cached frame entries.
-func (sc *StackScanner) CacheLen() int { return len(sc.cache) }

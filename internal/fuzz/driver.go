@@ -8,18 +8,19 @@ import (
 	"tilgc/internal/harness"
 )
 
+// minimizeCap bounds how many failing seeds a sweep minimizes;
+// minimization re-runs the program thousands of times.
+const minimizeCap = 5
+
 // Options configures a seed sweep.
 type Options struct {
 	// From and To bound the seed range [From, To).
 	From, To uint64
 	// Parallelism bounds the worker pool; <= 0 means GOMAXPROCS.
 	Parallelism int
-	// Minimize shrinks the first failing program of each failing seed
-	// (up to MinimizeCap seeds) to a small reproducer.
+	// Minimize shrinks the first failing program of each of the first
+	// five failing seeds to a small reproducer.
 	Minimize bool
-	// MinimizeCap bounds how many failing seeds are minimized per sweep
-	// (default 5); minimization re-runs the program thousands of times.
-	MinimizeCap int
 	// Progress, when non-nil, receives (seeds done, total, failures so
 	// far) after each seed completes. Calls are serialized but arrive in
 	// completion order.
@@ -83,12 +84,8 @@ func RunSeeds(opts Options) *Report {
 	})
 
 	if opts.Minimize {
-		limit := opts.MinimizeCap
-		if limit <= 0 {
-			limit = 5
-		}
 		for _, sr := range rep.Results {
-			if len(sr.Failures) == 0 || len(rep.Minimized) >= limit {
+			if len(sr.Failures) == 0 || len(rep.Minimized) >= minimizeCap {
 				continue
 			}
 			fail := sr.Failures[0]

@@ -229,16 +229,6 @@ func testHarnessKnobs(t *testing.T) {
 				t.Fatal("no profiler")
 			}
 		},
-		"PretenureCutoff": func(t *testing.T, c harness.RunConfig) {
-			c.Kind = harness.KindGenPretenure
-			paper := harnessRun(t, c)
-			c.PretenureCutoff = 1
-			loose := harnessRun(t, c)
-			if loose.Stats.Pretenured <= paper.Stats.Pretenured {
-				t.Fatalf("cutoff 1%% pretenured %d objects, cutoff 80%% %d; want more",
-					loose.Stats.Pretenured, paper.Stats.Pretenured)
-			}
-		},
 		"Trace": func(t *testing.T, c harness.RunConfig) {
 			c.Trace = true
 			if r := harnessRun(t, c); r.Trace == nil || len(r.Trace.Events()) == 0 {
@@ -350,14 +340,8 @@ func testOptionsKnobs(t *testing.T) {
 				t.Fatal("the run was not sanitized")
 			}
 		},
-		"Trace": func(t *testing.T, o harness.Options) {
-			o.Trace = true
-			if r := runAll(t, o, gen)[0]; r.Trace == nil || len(r.Trace.Events()) == 0 {
-				t.Fatal("no trace events")
-			}
-		},
 		"TraceHeap": func(t *testing.T, o harness.Options) {
-			o.Trace, o.TraceHeap = true, true
+			o.TraceSink, o.TraceHeap = func([]*trace.RunData) {}, true
 			if r := runAll(t, o, gen)[0]; len(r.Trace.Data("").Heap) == 0 {
 				t.Fatal("no heap samples")
 			}

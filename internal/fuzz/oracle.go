@@ -113,12 +113,10 @@ func executeTo(p *Program, cfg Config, sanitized bool, traceTo io.Writer) (out r
 		col = cfg.wrap(col)
 	}
 	if sanitized {
-		col = sanitize.Wrap(col, sanitize.Options{
-			OnViolation: func(vs []sanitize.Violation) {
-				for _, v := range vs {
-					out.sanViol = append(out.sanViol, v.String())
-				}
-			},
+		col = sanitize.Wrap(col, func(vs []sanitize.Violation) {
+			for _, v := range vs {
+				out.sanViol = append(out.sanViol, v.String())
+			}
 		})
 	}
 

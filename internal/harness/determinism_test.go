@@ -183,10 +183,9 @@ func TestCalibrateSingleflight(t *testing.T) {
 	}
 }
 
-// TestPretenureCutoffIsThreaded: the documented RunConfig.PretenureCutoff
-// override must actually reach policy derivation. A cutoff above 100
-// selects no sites (old% can't exceed 100), so pretenuring degenerates to
-// the gen+markers baseline; the default cutoff selects sites on Nqueen.
+// TestPretenureCutoffIsThreaded: Calibrate's cutoff must actually reach
+// policy derivation. A cutoff above 100 selects no sites (old% can't
+// exceed 100); the paper's cutoff selects sites on Nqueen.
 func TestPretenureCutoffIsThreaded(t *testing.T) {
 	scale := workload.Scale{Repeat: 0.005}
 	def, err := Calibrate("Nqueen", scale, 0)
@@ -202,25 +201,6 @@ func TestPretenureCutoffIsThreaded(t *testing.T) {
 	}
 	if none.policy.Len() != 0 {
 		t.Fatalf("cutoff 101 selected %d sites, want 0", none.policy.Len())
-	}
-	r, err := Run(RunConfig{
-		Workload: "Nqueen", Scale: scale, Kind: KindGenMarkersPretenure, K: 4,
-		PretenureCutoff: 101,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Stats.Pretenured != 0 {
-		t.Fatalf("cutoff-101 run pretenured %d objects, want 0", r.Stats.Pretenured)
-	}
-	base, err := Run(RunConfig{
-		Workload: "Nqueen", Scale: scale, Kind: KindGenMarkersPretenure, K: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Stats.Pretenured == 0 {
-		t.Fatal("default-cutoff run pretenured nothing; override test is vacuous")
 	}
 }
 

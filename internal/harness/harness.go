@@ -109,8 +109,6 @@ type RunConfig struct {
 	MarkerN int
 	// Profile attaches the heap profiler to this run.
 	Profile bool
-	// PretenureCutoff overrides the old% cutoff (default 80).
-	PretenureCutoff float64
 	// Sanitize wraps the collector with the heap-integrity sanitizer
 	// (internal/sanitize): every invariant pass runs after every
 	// collection and a violation panics. Results are byte-identical to an
@@ -223,10 +221,6 @@ func (r *RunResult) GC() float64 { return r.Times.GC().Seconds() }
 // Client returns mutator pseudo-seconds.
 func (r *RunResult) Client() float64 { return r.Times.Client.Seconds() }
 
-// DefaultPretenureCutoff is the paper's old% cutoff for selecting
-// pretenured sites (§6).
-const DefaultPretenureCutoff = 80
-
 // calibration caches per-workload measurements that experiments share.
 type calibration struct {
 	maxLiveWords uint64
@@ -259,12 +253,12 @@ func calKey(name string, s workload.Scale, cutoffPct float64) string {
 
 // Calibrate measures a workload's maximum live data and heap profile with
 // an instrumented, generously-budgeted generational run, and derives the
-// pretenuring policy using the given old% cutoff (0 means the paper's
-// default, 80). Results are cached per (workload, canonical scale,
-// cutoff) with per-key singleflight.
+// pretenuring policy using the given old% cutoff (0 means the paper's,
+// prof.PaperCutoffPct). Results are cached per (workload, canonical
+// scale, cutoff) with per-key singleflight.
 func Calibrate(name string, scale workload.Scale, cutoffPct float64) (*calibration, error) {
 	if cutoffPct == 0 {
-		cutoffPct = DefaultPretenureCutoff
+		cutoffPct = prof.PaperCutoffPct
 	}
 	key := calKey(name, scale, cutoffPct)
 	calMu.Lock()
@@ -347,7 +341,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cal, err := Calibrate(cfg.Workload, cfg.Scale, cfg.PretenureCutoff)
+	cal, err := Calibrate(cfg.Workload, cfg.Scale, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +351,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	// handicap the online advisor is compared against).
 	polCal := cal
 	if cfg.TrainScale != (workload.Scale{}) {
-		polCal, err = Calibrate(cfg.Workload, cfg.TrainScale, cfg.PretenureCutoff)
+		polCal, err = Calibrate(cfg.Workload, cfg.TrainScale, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -372,7 +366,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	}
 	g, _ := sim.Col.(*core.Generational) // for PointerUpdates past the sanitizer
 	if cfg.Sanitize {
-		sim.Col = sanitize.Wrap(sim.Col, sanitize.Options{})
+		sim.Col = sanitize.Wrap(sim.Col, nil)
 	}
 
 	res := w.Run(sim.Mutator(), cfg.Scale)
@@ -447,14 +441,7 @@ func (c RunConfig) spec(sites map[obj.SiteID]string, maxLiveWords uint64, policy
 	}
 	s := Spec{Sites: sites, Profile: c.Profile, Trace: c.Trace, Threads: c.Threads}
 	if c.Adapt {
-		cutoff := c.PretenureCutoff
-		if cutoff == 0 {
-			cutoff = DefaultPretenureCutoff
-		}
-		s.Adapt = &adapt.Params{
-			PromotePPM:      uint64(cutoff * 10_000), // old% cutoff → ppm
-			DisableDemotion: c.AdaptNoDemote,
-		}
+		s.Adapt = &adapt.Params{DisableDemotion: c.AdaptNoDemote}
 	}
 	g := core.Config{
 		BudgetWords:  budget,

@@ -6,6 +6,7 @@ import (
 
 	"tilgc/internal/adapt"
 	"tilgc/internal/core"
+	"tilgc/internal/prof"
 	"tilgc/internal/workload"
 )
 
@@ -26,7 +27,7 @@ func TestCalibrateCachesAndMeasures(t *testing.T) {
 		t.Fatal("calibration not cached")
 	}
 	// An explicit cutoff equal to the default shares the cache entry.
-	c3, _ := Calibrate("Nqueen", tiny, DefaultPretenureCutoff)
+	c3, _ := Calibrate("Nqueen", tiny, prof.PaperCutoffPct)
 	if c1 != c3 {
 		t.Fatal("default cutoff not normalized in the cache key")
 	}

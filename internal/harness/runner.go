@@ -57,15 +57,11 @@ type Options struct {
 	// Sanitize enables the heap-integrity sanitizer on every run in the
 	// batch (see RunConfig.Sanitize).
 	Sanitize bool
-	// Trace attaches a telemetry recorder to every run in the batch (see
-	// RunConfig.Trace). Recorders ride back on RunResult.Trace in input
-	// order, so trace files assembled from the results are byte-identical
-	// at every parallelism level.
-	Trace bool
 	// TraceHeap enables per-space heap-occupancy sampling on every traced
 	// run in the batch (see RunConfig.TraceHeap).
 	TraceHeap bool
-	// TraceSink, when non-nil, implies Trace and receives each batch's
+	// TraceSink, when non-nil, attaches a telemetry recorder to every run
+	// in the batch (see RunConfig.Trace) and receives each batch's
 	// per-run trace data after the batch assembles — in input order,
 	// whatever the parallelism, with failed runs skipped. The experiment
 	// renderers call RunAll internally without surfacing RunResults, so
@@ -188,7 +184,7 @@ func RunAll(cfgs []RunConfig, opts Options) ([]*RunResult, error) {
 		if opts.Sanitize {
 			cfg.Sanitize = true
 		}
-		if opts.Trace || opts.TraceSink != nil {
+		if opts.TraceSink != nil {
 			cfg.Trace = true
 		}
 		if opts.TraceHeap && cfg.Trace {

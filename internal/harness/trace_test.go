@@ -22,6 +22,15 @@ func traceFile(t *testing.T, results []*RunResult) *trace.File {
 	return trace.NewFile(runs...)
 }
 
+// tracedConfigs is detConfigs with a recorder attached to every run.
+func tracedConfigs() []RunConfig {
+	cfgs := detConfigs()
+	for i := range cfgs {
+		cfgs[i].Trace = true
+	}
+	return cfgs
+}
+
 // renderBoth serializes a file to both sink formats.
 func renderBoth(t *testing.T, f *trace.File) (jsonl, chrome []byte) {
 	t.Helper()
@@ -94,8 +103,8 @@ func TestTraceReconcilesAndValidates(t *testing.T) {
 // TestTraceRunTwiceByteIdentical: both sink formats are byte-identical
 // across two independent executions of the same batch.
 func TestTraceRunTwiceByteIdentical(t *testing.T) {
-	cfgs := detConfigs()[:3]
-	opts := Options{Parallelism: 1, Trace: true}
+	cfgs := tracedConfigs()[:3]
+	opts := Options{Parallelism: 1}
 	first, err := RunAll(cfgs, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -118,14 +127,14 @@ func TestTraceRunTwiceByteIdentical(t *testing.T) {
 // byte-identical at every parallelism level, for both formats — the
 // ISSUE's parallel==serial acceptance criterion.
 func TestTraceParallelMatchesSerial(t *testing.T) {
-	cfgs := detConfigs()
-	serial, err := RunAll(cfgs, Options{Parallelism: 1, Trace: true})
+	cfgs := tracedConfigs()
+	serial, err := RunAll(cfgs, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	js, cs := renderBoth(t, traceFile(t, serial))
 	ClearCalibrationCache()
-	parallel, err := RunAll(cfgs, Options{Parallelism: 8, Trace: true})
+	parallel, err := RunAll(cfgs, Options{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

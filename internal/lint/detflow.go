@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // Detflow upgrades detrand from call-site banning to interprocedural
@@ -33,10 +34,13 @@ import (
 // packages' own business.
 //
 // The analysis is deliberately conservative about what it cannot see:
-// calls through function values propagate argument taint, interface
-// calls to fence-declared methods count as fence sinks, and `make`/`new`
-// with a tainted size do not taint the contents (a pool sized by
-// GOMAXPROCS is fine; what flows through it is still tracked).
+// calls through function values propagate argument taint and may call
+// any module function whose value is taken and whose signature matches
+// (a sink if one is, carrying their return taint), calls with no module
+// summary may store their argument taint through any &x argument,
+// interface calls to fence-declared methods count as fence sinks, and
+// `make`/`new` with a tainted size do not taint the contents (a pool
+// sized by GOMAXPROCS is fine; what flows through it is still tracked).
 var Detflow = &Analyzer{
 	Name:      "detflow",
 	Doc:       "taint-tracks host-clock/scheduler/randomness and map-order values into fence-package sinks",
@@ -117,14 +121,15 @@ func runDetflow(pass *Pass) {
 		}
 	}
 	fields := make(map[*types.Var]taintMask)
+	dynamic := dynamicCallees(pass, summaries)
 
 	// Module-wide fixpoint over summaries and the global field-taint set.
 	for iter := 0; iter < 20; iter++ {
 		changed := false
 		for _, d := range decls {
-			clean := newDFAnalysis(d, summaries, fields, false, nil)
+			clean := newDFAnalysis(d, summaries, fields, dynamic, false, nil)
 			clean.analyze()
-			param := newDFAnalysis(d, summaries, fields, true, nil)
+			param := newDFAnalysis(d, summaries, fields, dynamic, true, nil)
 			param.analyze()
 			s := summaries[d.fn]
 			if clean.ret&^s.ret != 0 {
@@ -153,9 +158,52 @@ func runDetflow(pass *Pass) {
 		if !d.pkg.Target || inDetFence(d.pkg.Path) {
 			continue
 		}
-		rep := newDFAnalysis(d, summaries, fields, false, pass)
+		rep := newDFAnalysis(d, summaries, fields, dynamic, false, pass)
 		rep.analyze()
 	}
+}
+
+// dynamicCallees maps each call through a function value to the module
+// functions it may call: those whose value is taken (a use other than as
+// a callee) and whose signature is identical to the called value's.
+func dynamicCallees(pass *Pass, summaries map[*types.Func]*dfSummary) map[*ast.CallExpr][]*types.Func {
+	var taken []*types.Func
+	var calls []*ast.CallExpr
+	var sigs []types.Type
+	for _, p := range pass.All {
+		for _, f := range p.Files {
+			called := make(map[*ast.Ident]bool)
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch v := n.(type) {
+				case *ast.CallExpr:
+					switch fun := ast.Unparen(v.Fun).(type) {
+					case *ast.Ident:
+						called[fun] = true
+					case *ast.SelectorExpr:
+						called[fun.Sel] = true
+					}
+					tv := p.Info.Types[v.Fun]
+					if tv.Type != nil && tv.IsValue() && staticCallee(p.Info, v) == nil {
+						calls, sigs = append(calls, v), append(sigs, tv.Type)
+					}
+				case *ast.Ident:
+					if fn, ok := p.Info.Uses[v].(*types.Func); ok && !called[v] && summaries[fn] != nil {
+						taken = append(taken, fn)
+					}
+				}
+				return true
+			})
+		}
+	}
+	dynamic := make(map[*ast.CallExpr][]*types.Func)
+	for i, call := range calls {
+		for _, fn := range taken {
+			if types.Identical(sigs[i].Underlying(), fn.Type()) && !slices.Contains(dynamic[call], fn) {
+				dynamic[call] = append(dynamic[call], fn)
+			}
+		}
+	}
+	return dynamic
 }
 
 // dfAnalysis is one intra-procedural taint analysis of a function body.
@@ -165,8 +213,9 @@ type dfAnalysis struct {
 	fd        *ast.FuncDecl
 	summaries map[*types.Func]*dfSummary
 	fields    map[*types.Var]taintMask
-	paramMode bool  // parameters start fully tainted (for summaries)
-	pass      *Pass // non-nil: report sinks as diagnostics
+	dynamic   map[*ast.CallExpr][]*types.Func // see dynamicCallees
+	paramMode bool                            // parameters start fully tainted (for summaries)
+	pass      *Pass                           // non-nil: report sinks as diagnostics
 
 	vars          map[types.Object]taintMask
 	sorted        map[types.Object]bool // objects passed to a sort sink in this function
@@ -176,10 +225,11 @@ type dfAnalysis struct {
 	fieldsChanged bool
 }
 
-func newDFAnalysis(d dfDecl, summaries map[*types.Func]*dfSummary, fields map[*types.Var]taintMask, paramMode bool, pass *Pass) *dfAnalysis {
+func newDFAnalysis(d dfDecl, summaries map[*types.Func]*dfSummary, fields map[*types.Var]taintMask,
+	dynamic map[*ast.CallExpr][]*types.Func, paramMode bool, pass *Pass) *dfAnalysis {
 	return &dfAnalysis{
-		pkg: d.pkg, info: d.pkg.Info, fd: d.fd,
-		summaries: summaries, fields: fields, paramMode: paramMode, pass: pass,
+		pkg: d.pkg, info: d.pkg.Info, fd: d.fd, summaries: summaries, fields: fields,
+		dynamic: dynamic, paramMode: paramMode, pass: pass,
 		vars: make(map[types.Object]taintMask), sorted: make(map[types.Object]bool),
 	}
 }
@@ -293,6 +343,16 @@ func (a *dfAnalysis) propagate(n ast.Node, inLit bool) {
 			}
 		case *ast.SendStmt:
 			a.mergeLhs(s.Chan, a.exprTaint(s.Value))
+		case *ast.CallExpr:
+			// A callee with no summary may store any argument through a
+			// pointer it is handed: flag.IntVar(&n, "n", runtime.NumCPU(), "").
+			if _, ok := a.summaries[staticCallee(a.info, s)]; !ok {
+				for _, arg := range s.Args {
+					if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
+						a.mergeLhs(u.X, a.callTaint(s))
+					}
+				}
+			}
 		case *ast.ReturnStmt:
 			if !inLit {
 				for _, r := range s.Results {
@@ -450,8 +510,9 @@ func (a *dfAnalysis) exprTaint(e ast.Expr) taintMask {
 // callTaint computes the taint of a call result: sources introduce host
 // taint, module functions apply their summaries, and unknown callees
 // (stdlib, function values) conservatively launder argument and receiver
-// taint through to the result. make/new are exempt: a tainted capacity
-// does not taint the contents.
+// taint through to the result, plus the return taint of every module
+// function a function value may call. make/new are exempt: a tainted
+// capacity does not taint the contents.
 func (a *dfAnalysis) callTaint(call *ast.CallExpr) taintMask {
 	var args taintMask
 	for _, arg := range call.Args {
@@ -472,6 +533,9 @@ func (a *dfAnalysis) callTaint(call *ast.CallExpr) taintMask {
 			if b, ok := a.info.Uses[id].(*types.Builtin); ok && (b.Name() == "make" || b.Name() == "new") {
 				return 0
 			}
+		}
+		for _, fn := range a.dynamic[call] {
+			args |= a.summaries[fn].ret
 		}
 		return args
 	}
@@ -511,7 +575,13 @@ func (a *dfAnalysis) scanSinks() {
 	ast.Inspect(a.fd.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.CallExpr:
-			callee := staticCallee(a.info, v)
+			callee, via := staticCallee(a.info, v), ""
+			for _, fn := range a.dynamic[v] { // a function value is a sink if it may call one
+				if a.isFenceSink(fn) {
+					callee, via = fn, types.ExprString(v.Fun)+", which may call "
+					break
+				}
+			}
 			if !a.isFenceSink(callee) {
 				return true
 			}
@@ -519,8 +589,8 @@ func (a *dfAnalysis) scanSinks() {
 				if t := a.exprTaint(arg); t != 0 {
 					a.sinkHit = true
 					if a.pass != nil {
-						a.pass.Reportf(arg.Pos(), "value derived from %s flows into the determinism fence (argument to %s.%s)",
-							taintDesc(t), pathBase(callee.Pkg().Path()), callee.Name())
+						a.pass.Reportf(arg.Pos(), "value derived from %s flows into the determinism fence (argument to %s%s.%s)",
+							taintDesc(t), via, pathBase(callee.Pkg().Path()), callee.Name())
 					}
 				}
 			}

@@ -6,6 +6,8 @@
 package detclient
 
 import (
+	"flag"
+	"runtime"
 	"slices"
 	"time"
 
@@ -53,6 +55,35 @@ func relay(v uint64) { trace.Emit(v) }
 // Laundered crosses the fence through relay's summary.
 func Laundered() {
 	relay(hostStamp()) // want: argument to detclient.relay
+}
+
+// emitters is a table of funcs; its "relay" entry reaches the fence.
+var emitters = map[string]func(uint64){"relay": relay, "drop": func(uint64) {}}
+
+// dispatch calls an emitter through the table's function values.
+func dispatch(name string, v uint64) { emitters[name](v) }
+
+// ViaTable crosses the fence through dispatch, whose call through a
+// function value may call relay.
+func ViaTable() {
+	dispatch("relay", hostStamp()) // want: argument to detclient.dispatch
+}
+
+// stampers is a table of clocks.
+var stampers = []func() uint64{hostStamp}
+
+// ViaStamper crosses the fence with hostStamp's taint, returned through a
+// function value.
+func ViaStamper() {
+	trace.Emit(stampers[0]()) // want: argument to trace.Emit
+}
+
+// FlagDefault binds a flag with a host-derived default, which flag.IntVar
+// stores through the pointer it is handed.
+func FlagDefault(fs *flag.FlagSet) {
+	var workers int
+	fs.IntVar(&workers, "workers", runtime.NumCPU(), "worker-pool size")
+	trace.Emit(uint64(workers)) // want: argument to trace.Emit
 }
 
 // Build taints a fence-package composite literal and then hands it over.

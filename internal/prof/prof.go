@@ -421,8 +421,8 @@ func (p *Profiler) Sites() []*SiteStats {
 
 // Policy derives a pretenuring policy from the profile using the paper's
 // rule: pretenure every site whose old% is at least cutoffPct (the paper
-// uses 80). Sites with fewer than minObjects allocations are ignored as
-// noise.
+// uses PaperCutoffPct). Sites with fewer than minObjects allocations are
+// ignored as noise.
 func (p *Profiler) Policy(cutoffPct float64, minObjects uint64) *core.PretenurePolicy {
 	sites := make(map[obj.SiteID]core.PretenureDecision)
 	for _, s := range p.sites {

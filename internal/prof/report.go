@@ -5,15 +5,19 @@ import (
 	"io"
 )
 
+// PaperCutoffPct is the paper's old% pretenuring cutoff (§6), used by the
+// offline policy, the online advisor and the Figure 2 report.
+const PaperCutoffPct = 80
+
+// minSharePct is the share of allocation or of copying a site must exceed
+// to be shown: the paper shows "only entries with alloc % > 1.00 or with
+// copy % > 1.00".
+const minSharePct = 1.0
+
 // ReportOptions controls Figure 2 report rendering.
 type ReportOptions struct {
-	// MinAllocPct and MinCopyPct filter the table to sites contributing
-	// at least this share of allocation or of copying — the paper shows
-	// "only entries with alloc % > 1.00 or with copy % > 1.00".
-	MinAllocPct float64
-	MinCopyPct  float64
 	// CutoffPct is the old% pretenuring cutoff summarized at the foot of
-	// the report (the paper uses 80%).
+	// the report (the paper uses PaperCutoffPct).
 	CutoffPct float64
 	// Title heads the report (the benchmark name).
 	Title string
@@ -21,7 +25,7 @@ type ReportOptions struct {
 
 // DefaultReportOptions mirrors the paper's Figure 2 settings.
 func DefaultReportOptions(title string) ReportOptions {
-	return ReportOptions{MinAllocPct: 1.0, MinCopyPct: 1.0, CutoffPct: 80, Title: title}
+	return ReportOptions{CutoffPct: PaperCutoffPct, Title: title}
 }
 
 // WriteReport renders the heap profile in the format of the paper's
@@ -56,7 +60,7 @@ func (p *Profiler) WriteReport(w io.Writer, opts ReportOptions) {
 		// the percentage filter; its garbage is exactly what the report
 		// exists to surface, so it is always shown.
 		deathOnly := s.AllocCount == 0 && s.Deaths > 0
-		if !deathOnly && allocPct <= opts.MinAllocPct && copyPct <= opts.MinCopyPct {
+		if !deathOnly && allocPct <= minSharePct && copyPct <= minSharePct {
 			continue
 		}
 		shown++
@@ -69,8 +73,8 @@ func (p *Profiler) WriteReport(w io.Writer, opts ReportOptions) {
 			s.AvgAgeKB(), s.CopiedBytes, copyPct, s.CopyRatio(), marker)
 	}
 	fmt.Fprintln(w, "--------------- heap profile end : short ---------------")
-	fmt.Fprintf(w, "Showing only entries with alloc %% > %.2f\n", opts.MinAllocPct)
-	fmt.Fprintf(w, "                  or with copy %% > %.2f\n", opts.MinCopyPct)
+	fmt.Fprintf(w, "Showing only entries with alloc %% > %.2f\n", minSharePct)
+	fmt.Fprintf(w, "                  or with copy %% > %.2f\n", minSharePct)
 	fmt.Fprintf(w, "%d of %d entries displayed.\n", shown, len(sites))
 	copiedPct, allocPct := p.CutoffSummary(opts.CutoffPct)
 	fmt.Fprintf(w, "Using a (%% old) cutoff of %.0f%%,\n", opts.CutoffPct)

@@ -3,7 +3,6 @@ package rt
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"tilgc/internal/costmodel"
 	"tilgc/internal/trace"
@@ -320,18 +319,6 @@ func (s *Stack) ResetEpoch() {
 
 // MarkerCount returns the number of live marker-table entries.
 func (s *Stack) MarkerCount() int { return len(s.markers) }
-
-// Markers returns the marker-table entries in ascending base order.
-// Entries may be stale (their frame popped by a raise without firing the
-// stub); ReuseBoundary prunes those lazily. Used by integrity checkers.
-func (s *Stack) Markers() []Marker {
-	out := make([]Marker, 0, len(s.markers))
-	for _, m := range s.markers {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
-	return out
-}
 
 // MarkerAt returns the marker entry for the given frame base, if any.
 func (s *Stack) MarkerAt(base int) (Marker, bool) {

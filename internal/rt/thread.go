@@ -81,17 +81,6 @@ func (ts *ThreadSet) Spawn() *Thread {
 // Len returns the number of threads ever created (including dead ones).
 func (ts *ThreadSet) Len() int { return len(ts.threads) }
 
-// LiveCount returns the number of threads not yet joined.
-func (ts *ThreadSet) LiveCount() int {
-	n := 0
-	for _, t := range ts.threads {
-		if !t.dead {
-			n++
-		}
-	}
-	return n
-}
-
 // Thread returns the thread with the given id.
 func (ts *ThreadSet) Thread(id int) *Thread {
 	if id < 0 || id >= len(ts.threads) {

@@ -185,7 +185,7 @@ func TestBrokenCollectors(t *testing.T) {
 		t.Run(tc.pass, func(t *testing.T) {
 			e := newEnv(8)
 			c := tc.build(e)
-			w := sanitize.Wrap(c, sanitize.Options{})
+			w := sanitize.Wrap(c, nil)
 			if vs := w.Check(); len(vs) != 0 {
 				t.Fatalf("violations before corruption: %v", vs)
 			}
@@ -211,7 +211,7 @@ func TestNonmovingCollectorsClean(t *testing.T) {
 		t.Run(oc.String(), func(t *testing.T) {
 			e := newEnv(8)
 			c := newGen(e, core.Config{OldCollector: oc})
-			w := sanitize.Wrap(c, sanitize.Options{}) // panics on any violation
+			w := sanitize.Wrap(c, nil) // panics on any violation
 			for round := 0; round < 4; round++ {
 				consList(w, e, 1, 200, obj.SiteID(1+round))
 				w.Collect(true)
@@ -229,14 +229,14 @@ func TestNonmovingCollectorsClean(t *testing.T) {
 
 // TestWrapperAutoCheck verifies the decorator actually runs the passes
 // after operations that completed collections, and routes violations to
-// the OnViolation hook.
+// the violation hook.
 func TestWrapperAutoCheck(t *testing.T) {
 	e := newEnv(4)
 	c := newGen(e, core.Config{})
 	var fired [][]sanitize.Violation
-	w := sanitize.Wrap(c, sanitize.Options{OnViolation: func(vs []sanitize.Violation) {
+	w := sanitize.Wrap(c, func(vs []sanitize.Violation) {
 		fired = append(fired, vs)
-	}})
+	})
 	consList(w, e, 1, 50, 1)
 	before := w.Checks()
 	c.Stats().NumMajor = c.Stats().NumGC + 7 // survives the upcoming minor GC
@@ -245,7 +245,7 @@ func TestWrapperAutoCheck(t *testing.T) {
 		t.Fatal("Collect through the wrapper performed no check")
 	}
 	if len(fired) == 0 {
-		t.Fatal("OnViolation not called for a corrupted collector")
+		t.Fatal("violation hook not called for a corrupted collector")
 	}
 	for _, v := range fired[0] {
 		if v.Pass != "costs" {
@@ -254,12 +254,12 @@ func TestWrapperAutoCheck(t *testing.T) {
 	}
 }
 
-// TestWrapperPanicsByDefault verifies that without an OnViolation hook a
+// TestWrapperPanicsByDefault verifies that without a violation hook a
 // failed automatic check panics with the rendered violation list.
 func TestWrapperPanicsByDefault(t *testing.T) {
 	e := newEnv(4)
 	c := newGen(e, core.Config{})
-	w := sanitize.Wrap(c, sanitize.Options{})
+	w := sanitize.Wrap(c, nil)
 	consList(w, e, 1, 50, 1)
 	c.Stats().NumMajor = c.Stats().NumGC + 7
 	defer func() {

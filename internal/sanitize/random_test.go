@@ -17,9 +17,10 @@ import (
 // failure here is a one-word reproducer (`gcbench -fuzz -fuzz-seeds N`)
 // instead of an unreplayable rand stream.
 //
-// CheckProgram wraps every matrix collector with sanitize.Wrap (EveryN 1)
-// and reports violations as FailSanitizer failures; the cross-config,
-// run-twice, trace, and wrapper oracles ride along.
+// CheckProgram wraps every matrix collector with sanitize.Wrap (a check
+// after every collection) and reports violations as FailSanitizer
+// failures; the cross-config, run-twice, trace, and wrapper oracles ride
+// along.
 func TestSanitizedRandomMutator(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		seed := seed

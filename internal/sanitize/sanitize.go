@@ -26,7 +26,9 @@ import (
 
 // Violation reports one invariant breach with enough context to locate it.
 type Violation struct {
-	// Pass names the invariant pass that fired (see PassNames).
+	// Pass names the invariant pass that fired: headers, fromspace,
+	// remembered, markers, pretenure, oldbitmap, freelist, costs,
+	// workers, or inspect when the collector cannot be inspected.
 	Pass string
 	// Addr is the offending object or field address (Nil when the
 	// violation is not tied to a heap location).
@@ -58,28 +60,16 @@ func (v Violation) String() string {
 }
 
 // passes lists every invariant pass in execution order.
-var passes = []struct {
-	name string
-	run  func(*checker)
-}{
-	{"headers", (*checker).checkHeaders},
-	{"fromspace", (*checker).checkFromspace},
-	{"remembered", (*checker).checkRemembered},
-	{"markers", (*checker).checkMarkers},
-	{"pretenure", (*checker).checkPretenure},
-	{"oldbitmap", (*checker).checkOldBitmap},
-	{"freelist", (*checker).checkOldFreeList},
-	{"costs", (*checker).checkCosts},
-	{"workers", (*checker).checkWorkers},
-}
-
-// PassNames returns the names of all invariant passes, in execution order.
-func PassNames() []string {
-	names := make([]string, len(passes))
-	for i, p := range passes {
-		names[i] = p.name
-	}
-	return names
+var passes = []func(*checker){
+	(*checker).checkHeaders,
+	(*checker).checkFromspace,
+	(*checker).checkRemembered,
+	(*checker).checkMarkers,
+	(*checker).checkPretenure,
+	(*checker).checkOldBitmap,
+	(*checker).checkOldFreeList,
+	(*checker).checkCosts,
+	(*checker).checkWorkers,
 }
 
 // Check runs every invariant pass against the collector's current state
@@ -87,20 +77,12 @@ func PassNames() []string {
 // collector must be between collections. Wrapped collectors are unwrapped
 // first.
 func Check(c core.Collector) []Violation {
-	return CheckPasses(c, nil)
+	return check(c, new(scratch))
 }
 
-// CheckPasses runs the named invariant passes (nil or empty means all).
-// Unknown pass names are themselves reported as violations, so a typo in a
-// pass list cannot silently disable checking.
-func CheckPasses(c core.Collector, names []string) []Violation {
-	return checkPasses(c, names, new(scratch))
-}
-
-// checkPasses is CheckPasses over caller-owned working storage: a Wrapper
-// passes the scratch it keeps across its checks, the one-shot entry
-// points a fresh one.
-func checkPasses(c core.Collector, names []string, sc *scratch) []Violation {
+// check is Check over caller-owned working storage: a Wrapper passes the
+// scratch it keeps across its checks, Check a fresh one.
+func check(c core.Collector, sc *scratch) []Violation {
 	if w, ok := c.(*Wrapper); ok {
 		c = w.Unwrap()
 	}
@@ -110,25 +92,8 @@ func checkPasses(c core.Collector, names []string, sc *scratch) []Violation {
 			Msg: fmt.Sprintf("collector %T does not support inspection", c)}}
 	}
 	ck := newChecker(insp.Inspect(), sc)
-	if len(names) == 0 {
-		for _, p := range passes {
-			p.run(ck)
-		}
-		return ck.violations
-	}
-	for _, name := range names {
-		found := false
-		for _, p := range passes {
-			if p.name == name {
-				p.run(ck)
-				found = true
-				break
-			}
-		}
-		if !found {
-			ck.violations = append(ck.violations, Violation{
-				Pass: "inspect", Msg: fmt.Sprintf("unknown pass %q", name)})
-		}
+	for _, run := range passes {
+		run(ck)
 	}
 	return ck.violations
 }

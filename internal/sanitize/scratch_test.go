@@ -50,7 +50,7 @@ func TestScratchReuseKeepsViolations(t *testing.T) {
 	run := func(t *testing.T, tc brokenCase) {
 		e := newEnv(8)
 		c := tc.build(e)
-		w := sanitize.Wrap(c, sanitize.Options{}) // panics on a violation
+		w := sanitize.Wrap(c, nil) // panics on a violation
 		warmUp(t, w, e)
 		tc.corrupt(t, c, e)
 		got, want := w.Check(), sanitize.Check(c)
@@ -124,7 +124,7 @@ func TestWrapperCheckMatchesCheck(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			e := newEnv(8)
 			c := cfg.build(e)
-			w := sanitize.Wrap(c, sanitize.Options{}) // panics on a violation
+			w := sanitize.Wrap(c, nil) // panics on a violation
 			churn(w, e, func() {
 				got, want := w.Check(), sanitize.Check(c)
 				if !reflect.DeepEqual(got, want) {
@@ -143,7 +143,7 @@ func TestWrapperCheckAllocs(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			e := newEnv(8)
 			c := cfg.build(e)
-			w := sanitize.Wrap(c, sanitize.Options{})
+			w := sanitize.Wrap(c, nil)
 			churn(w, e, func() {})
 			consList(w, e, 1, 150, 1)
 			w.Collect(false)

@@ -10,23 +10,9 @@ import (
 	"tilgc/internal/rt"
 )
 
-// Options configures a sanitizer wrapper.
-type Options struct {
-	// Passes selects which invariant passes run (nil means all).
-	Passes []string
-	// EveryN runs the passes after every Nth collection (default 1:
-	// after every collection). Checks also run on explicit Check calls
-	// regardless of EveryN.
-	EveryN int
-	// OnViolation receives the violations of one failed check. When nil,
-	// a failed check panics with the rendered violations — the loudest
-	// possible signal that a collector invariant broke mid-run.
-	OnViolation func([]Violation)
-}
-
 // Wrapper decorates a Collector with automatic integrity checking: after
 // any operation that completed one or more collections (Alloc may trigger
-// them internally), the configured passes re-verify the heap. The wrapper
+// them internally), every invariant pass re-verifies the heap. The wrapper
 // delegates Name, Stats, and all cost-charged operations unchanged, so a
 // sanitized run produces byte-identical tables to an unwrapped one.
 //
@@ -35,22 +21,22 @@ type Options struct {
 // a check after every collection does not rebuild that storage each
 // time; each check resets it before use.
 type Wrapper struct {
-	inner  core.Collector
-	opts   Options
-	lastGC uint64 // inner NumGC at the last check boundary
-	due    uint64 // collections observed since the last automatic check
-	checks uint64 // total checks performed
-	sc     scratch
+	inner       core.Collector
+	onViolation func([]Violation)
+	lastGC      uint64 // inner NumGC at the last check boundary
+	checks      uint64 // total checks performed
+	sc          scratch
 }
 
 // Wrap decorates c with the sanitizer. The collector must be inspectable
 // (all collectors in internal/core are); if it is not, every check reports
 // a single "inspect" violation rather than silently passing.
-func Wrap(c core.Collector, opts Options) *Wrapper {
-	if opts.EveryN <= 0 {
-		opts.EveryN = 1
-	}
-	return &Wrapper{inner: c, opts: opts, lastGC: c.Stats().NumGC}
+//
+// onViolation receives the violations of one failed automatic check. When
+// nil, a failed check panics with the rendered violations — the loudest
+// possible signal that a collector invariant broke mid-run.
+func Wrap(c core.Collector, onViolation func([]Violation)) *Wrapper {
+	return &Wrapper{inner: c, onViolation: onViolation, lastGC: c.Stats().NumGC}
 }
 
 // Unwrap returns the decorated collector.
@@ -59,33 +45,29 @@ func (w *Wrapper) Unwrap() core.Collector { return w.inner }
 // Checks returns the number of integrity checks performed so far.
 func (w *Wrapper) Checks() uint64 { return w.checks }
 
-// Check runs the configured passes immediately and returns the violations
-// (nil when clean) without invoking OnViolation or panicking — the
-// on-demand entry point for tests and tools.
+// Check runs every pass immediately and returns the violations (nil when
+// clean) without invoking the violation hook or panicking — the on-demand
+// entry point for tests and tools.
 func (w *Wrapper) Check() []Violation {
 	w.checks++
-	return checkPasses(w.inner, w.opts.Passes, &w.sc)
+	return check(w.inner, &w.sc)
 }
 
-// afterOp runs the automatic check when enough collections have completed.
+// afterOp runs the automatic check when an operation completed a
+// collection.
 func (w *Wrapper) afterOp() {
 	n := w.inner.Stats().NumGC
 	if n == w.lastGC {
 		return
 	}
-	w.due += n - w.lastGC
 	w.lastGC = n
-	if w.due < uint64(w.opts.EveryN) {
-		return
-	}
-	w.due = 0
 	w.checks++
-	vs := checkPasses(w.inner, w.opts.Passes, &w.sc)
+	vs := check(w.inner, &w.sc)
 	if len(vs) == 0 {
 		return
 	}
-	if w.opts.OnViolation != nil {
-		w.opts.OnViolation(vs)
+	if w.onViolation != nil {
+		w.onViolation(vs)
 		return
 	}
 	var b strings.Builder

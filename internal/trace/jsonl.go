@@ -517,8 +517,6 @@ func (fr *fileReader) Child(rec jsonl.Fields) error {
 		switch r.Kind {
 		case "counter":
 			m.Kind = KindCounter
-		case "gauge":
-			m.Kind = KindGauge
 		case "hist":
 			m.Kind = KindHistogram
 		default:

@@ -13,8 +13,6 @@ type MetricKind uint8
 const (
 	// KindCounter is a monotonically increasing count.
 	KindCounter MetricKind = iota
-	// KindGauge is a last-value-wins level.
-	KindGauge
 	// KindHistogram is a log2-bucketed distribution of uint64 samples.
 	KindHistogram
 )
@@ -24,15 +22,13 @@ func (k MetricKind) String() string {
 	switch k {
 	case KindCounter:
 		return "counter"
-	case KindGauge:
-		return "gauge"
 	case KindHistogram:
 		return "hist"
 	}
 	return "unknown"
 }
 
-// Metric is one registry entry. Counters and gauges use Value; histograms
+// Metric is one registry entry. Counters use Value; histograms
 // use Count/Sum/Max/Buckets, where Buckets[i] counts observations v with
 // bits.Len64(v) == i, i.e. 2^(i-1) <= v < 2^i (bucket 0 holds v == 0).
 type Metric struct {
@@ -47,9 +43,6 @@ type Metric struct {
 
 // Add increments a counter by n.
 func (m *Metric) Add(n uint64) { m.Value += n }
-
-// Set replaces a gauge's value.
-func (m *Metric) Set(v uint64) { m.Value = v }
 
 // Observe records one histogram sample.
 func (m *Metric) Observe(v uint64) {
@@ -104,10 +97,9 @@ func (m *Metric) clone() Metric {
 	return cp
 }
 
-// Registry is a small deterministic metrics registry: named counters,
-// gauges, and log-bucketed histograms, snapshotable at any collection
-// boundary. Lookup order never leaks into output — snapshots are sorted
-// by name.
+// Registry is a small deterministic metrics registry: named counters and
+// log-bucketed histograms, snapshotable at any collection boundary.
+// Lookup order never leaks into output — snapshots are sorted by name.
 type Registry struct {
 	byName map[string]*Metric
 }
@@ -132,9 +124,6 @@ func (r *Registry) metric(name string, kind MetricKind) *Metric {
 
 // Counter returns (creating on first use) the named counter.
 func (r *Registry) Counter(name string) *Metric { return r.metric(name, KindCounter) }
-
-// Gauge returns (creating on first use) the named gauge.
-func (r *Registry) Gauge(name string) *Metric { return r.metric(name, KindGauge) }
 
 // Histogram returns (creating on first use) the named histogram.
 func (r *Registry) Histogram(name string) *Metric { return r.metric(name, KindHistogram) }

@@ -218,7 +218,7 @@ func (f *File) WriteSummary(w io.Writer, topPauses int) error {
 }
 
 // WriteMetrics renders every run's metrics registry as a compact table:
-// one row per metric, counters and gauges by value, histograms by
+// one row per metric, counters by value, histograms by
 // count/sum/max/mean. Output is deterministic (registry snapshots are
 // name-sorted; no wall-clock quantities appear).
 func (f *File) WriteMetrics(w io.Writer) error {

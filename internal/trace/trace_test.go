@@ -139,7 +139,7 @@ func bucketAt(m *Metric, b int) uint64 {
 func TestRegistryKinds(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("b.count").Add(2)
-	reg.Gauge("a.level").Set(7)
+	reg.Counter("a.count").Add(7)
 	reg.Histogram("c.hist").Observe(5)
 	defer func() {
 		if recover() == nil {
@@ -147,14 +147,14 @@ func TestRegistryKinds(t *testing.T) {
 		}
 	}()
 	snap := reg.Snapshot()
-	if len(snap) != 3 || snap[0].Name != "a.level" || snap[1].Name != "b.count" || snap[2].Name != "c.hist" {
+	if len(snap) != 3 || snap[0].Name != "a.count" || snap[1].Name != "b.count" || snap[2].Name != "c.hist" {
 		t.Fatalf("snapshot misordered: %+v", snap)
 	}
 	snap[2].Buckets[0] = 99
 	if m, _ := reg.Lookup("c.hist"); len(m.Buckets) > 0 && m.Buckets[0] == 99 {
 		t.Error("snapshot shares bucket storage with the registry")
 	}
-	reg.Gauge("b.count") // registered as counter: panics
+	reg.Histogram("b.count") // registered as counter: panics
 }
 
 // TestPhaseNames: wire names parse back to themselves and unknown names
@@ -205,6 +205,10 @@ func TestReadJSONLRejects(t *testing.T) {
 		"null integer":  withRunEnd(`{"t":"run_end","run":0,"client":null,"stack":0,"copy":0}`),
 		"tag not first": withRunEnd(`{"run":0,"t":"run_end","client":1,"stack":0,"copy":0}`),
 		"escaped key":   withRunEnd(`{"t":"run_end","run":0,"\u0063lient":1,"stack":0,"copy":0}`),
+		// No writer emits a gauge, so the reader knows no such kind.
+		"gauge metric": "{\"t\":\"header\",\"schema\":1,\"clock_hz\":1,\"runs\":1}\n" +
+			"{\"t\":\"run\",\"run\":0,\"label\":\"x\"}\n" +
+			"{\"t\":\"metric\",\"run\":0,\"name\":\"x\",\"kind\":\"gauge\",\"value\":1}\n" + runEnd,
 	}
 	for name, in := range cases {
 		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {

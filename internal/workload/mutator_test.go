@@ -177,7 +177,7 @@ func TestMutatorDeepUnwindPastMarkers(t *testing.T) {
 	gen := core.NewGenerational(stack, meter, nil, core.Config{
 		BudgetWords: 1 << 20, NurseryWords: 512, MarkerN: 25,
 	})
-	col := sanitize.Wrap(gen, sanitize.Options{})
+	col := sanitize.Wrap(gen, nil)
 	m := NewMutator(col, stack, table, meter)
 	mainF := m.PtrFrame("main", 3)
 	deep := m.PtrFrame("deep", 1)
