@@ -10,6 +10,7 @@
 //	gcbench -table 5 -trace t.json -trace-format chrome  # Perfetto trace
 //	gcbench -table 5 -metrics      # per-run metrics table after the sweep
 //	gcbench -figure 2              # Figure 2 heap profiles
+//	gcbench -figure 2 -export-store f2.jsonl  # ...and their advisor store
 //	gcbench -table 5 -trace t.jsonl -trace-heap  # ...plus per-space occupancy
 //	gcbench -experiment elide      # §7.2 scan-elision extension
 //	gcbench -experiment adapt      # §9 online adaptive pretenuring
@@ -48,7 +49,7 @@ type cli struct {
 	table, figure, parallel, threads, gcWorkers int
 	repeat, depth                               float64
 	experiment, traceOut, traceFormat, old      string
-	adaptStore, adaptWarm                       string
+	adaptStore, adaptWarm, exportStore          string
 	progress, sanitize, traceHeap, adapt        bool
 	metrics, list                               bool
 	fuzz, fuzzMinimize, fuzzVerbose             bool
@@ -89,6 +90,8 @@ func defineFlags(fs *flag.FlagSet) *cli {
 		"write the advisor profiles learned by every adaptive run to FILE as a warm-startable store (implies -adapt)")
 	fs.StringVar(&f.adaptWarm, "adapt-warm", "",
 		"warm-start every adaptive run from the profile store at FILE (implies -adapt)")
+	fs.StringVar(&f.exportStore, "export-store", "",
+		"with -figure 2, also write the profiled runs to FILE as a warm-startable advisor store (sites at the paper's old% cutoff pretenured)")
 	fs.BoolVar(&f.metrics, "metrics", false,
 		"print every run's metrics registry (counters and pause histogram) after the experiment")
 	fs.BoolVar(&f.list, "list", false, "list benchmarks and experiments")
@@ -150,6 +153,13 @@ func (f *cli) check(fs *flag.FlagSet) error {
 	}
 	if f.traceHeap && f.traceOut == "" && !f.metrics {
 		return usageError("-trace-heap needs -trace or -metrics: it samples into the trace")
+	}
+	table, figure, experiment := f.table != 0, f.figure != 0, f.experiment != ""
+	if table && figure || table && experiment || figure && experiment {
+		return usageError("-table, -figure and -experiment each name what to run: give one")
+	}
+	if f.exportStore != "" && f.figure != 2 {
+		return usageError("-export-store needs -figure 2: it stores the Figure 2 profiles")
 	}
 	return nil
 }
@@ -254,6 +264,16 @@ func main() {
 	switch {
 	case f.table >= 1 && f.table <= 7:
 		run(fmt.Sprintf("table%d", f.table))
+	case f.figure == 2 && f.exportStore != "":
+		//lint:ignore detflow as for ExperimentOpts: opts.Parallelism only sizes the worker pool, and Figure 2's runs are input-ordered
+		store, err := gcsim.Figure2Store(os.Stdout, s.scale, s.opts)
+		if err != nil {
+			fail(err)
+		}
+		//lint:ignore detflow the store holds one profile per Figure 2 run in input order, so its bytes are the same at every -parallel level
+		if err := writeAdaptStore(store.Profiles, f.exportStore); err != nil {
+			fail(err)
+		}
 	case f.figure == 2:
 		run("figure2")
 	case f.experiment == "all":
@@ -272,8 +292,6 @@ func main() {
 		if err := writeAdaptStore(s.adaptProfiles, f.adaptStore); err != nil {
 			fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "gcbench: wrote advisor store of %d profiles to %s\n",
-			len(s.adaptProfiles), f.adaptStore)
 	}
 
 	if s.opts.TraceSink != nil {
@@ -294,7 +312,7 @@ func main() {
 	}
 }
 
-// writeAdaptStore serializes the collected advisor profiles.
+// writeAdaptStore serializes advisor profiles as a store at path.
 func writeAdaptStore(profiles []*gcsim.AdaptProfile, path string) error {
 	store := &gcsim.AdaptStore{Profiles: profiles}
 	out, err := os.Create(path)
@@ -304,6 +322,9 @@ func writeAdaptStore(profiles []*gcsim.AdaptProfile, path string) error {
 	err = store.WriteJSONL(out)
 	if cerr := out.Close(); err == nil {
 		err = cerr
+	}
+	if err == nil {
+		fmt.Fprintf(os.Stderr, "gcbench: wrote advisor store of %d profiles to %s\n", len(profiles), path)
 	}
 	return err
 }

@@ -4,9 +4,11 @@ import (
 	"flag"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"tilgc/gcsim"
@@ -122,6 +124,12 @@ func TestRejectedFlagsExitTwo(t *testing.T) {
 		{[]string{"-fuzz-minimize"}, 2},
 		{[]string{"-fuzz-corpus", "corpus"}, 2},
 		{[]string{"-fuzz-verbose"}, 2},
+		{[]string{"-export-store", "f2.jsonl"}, 2},
+		{[]string{"-table", "2", "-export-store", "f2.jsonl"}, 2},
+		{[]string{"-fuzz", "-export-store", "f2.jsonl"}, 2},
+		{[]string{"-table", "1", "-figure", "2", "-export-store", "f2.jsonl"}, 2},
+		{[]string{"-figure", "2", "-experiment", "all"}, 2},
+		{[]string{"-table", "4", "-experiment", "elide"}, 2},
 		{[]string{"-fuzz", "-fuzz-seeds", "0..4", "-fuzz-minimize", "-fuzz-corpus", "corpus",
 			"-fuzz-verbose", "-parallel", "2", "-progress"}, 0},
 	} {
@@ -138,5 +146,60 @@ func TestRejectedFlagsExitTwo(t *testing.T) {
 		if got := exitCode(err); got != tc.want {
 			t.Errorf("%q: exit %d (%v), want %d", tc.args, got, err, tc.want)
 		}
+	}
+}
+
+// TestMain runs gcbench's main instead of the tests when the test binary
+// is started by gcbench (below), so a test can run the whole command.
+func TestMain(m *testing.M) {
+	if os.Getenv("GCBENCH_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// gcbench runs the gcbench command with args and returns its stdout.
+func gcbench(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "GCBENCH_RUN_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("gcbench %q: %v\n%s", args, err, stderr.String())
+	}
+	return string(out)
+}
+
+// TestExportStoreKeepsFigure2 checks that -export-store leaves Figure 2's
+// stdout as it is, and writes a store of one profile per Figure 2 run,
+// labelled with the run.
+func TestExportStoreKeepsFigure2(t *testing.T) {
+	args := []string{"-figure", "2", "-repeat", "0.001", "-depth", "0.15", "-parallel", "2"}
+	path := filepath.Join(t.TempDir(), "f2.jsonl")
+	plain, exported := gcbench(t, args...), gcbench(t, append(args, "-export-store", path)...)
+	if plain != exported {
+		t.Fatalf("-export-store changed Figure 2's stdout:\n%s\nwant:\n%s", exported, plain)
+	}
+	in, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	store, err := gcsim.ReadAdaptStore(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	for _, p := range store.Profiles {
+		labels = append(labels, p.Label)
+		if len(p.Sites) == 0 {
+			t.Errorf("profile %s has no sites", p.Label)
+		}
+	}
+	if want := "Knuth-Bendix/generational Nqueen/generational"; strings.Join(labels, " ") != want {
+		t.Errorf("store profiles %q, want %s", labels, want)
 	}
 }

@@ -15,6 +15,8 @@
 //	gctrace mmu [-windows W,..] [-chrome OUT] FILE  # utilization curve table
 //	                                           # (-chrome writes Perfetto
 //	                                           # counter tracks)
+//	gctrace store FILE               # summarize an advisor profile store
+//	                                 # (gcbench -adapt-store, -export-store)
 //
 // FILE is a schema-versioned JSONL trace; "-" reads stdin. Chrome-format
 // traces are a write-only sink (load them in Perfetto / chrome://tracing);
@@ -32,6 +34,7 @@ import (
 	"strconv"
 	"strings"
 
+	"tilgc/internal/adapt"
 	"tilgc/internal/slo"
 	"tilgc/internal/trace"
 )
@@ -55,6 +58,8 @@ func main() {
 		err = cmdSLO(os.Args[2:])
 	case "mmu":
 		err = cmdMMU(os.Args[2:])
+	case "store":
+		err = cmdStore(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -81,14 +86,20 @@ func usage() {
   gctrace mmu [-windows W,..] [-chrome OUT] FILE
                                              MMU/AMU curve table (-chrome
                                              writes Perfetto counter tracks)
+  gctrace store FILE                         summarize an advisor profile
+                                             store (gcbench -adapt-store,
+                                             gcbench -figure 2 -export-store)
 
 FILE is a JSONL trace from 'gcbench -trace'; "-" reads stdin.`)
 }
 
-// readFile parses the JSONL trace named by the sole positional argument.
-func readFile(fs *flag.FlagSet) (*trace.File, error) {
+// readFile decodes the file named by fs's sole positional argument ("-"
+// reads stdin) with read: trace.ReadJSONL for a trace, adapt.ReadJSONL
+// for a store. Errors name the file.
+func readFile[T any](fs *flag.FlagSet, read func(io.Reader) (T, error)) (T, error) {
+	var zero T
 	if fs.NArg() != 1 {
-		return nil, fmt.Errorf("want exactly one trace file argument, got %d", fs.NArg())
+		return zero, fmt.Errorf("want exactly one file argument, got %d", fs.NArg())
 	}
 	name := fs.Arg(0)
 	var in io.Reader
@@ -97,23 +108,23 @@ func readFile(fs *flag.FlagSet) (*trace.File, error) {
 	} else {
 		f, err := os.Open(name)
 		if err != nil {
-			return nil, err
+			return zero, err
 		}
 		defer f.Close()
 		in = f
 	}
-	tf, err := trace.ReadJSONL(in)
+	v, err := read(in)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return zero, fmt.Errorf("%s: %w", name, err)
 	}
-	return tf, nil
+	return v, nil
 }
 
 func cmdSummary(args []string) error {
 	fs := flag.NewFlagSet("gctrace summary", flag.ExitOnError)
 	top := fs.Int("top", 5, "number of longest pauses to list per run")
 	fs.Parse(args)
-	f, err := readFile(fs)
+	f, err := readFile(fs, trace.ReadJSONL)
 	if err != nil {
 		return err
 	}
@@ -123,7 +134,7 @@ func cmdSummary(args []string) error {
 func cmdMetrics(args []string) error {
 	fs := flag.NewFlagSet("gctrace metrics", flag.ExitOnError)
 	fs.Parse(args)
-	f, err := readFile(fs)
+	f, err := readFile(fs, trace.ReadJSONL)
 	if err != nil {
 		return err
 	}
@@ -133,7 +144,7 @@ func cmdMetrics(args []string) error {
 func cmdCheck(args []string) error {
 	fs := flag.NewFlagSet("gctrace check", flag.ExitOnError)
 	fs.Parse(args)
-	f, err := readFile(fs)
+	f, err := readFile(fs, trace.ReadJSONL)
 	if err != nil {
 		return err
 	}
@@ -175,7 +186,7 @@ func cmdSLO(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	f, err := readFile(fs)
+	f, err := readFile(fs, trace.ReadJSONL)
 	if err != nil {
 		return err
 	}
@@ -215,7 +226,7 @@ func cmdMMU(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	f, err := readFile(fs)
+	f, err := readFile(fs, trace.ReadJSONL)
 	if err != nil {
 		return err
 	}
@@ -251,7 +262,7 @@ func cmdConvert(args []string) (err error) {
 	if *to != "jsonl" && *to != "chrome" {
 		return fmt.Errorf("unknown -to format %q (want jsonl or chrome)", *to)
 	}
-	f, err := readFile(fs)
+	f, err := readFile(fs, trace.ReadJSONL)
 	if err != nil {
 		return err
 	}
@@ -274,4 +285,41 @@ func cmdConvert(args []string) (err error) {
 		err = f.WriteJSONL(w)
 	}
 	return err
+}
+
+// cmdStore summarizes an advisor profile store: per profile, its sites
+// with their survival share and the pretenured ones starred. Schema
+// mismatches and malformed records surface the store reader's errors.
+func cmdStore(args []string) error {
+	fs := flag.NewFlagSet("gctrace store", flag.ExitOnError)
+	fs.Parse(args)
+	store, err := readFile(fs, adapt.ReadJSONL)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s: %d profiles\n", fs.Arg(0), len(store.Profiles))
+	for _, p := range store.Profiles {
+		pretenured := 0
+		for _, s := range p.Sites {
+			if s.Pretenured {
+				pretenured++
+			}
+		}
+		fmt.Printf("\n%s (workload %s): %d sites, %d pretenured\n",
+			p.Label, p.Workload, len(p.Sites), pretenured)
+		for _, s := range p.Sites {
+			surv := 0.0
+			if total := s.SurvWords + s.DeadWords; total > 0 {
+				surv = 100 * float64(s.SurvWords) / float64(total)
+			}
+			mark := " "
+			if s.Pretenured {
+				mark = "*"
+			}
+			fmt.Printf("  %s site %-6d %-24s surv %5.1f%%  words %d/%d  placed/died %d/%d\n",
+				mark, s.Site, s.Name, surv,
+				s.SurvWords, s.SurvWords+s.DeadWords, s.PretPlaced, s.PretDied)
+		}
+	}
+	return nil
 }

@@ -40,8 +40,8 @@ func main() {
 	profiled.Profiler().WriteReport(os.Stdout, gcsim.DefaultReportOptions(bench))
 
 	// Step 3: the policy.
-	policy := gcsim.PolicyFromProfile(profiled.Profiler(), 80, 32)
-	fmt.Printf("\npretenured sites (old%% >= 80):")
+	policy := gcsim.PolicyFromProfile(profiled.Profiler(), gcsim.PaperCutoffPct, 32)
+	fmt.Printf("\npretenured sites (old%% >= %d):", gcsim.PaperCutoffPct)
 	for _, id := range policy.Sites() {
 		fmt.Printf(" %d(%s)", id, info.Sites[id])
 	}

@@ -51,7 +51,7 @@ func ExamplePolicyFromProfile() {
 	if _, err := profiled.RunBenchmark("Nqueen", gcsim.Scale{Repeat: 0.004}); err != nil {
 		panic(err)
 	}
-	policy := gcsim.PolicyFromProfile(profiled.Profiler(), 80, 32)
+	policy := gcsim.PolicyFromProfile(profiled.Profiler(), gcsim.PaperCutoffPct, 32)
 	fmt.Println("pretenured sites:", policy.Len())
 	// Output:
 	// pretenured sites: 2

@@ -226,36 +226,47 @@ func NewRuntime(cfg Config) *Runtime {
 	return &Runtime{sim: sim, mutator: sim.Mutator()}
 }
 
-// spec translates cfg into the runtime harness.Build assembles. Every
-// field passes through whatever the collector choice; Validate rejects
-// the ones the choice would ignore.
+// choices names each collector choice and the row of harness's
+// collector-configuration table it selects.
+var choices = [...]struct {
+	name string
+	kind harness.CollectorKind
+}{
+	Generational:        {"Generational", harness.KindGenerational},
+	Semispace:           {"Semispace", harness.KindSemispace},
+	GenerationalMarkers: {"GenerationalMarkers", harness.KindGenMarkers},
+	GenerationalFull:    {"GenerationalFull", harness.KindGenMarkersPretenure},
+}
+
+// preset returns the preset cfg's collector choice selects; with
+// ScanElision, GenerationalFull selects the elide row.
+func (c Config) preset() harness.Preset {
+	kind := choices[c.Collector].kind
+	if kind == harness.KindGenMarkersPretenure && c.ScanElision {
+		kind = harness.KindGenMarkersPretenureElide
+	}
+	p, _ := kind.Preset()
+	return p
+}
+
+// spec translates cfg into the runtime harness.Build assembles: the
+// preset's collector configuration, with every other field passed through
+// whatever the collector choice; Validate rejects the ones the choice
+// would ignore.
 func (c Config) spec() harness.Spec {
-	budget := c.BudgetWords
-	if budget == 0 {
-		budget = 512 << 20
+	g := c.preset().Config(c.MarkerN, c.Pretenure)
+	g.BudgetWords = c.BudgetWords
+	if g.BudgetWords == 0 {
+		g.BudgetWords = 512 << 20
 	}
-	markerN := c.MarkerN
-	if markerN == 0 && (c.Collector == GenerationalMarkers || c.Collector == GenerationalFull) {
-		markerN = core.PaperMarkerN
-	}
-	return harness.Spec{
-		Collector: core.Config{
-			Semispace:    c.Collector == Semispace,
-			BudgetWords:  budget,
-			NurseryWords: c.NurseryWords,
-			MarkerN:      markerN,
-			AgingMinors:  c.AgingMinors,
-			Pretenure:    c.Pretenure,
-			ScanElision:  c.ScanElision,
-			CardTable:    c.CardTable,
-			DeferMajor:   c.DeferMajor,
-			OldCollector: c.OldCollector,
-			GCWorkers:    c.GCWorkers,
-		},
-		Sites:   c.SiteNames,
-		Profile: c.Profile,
-		Threads: c.Threads,
-	}
+	g.NurseryWords = c.NurseryWords
+	g.AgingMinors = c.AgingMinors
+	g.ScanElision = c.ScanElision
+	g.CardTable = c.CardTable
+	g.DeferMajor = c.DeferMajor
+	g.OldCollector = c.OldCollector
+	g.GCWorkers = c.GCWorkers
+	return harness.Spec{Collector: g, Sites: c.SiteNames, Profile: c.Profile, Threads: c.Threads}
 }
 
 // Mutator returns the mutator API for writing programs against this
@@ -296,7 +307,8 @@ func (r *Runtime) Profiler() *Profiler { return r.sim.Profiler }
 
 // PolicyFromProfile derives the paper's pretenuring policy from a
 // finalized profile: every site whose old% is at least cutoffPct (the
-// paper uses 80) with at least minObjects allocations is pretenured.
+// paper uses PaperCutoffPct) with at least minObjects allocations is
+// pretenured.
 func PolicyFromProfile(p *Profiler, cutoffPct float64, minObjects uint64) *PretenurePolicy {
 	return p.Policy(cutoffPct, minObjects)
 }
@@ -376,7 +388,10 @@ var experiments = []struct {
 	{"table5", harness.Table5},
 	{"table6", harness.Table6},
 	{"table7", harness.Table7},
-	{"figure2", harness.Figure2},
+	{"figure2", func(w io.Writer, scale Scale, opts RunOptions) error {
+		_, err := harness.Figure2(w, scale, opts)
+		return err
+	}},
 	{"elide", harness.ExtensionElide},
 	{"barrier", harness.ExtensionBarrier},
 	{"aging", harness.ExtensionAging},
@@ -430,20 +445,29 @@ type (
 // rejecting unknown schema versions with a descriptive error.
 func ReadAdaptStore(r io.Reader) (*AdaptStore, error) { return adapt.ReadJSONL(r) }
 
-// AdaptProfileFromProfiler converts a finalized offline heap profile into
-// a warm-startable advisor profile: sites whose old% meets cutoffPct with
-// at least minObjects allocations are seeded as pretenured (the paper's
-// §6 rule), and every profiled site contributes its survival evidence.
-func AdaptProfileFromProfiler(p *Profiler, label, workload string, cutoffPct float64, minObjects uint64) *AdaptProfile {
-	return adapt.FromProfile(p, label, workload, cutoffPct, minObjects)
+// PaperCutoffPct is the paper's old% pretenuring cutoff (§6): a site at
+// or above it is pretenured.
+const PaperCutoffPct = prof.PaperCutoffPct
+
+// Figure2Store regenerates Figure 2 as Experiment "figure2" does, writing
+// the report to w, and returns an advisor store made from the same runs:
+// one warm-startable profile per profiled benchmark, labelled with its
+// run, holding every site's survival evidence, with the sites whose old%
+// meets PaperCutoffPct over at least 32 allocations seeded as pretenured
+// (the paper's §6 rule).
+func Figure2Store(w io.Writer, scale Scale, opts RunOptions) (*AdaptStore, error) {
+	rs, err := harness.Figure2(w, scale, opts)
+	if err != nil {
+		return nil, err
+	}
+	store := &AdaptStore{}
+	for _, r := range rs {
+		store.Profiles = append(store.Profiles,
+			adapt.FromProfile(r.Profiler, r.Config.Label(), r.Config.Workload, PaperCutoffPct, 32))
+	}
+	return store, nil
 }
 
 // DefaultScale is the scale used by the command-line tools: large enough
 // to reproduce every effect, small enough to run a full table in minutes.
 var DefaultScale = workload.DefaultScale
-
-// WriteProfile runs the named benchmark with profiling and writes its
-// Figure 2-style heap-profile report.
-func WriteProfile(w io.Writer, name string, scale Scale) error {
-	return harness.Profiles(w, scale, []string{name}, RunOptions{})
-}

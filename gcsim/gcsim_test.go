@@ -126,13 +126,29 @@ func TestExperimentDispatch(t *testing.T) {
 	}
 }
 
-func TestWriteProfileOutput(t *testing.T) {
+// TestFigure2StoreOutput: Figure2Store writes the Figure 2 report and
+// returns one profile per profiled benchmark, whose pretenured sites are
+// the ones the paper's cutoff selects.
+func TestFigure2StoreOutput(t *testing.T) {
 	var b strings.Builder
-	if err := WriteProfile(&b, "Nqueen", Scale{Repeat: 0.001}); err != nil {
+	store, err := Figure2Store(&b, Scale{Repeat: 0.001, Depth: 0.15}, RunOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "heap profile end") {
-		t.Fatal("profile output malformed")
+	if strings.Count(b.String(), "heap profile end") != 2 {
+		t.Fatalf("want two profile reports:\n%s", b.String())
+	}
+	if len(store.Profiles) != 2 || store.Profiles[1].Workload != "Nqueen" {
+		t.Fatalf("store has %d profiles, want Knuth-Bendix and Nqueen", len(store.Profiles))
+	}
+	pretenured := 0
+	for _, s := range store.Profiles[1].Sites {
+		if s.Pretenured {
+			pretenured++
+		}
+	}
+	if pretenured == 0 {
+		t.Fatal("no Nqueen site is pretenured at the paper's cutoff")
 	}
 }
 

@@ -25,21 +25,17 @@ func (c Config) Validate() error {
 	}
 	// MarkerN selects the §5 stack-marker spacing. Plain Generational
 	// deliberately runs without markers (it is the paper's "before"
-	// configuration), so a spacing there would be ignored.
-	if c.MarkerN != 0 && c.Collector == Generational {
-		bad("MarkerN is set but Collector Generational scans the full stack; use GenerationalMarkers, GenerationalFull, or Semispace")
+	// configuration), so a spacing there would be ignored. The rules read
+	// the preset row the choice selects.
+	p := c.preset()
+	if c.MarkerN != 0 && !p.Markers {
+		bad("MarkerN is set but Collector %v scans the full stack; use GenerationalMarkers, GenerationalFull, or Semispace", c.Collector)
 	}
-	if c.Collector == GenerationalFull {
-		if c.Pretenure == nil {
-			bad("Collector GenerationalFull requires a Pretenure policy (see PolicyFromProfile); use GenerationalMarkers for markers without pretenuring")
-		}
-	} else {
-		if c.Pretenure != nil {
-			bad("Pretenure policy is set but Collector %v ignores it; use GenerationalFull", c.Collector)
-		}
-		if c.ScanElision {
-			bad("ScanElision is set but Collector %v has no pretenured region to elide; use GenerationalFull", c.Collector)
-		}
+	if p.Policy && c.Pretenure == nil {
+		bad("Collector %v requires a Pretenure policy (see PolicyFromProfile); use GenerationalMarkers for markers without pretenuring", c.Collector)
+	}
+	if !p.Policy && c.Pretenure != nil {
+		bad("Pretenure policy is set but Collector %v ignores it; use GenerationalFull", c.Collector)
 	}
 	if c.SiteNames != nil && !c.Profile {
 		bad("SiteNames is set but Profile is off, so no report would ever use the names")
@@ -49,17 +45,10 @@ func (c Config) Validate() error {
 
 // String names the collector choice in error messages.
 func (c CollectorChoice) String() string {
-	switch c {
-	case Generational:
-		return "Generational"
-	case Semispace:
-		return "Semispace"
-	case GenerationalMarkers:
-		return "GenerationalMarkers"
-	case GenerationalFull:
-		return "GenerationalFull"
+	if c < Generational || c > GenerationalFull {
+		return fmt.Sprintf("CollectorChoice(%d)", int(c))
 	}
-	return fmt.Sprintf("CollectorChoice(%d)", int(c))
+	return choices[c].name
 }
 
 // mustValidate panics with every validation error on one line per

@@ -132,8 +132,13 @@ func (c Config) Validate() error {
 				bad("%s is set but the semispace collector has no %s", k.field, k.lack)
 			}
 		}
-	} else if c.InitialWords != 0 {
-		bad("InitialWords is set but the generational collector sizes its nursery by NurseryWords")
+	} else {
+		if c.InitialWords != 0 {
+			bad("InitialWords is set but the generational collector sizes its nursery by NurseryWords")
+		}
+		if c.ScanElision && c.Pretenure == nil {
+			bad("ScanElision is set but Pretenure is nil, so there is no pretenured region to elide")
+		}
 	}
 	if c.OldCollector > OldMarkCompact {
 		bad("unknown OldCollector %d (want copy, marksweep, or markcompact)", c.OldCollector)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"tilgc/internal/costmodel"
@@ -545,5 +546,34 @@ func TestMarkersReducePauseTimes(t *testing.T) {
 	marked := run(25)
 	if marked*2 > base {
 		t.Fatalf("markers did not halve steady-state pauses: %d vs %d", marked, base)
+	}
+}
+
+// TestConfigValidate: a knob the selected collector would ignore is an
+// error naming the field, so a run never quietly measures a different
+// configuration than the one asked for.
+func TestConfigValidate(t *testing.T) {
+	pol := NewPretenurePolicy(map[obj.SiteID]PretenureDecision{1: {OnlyOldRefs: true}})
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string // substring of the error; "" means valid
+	}{
+		{"generational", Config{}, ""},
+		{"semispace", Config{Semispace: true, InitialWords: 256, MarkerN: 5}, ""},
+		{"elision with policy", Config{Pretenure: pol, ScanElision: true}, ""},
+		{"elision without policy", Config{ScanElision: true}, "ScanElision"},
+		{"semispace elision", Config{Semispace: true, ScanElision: true}, "ScanElision"},
+		{"generational initial", Config{InitialWords: 256}, "InitialWords"},
+		{"negative markerN", Config{MarkerN: -1}, "negative"},
+		{"unknown old", Config{OldCollector: OldMarkCompact + 1}, "unknown OldCollector"},
+	} {
+		err := tc.cfg.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: Validate() = %v, want nil", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: Validate() = %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -30,6 +30,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -71,29 +72,70 @@ const (
 	KindGenAgingPretenure
 )
 
+// Preset is one row of the collector-configuration table: what a
+// CollectorKind names. gcsim's collector choices are rows of the same
+// table, so every front end maps a configuration name to a core.Config
+// through Preset.Config.
+type Preset struct {
+	// Name labels the configuration in the tables.
+	Name string
+	// Delta holds the collector fields the row sets: Semispace,
+	// CardTable, AgingMinors and ScanElision.
+	Delta core.Config
+	// Markers reports whether the row takes a stack-marker spacing, and
+	// MarkerN is the spacing it places when the run names none.
+	Markers bool
+	MarkerN int
+	// Policy reports whether the row takes the calibrated pretenuring
+	// policy.
+	Policy bool
+}
+
+// presets is the table, indexed by CollectorKind.
+var presets = [...]Preset{
+	KindSemispace:    {Name: "semispace", Delta: core.Config{Semispace: true}, Markers: true},
+	KindGenerational: {Name: "generational"},
+	KindGenMarkers:   {Name: "gen+markers", Markers: true, MarkerN: core.PaperMarkerN},
+	KindGenMarkersPretenure: {Name: "gen+markers+pretenure",
+		Markers: true, MarkerN: core.PaperMarkerN, Policy: true},
+	KindGenMarkersPretenureElide: {Name: "gen+markers+pretenure+elide", Delta: core.Config{ScanElision: true},
+		Markers: true, MarkerN: core.PaperMarkerN, Policy: true},
+	KindGenCards:          {Name: "gen+cards", Delta: core.Config{CardTable: true}},
+	KindGenPretenure:      {Name: "gen+pretenure", Policy: true},
+	KindGenAging:          {Name: "gen+aging", Delta: core.Config{AgingMinors: 3}},
+	KindGenAgingPretenure: {Name: "gen+aging+pretenure", Delta: core.Config{AgingMinors: 3}, Policy: true},
+}
+
+// Preset returns k's row of the table, and false for an unknown kind.
+func (k CollectorKind) Preset() (Preset, bool) {
+	if k < 0 || int(k) >= len(presets) {
+		return Preset{}, false
+	}
+	return presets[k], true
+}
+
 // String names the configuration as the tables label it.
 func (k CollectorKind) String() string {
-	switch k {
-	case KindSemispace:
-		return "semispace"
-	case KindGenerational:
-		return "generational"
-	case KindGenMarkers:
-		return "gen+markers"
-	case KindGenMarkersPretenure:
-		return "gen+markers+pretenure"
-	case KindGenMarkersPretenureElide:
-		return "gen+markers+pretenure+elide"
-	case KindGenCards:
-		return "gen+cards"
-	case KindGenPretenure:
-		return "gen+pretenure"
-	case KindGenAging:
-		return "gen+aging"
-	case KindGenAgingPretenure:
-		return "gen+aging+pretenure"
+	if p, ok := k.Preset(); ok {
+		return p.Name
 	}
 	return fmt.Sprintf("CollectorKind(%d)", int(k))
+}
+
+// Config maps the preset to its collector configuration: the row's delta,
+// the stack-marker spacing markerN (the row's default when zero), and
+// policy when the row takes one. The budget, sizes and the knobs every
+// row shares are the front end's to set.
+func (p Preset) Config(markerN int, policy *core.PretenurePolicy) core.Config {
+	c := p.Delta
+	c.MarkerN = markerN
+	if markerN == 0 {
+		c.MarkerN = p.MarkerN
+	}
+	if p.Policy {
+		c.Pretenure = policy
+	}
+	return c
 }
 
 // RunConfig describes one experiment run.
@@ -203,7 +245,9 @@ type RunResult struct {
 	MaxDepth int
 	Profiler *prof.Profiler  // non-nil when Config.Profile
 	Trace    *trace.Recorder // non-nil when Config.Trace; sealed by Finish
-	Policy   *core.PretenurePolicy
+	// Policy is the calibrated offline pretenuring policy the run used:
+	// nil unless the kind's preset takes one.
+	Policy *core.PretenurePolicy
 	// Adapt is the advisor's frozen end-of-run state (non-nil when
 	// Config.Adapt): decisions in emission order and per-site statistics.
 	Adapt *adapt.Snapshot
@@ -341,23 +385,31 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cal, err := Calibrate(cfg.Workload, cfg.Scale, 0)
-	if err != nil {
-		return nil, err
-	}
-	// The offline policy normally comes from the same calibration as the
-	// budget; TrainScale splits them so experiments can train the policy
-	// on a different input than they measure (§6's methodology, and the
-	// handicap the online advisor is compared against).
-	polCal := cal
-	if cfg.TrainScale != (workload.Scale{}) {
-		polCal, err = Calibrate(cfg.Workload, cfg.TrainScale, 0)
+	// Calibrate only what the run uses: the budget's max live data when K
+	// sets one, the offline policy when the kind takes it. The policy
+	// normally comes from the same calibration as the budget; TrainScale
+	// splits them so experiments can train the policy on a different
+	// input than they measure (§6's methodology, and the handicap the
+	// online advisor is compared against).
+	p, _ := cfg.Kind.Preset()
+	var maxLive uint64
+	if cfg.K > 0 {
+		cal, err := Calibrate(cfg.Workload, cfg.Scale, 0)
 		if err != nil {
 			return nil, err
 		}
+		maxLive = cal.maxLiveWords
+	}
+	var policy *core.PretenurePolicy
+	if p.Policy {
+		cal, err := Calibrate(cfg.Workload, cmp.Or(cfg.TrainScale, cfg.Scale), 0)
+		if err != nil {
+			return nil, err
+		}
+		policy = cal.policy
 	}
 
-	sim := Build(cfg.spec(w.Sites(), cal.maxLiveWords, polCal.policy))
+	sim := Build(cfg.spec(w.Sites(), maxLive, policy))
 	if cfg.TraceHeap {
 		sim.Rec.EnableHeapSampling()
 	}
@@ -380,7 +432,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		Stats:    *sim.Col.Stats(),
 		MaxDepth: sim.Stack.MaxDepth(),
 		Trace:    sim.Rec,
-		Policy:   polCal.policy,
+		Policy:   policy,
 	}
 	if g != nil {
 		r.Updates = g.PointerUpdates()
@@ -399,18 +451,19 @@ func Run(cfg RunConfig) (*RunResult, error) {
 // negative K, a MarkerN on a kind that places no markers, and an
 // instrument option without the option it refines. Every other rule
 // belongs to the Spec the run builds (Spec.Validate), so it is checked
-// there, before any calibration is paid for. Each error names the run
-// and the field.
+// there, before any calibration is paid for; an empty policy stands in
+// for the calibrated one. Each error names the run and the field.
 func (c RunConfig) validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("harness: %s: "+format, append([]any{c.Label()}, args...)...)
 	}
+	p, ok := c.Kind.Preset()
 	switch {
-	case c.Kind < KindSemispace || c.Kind > KindGenAgingPretenure:
+	case !ok:
 		return fmt.Errorf("harness: unknown collector kind %v", c.Kind)
 	case c.K < 0:
 		return bad("K %g is negative", c.K)
-	case c.MarkerN != 0 && !c.Kind.placesMarkers():
+	case c.MarkerN != 0 && !p.Markers:
 		return bad("MarkerN is set but %v places no stack markers", c.Kind)
 	case c.TraceHeap && !c.Trace:
 		return bad("TraceHeap is set but Trace is off, so no heap sample would be recorded")
@@ -419,20 +472,14 @@ func (c RunConfig) validate() error {
 	case c.AdaptWarm != nil && !c.Adapt:
 		return bad("AdaptWarm is set but Adapt is off")
 	}
-	if err := c.spec(nil, 0, nil).Validate(); err != nil {
+	if err := c.spec(nil, 0, core.NewPretenurePolicy(nil)).Validate(); err != nil {
 		return bad("%w", err)
 	}
 	return nil
 }
 
-// placesMarkers reports whether runs of kind k take a stack-marker
-// spacing: the semispace baseline and the gen+markers family.
-func (k CollectorKind) placesMarkers() bool {
-	return k == KindSemispace || k >= KindGenMarkers && k <= KindGenMarkersPretenureElide
-}
-
 // spec translates a run into the runtime Build assembles: the paper's
-// budget of k·Min (Min = 2·max live), the collector kind's options, and
+// budget of k·Min (Min = 2·max live), the collector kind's preset, and
 // the instruments the run asks for.
 func (c RunConfig) spec(sites map[obj.SiteID]string, maxLiveWords uint64, policy *core.PretenurePolicy) Spec {
 	budget := uint64(1) << 24 // unconstrained default
@@ -443,30 +490,12 @@ func (c RunConfig) spec(sites map[obj.SiteID]string, maxLiveWords uint64, policy
 	if c.Adapt {
 		s.Adapt = &adapt.Params{DisableDemotion: c.AdaptNoDemote}
 	}
-	g := core.Config{
-		BudgetWords:  budget,
-		MarkerN:      c.MarkerN,
-		GCWorkers:    c.GCWorkers,
-		DeferMajor:   c.DeferMajor,
-		OldCollector: c.OldCollector,
-	}
-	switch c.Kind {
-	case KindSemispace:
-		g.Semispace = true
-	case KindGenMarkersPretenure, KindGenPretenure:
-		g.Pretenure = policy
-	case KindGenMarkersPretenureElide:
-		g.Pretenure, g.ScanElision = policy, true
-	case KindGenCards:
-		g.CardTable = true
-	case KindGenAging:
-		g.AgingMinors = 3
-	case KindGenAgingPretenure:
-		g.AgingMinors, g.Pretenure = 3, policy
-	}
-	if g.MarkerN == 0 && !g.Semispace && c.Kind.placesMarkers() {
-		g.MarkerN = core.PaperMarkerN // the gen+markers kinds' default spacing
-	}
+	p, _ := c.Kind.Preset()
+	g := p.Config(c.MarkerN, policy)
+	g.BudgetWords = budget
+	g.GCWorkers = c.GCWorkers
+	g.DeferMajor = c.DeferMajor
+	g.OldCollector = c.OldCollector
 	// The nursery is the one size the two collectors do not share.
 	if !g.Semispace {
 		g.NurseryWords = nurseryFor(budget)

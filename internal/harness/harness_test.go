@@ -146,7 +146,7 @@ func TestTableRenderersProduceOutput(t *testing.T) {
 	par := Options{Parallelism: 4}
 	cases := map[string]func(*strings.Builder) error{
 		"table1":  func(b *strings.Builder) error { return Table1(b) },
-		"figure2": func(b *strings.Builder) error { return Figure2(b, tiny, par) },
+		"figure2": func(b *strings.Builder) error { _, err := Figure2(b, tiny, par); return err },
 		"elide":   func(b *strings.Builder) error { return ExtensionElide(b, tiny, par) },
 		"barrier": func(b *strings.Builder) error { return ExtensionBarrier(b, tiny, par) },
 	}
@@ -323,6 +323,16 @@ func TestRunAllRejectsNegativeOverrides(t *testing.T) {
 		if _, err := RunAll(cfgs, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("RunAll error %v, want one naming %q", err, tc.want)
 		}
+	}
+}
+
+// TestRunAllRejectsUntracedTraceHeap: Options.TraceHeap on a batch that
+// traces no run is an error naming the field, as RunConfig.TraceHeap
+// without Trace is for a single run, not a quietly unsampled batch.
+func TestRunAllRejectsUntracedTraceHeap(t *testing.T) {
+	cfgs := []RunConfig{{Workload: "Color", Scale: tiny, Kind: KindGenerational}}
+	if _, err := RunAll(cfgs, Options{Parallelism: 1, TraceHeap: true}); err == nil || !strings.Contains(err.Error(), "TraceHeap") {
+		t.Fatalf("RunAll error %v, want one naming TraceHeap", err)
 	}
 }
 

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -58,7 +60,8 @@ type Options struct {
 	// batch (see RunConfig.Sanitize).
 	Sanitize bool
 	// TraceHeap enables per-space heap-occupancy sampling on every traced
-	// run in the batch (see RunConfig.TraceHeap).
+	// run in the batch (see RunConfig.TraceHeap). RunAll rejects it when
+	// the batch traces no run.
 	TraceHeap bool
 	// TraceSink, when non-nil, attaches a telemetry recorder to every run
 	// in the batch (see RunConfig.Trace) and receives each batch's
@@ -165,6 +168,9 @@ func ParallelEach(n, parallelism int, fn func(i int)) {
 // All runs are attempted even when some fail; the returned error is the
 // first failure in input order, and failed slots are nil.
 func RunAll(cfgs []RunConfig, opts Options) ([]*RunResult, error) {
+	if opts.TraceHeap && opts.TraceSink == nil && !slices.ContainsFunc(cfgs, func(c RunConfig) bool { return c.Trace }) {
+		return nil, errors.New("harness: TraceHeap is set but no run in the batch is traced, so no heap sample would be recorded")
+	}
 	results := make([]*RunResult, len(cfgs))
 	errs := make([]error, len(cfgs))
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -52,19 +53,25 @@ func Table2(w io.Writer, scale workload.Scale, opts Options) error {
 	if err != nil {
 		return err
 	}
+	// The unconstrained runs calibrate nothing, so Max Live comes from
+	// calibrations run on the same pool.
+	cals := make([]*calibration, len(PaperOrder))
+	errs := make([]error, len(PaperOrder))
+	ParallelEach(len(PaperOrder), opts.Parallelism, func(i int) {
+		cals[i], errs[i] = Calibrate(PaperOrder[i], scale, 0)
+	})
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
 	header(w, "Table 2: Allocation characteristics of benchmarks")
 	fmt.Fprintf(w, "%-13s %9s %9s %9s %9s %14s %10s %10s\n",
 		"Program", "Total", "Max Live", "Records", "Arrays",
 		"Max(Avg)Frames", "New Frames", "Ptr Updates")
 	for i, name := range PaperOrder {
 		r := rs[i]
-		cal, err := Calibrate(name, scale, 0)
-		if err != nil {
-			return err
-		}
 		fmt.Fprintf(w, "%-13s %8.1fMB %8.0fKB %8.1fMB %8.1fMB %7d(%6.1f) %10.1f %10d\n",
 			name,
-			mb(r.Stats.BytesAllocated), kb(cal.maxLiveWords*8),
+			mb(r.Stats.BytesAllocated), kb(cals[i].maxLiveWords*8),
 			mb(r.Stats.RecordBytes), mb(r.Stats.ArrayBytes),
 			r.Stats.MaxDepthAtGC, r.Stats.AvgDepthAtGC(),
 			r.Stats.AvgNewFrames(), r.Updates)
@@ -256,13 +263,10 @@ func Table7(w io.Writer, scale workload.Scale, opts Options) error {
 	return nil
 }
 
-// Figure2 renders the heap-profile reports for Knuth-Bendix and Nqueen.
-func Figure2(w io.Writer, scale workload.Scale, opts Options) error {
-	return Profiles(w, scale, []string{"Knuth-Bendix", "Nqueen"}, opts)
-}
-
-// Profiles renders Figure 2-style heap profiles for the named benchmarks.
-func Profiles(w io.Writer, scale workload.Scale, names []string, opts Options) error {
+// Figure2 renders the heap-profile reports for Knuth-Bendix and Nqueen
+// and returns the profiled runs.
+func Figure2(w io.Writer, scale workload.Scale, opts Options) ([]*RunResult, error) {
+	names := []string{"Knuth-Bendix", "Nqueen"}
 	var cfgs []RunConfig
 	for _, name := range names {
 		cfgs = append(cfgs, RunConfig{
@@ -271,13 +275,13 @@ func Profiles(w io.Writer, scale workload.Scale, names []string, opts Options) e
 	}
 	rs, err := RunAll(cfgs, opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for i, name := range names {
 		rs[i].Profiler.WriteReport(w, prof.DefaultReportOptions(name))
 		fmt.Fprintln(w)
 	}
-	return nil
+	return rs, nil
 }
 
 // ExtensionElide renders the §7.2 scan-elision experiment: Nqueen with
