@@ -77,7 +77,7 @@ func defineFlags(fs *flag.FlagSet) *cli {
 	fs.StringVar(&f.traceFormat, "trace-format", "jsonl",
 		"trace sink format: jsonl (schema-versioned, gctrace-readable) or chrome (Perfetto-loadable)")
 	fs.BoolVar(&f.traceHeap, "trace-heap", false,
-		"sample per-space heap occupancy (live/committed words) at every collection into the trace (needs -trace or -metrics)")
+		"sample per-space heap occupancy (live/committed words) at every collection into the trace (needs -trace)")
 	fs.IntVar(&f.threads, "threads", 0,
 		"simulated mutator threads per run (0/1 = single-threaded; only thread-scheduling workloads change results)")
 	fs.StringVar(&f.old, "old", "",
@@ -93,7 +93,7 @@ func defineFlags(fs *flag.FlagSet) *cli {
 	fs.StringVar(&f.exportStore, "export-store", "",
 		"with -figure 2, also write the profiled runs to FILE as a warm-startable advisor store (sites at the paper's old% cutoff pretenured)")
 	fs.BoolVar(&f.metrics, "metrics", false,
-		"print every run's metrics registry (counters and pause histogram) after the experiment")
+		"print every run's metrics (counters and pause histogram) after the experiment")
 	fs.BoolVar(&f.list, "list", false, "list benchmarks and experiments")
 	fs.BoolVar(&f.fuzz, "fuzz", false,
 		"run the differential fuzzing fleet: corpus replay plus a seed sweep over the collector matrix")
@@ -151,8 +151,8 @@ func (f *cli) check(fs *flag.FlagSet) error {
 	if f.traceFormat != "jsonl" && f.traceFormat != "chrome" {
 		return usageError(fmt.Sprintf("unknown -trace-format %q (want jsonl or chrome)", f.traceFormat))
 	}
-	if f.traceHeap && f.traceOut == "" && !f.metrics {
-		return usageError("-trace-heap needs -trace or -metrics: it samples into the trace")
+	if f.traceHeap && f.traceOut == "" {
+		return usageError("-trace-heap needs -trace: it samples into the trace file")
 	}
 	table, figure, experiment := f.table != 0, f.figure != 0, f.experiment != ""
 	if table && figure || table && experiment || figure && experiment {

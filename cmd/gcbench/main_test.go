@@ -116,6 +116,7 @@ func TestRejectedFlagsExitTwo(t *testing.T) {
 		{[]string{"-old", "bogus"}, 2},
 		{[]string{"-trace-format", "x"}, 2},
 		{[]string{"-trace-heap"}, 2},
+		{[]string{"-trace-heap", "-metrics"}, 2},
 		{[]string{"-adapt-warm", filepath.Join(t.TempDir(), "missing.jsonl")}, 1},
 		{[]string{"-fuzz", "-old", "bogus"}, 2},
 		{[]string{"-fuzz", "-table", "5", "-trace", "t.jsonl"}, 2},

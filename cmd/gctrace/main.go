@@ -5,9 +5,9 @@
 //
 //	gctrace summary [-top N] FILE    # phase breakdown, marker hit rate,
 //	                                 # pause histogram, per-site tenure table
-//	gctrace metrics FILE             # per-run metrics registry dump
+//	gctrace metrics FILE             # per-run metrics dump
 //	gctrace check FILE               # parse + validate; exits non-zero on
-//	                                 # schema or reconciliation failure
+//	                                 # schema, reconciliation or metric failure
 //	gctrace convert -to chrome [-o OUT] FILE   # JSONL -> Perfetto JSON
 //	gctrace slo [-windows W,..] [-o OUT] FILE  # SLO report: exact pause and
 //	                                           # request percentiles, MMU/AMU
@@ -77,7 +77,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   gctrace summary [-top N] FILE              human-readable trace digest
-  gctrace metrics FILE                       per-run metrics registry dump
+  gctrace metrics FILE                       per-run metrics dump
   gctrace check FILE                         validate schema + reconciliation
   gctrace convert -to FORMAT [-o OUT] FILE   convert (FORMAT: jsonl, chrome)
   gctrace slo [-windows W,..] [-o OUT] FILE  SLO report: pause/request
@@ -155,7 +155,7 @@ func cmdCheck(args []string) error {
 	for _, d := range f.Runs {
 		events += len(d.Events)
 	}
-	fmt.Printf("ok: schema %d, %d runs, %d events; spans paired, phase cycles reconcile with meter totals\n",
+	fmt.Printf("ok: schema %d, %d runs, %d events; spans paired, phase cycles reconcile with meter totals, metrics match events\n",
 		f.Schema, len(f.Runs), events)
 	return nil
 }

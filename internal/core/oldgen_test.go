@@ -282,7 +282,7 @@ func TestNonmovingTraceReconciles(t *testing.T) {
 				t.Fatalf("trace does not reconcile: %v", err)
 			}
 			seen := map[trace.Phase]bool{}
-			for _, ev := range rec.Events() {
+			for _, ev := range rec.Data("").Events {
 				if ev.Kind == trace.EvPhaseBegin {
 					seen[ev.Phase] = true
 				}

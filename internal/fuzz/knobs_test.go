@@ -231,7 +231,7 @@ func testHarnessKnobs(t *testing.T) {
 		},
 		"Trace": func(t *testing.T, c harness.RunConfig) {
 			c.Trace = true
-			if r := harnessRun(t, c); r.Trace == nil || len(r.Trace.Events()) == 0 {
+			if r := harnessRun(t, c); r.Trace == nil || len(r.Trace.Data("").Events) == 0 {
 				t.Fatal("no trace events")
 			}
 		},

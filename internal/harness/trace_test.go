@@ -207,8 +207,13 @@ func TestTraceStubReturnCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ok := r.Trace.Metrics().Lookup(trace.MetricStubReturns)
-	if !ok {
+	var m *trace.Metric
+	for _, rec := range r.Trace.Data("").Metrics {
+		if rec.Name == trace.MetricStubReturns {
+			m = &rec
+		}
+	}
+	if m == nil {
 		t.Fatal("stub-return metric missing")
 	}
 	if r.Stats.MarkersPlaced > 0 && m.Value == 0 {

@@ -569,8 +569,9 @@ func (re *recEvent) event() (Event, error) {
 
 // Validate checks every run's structural invariants: spans strictly
 // nested and paired, collection sequence numbers consecutive from 1,
-// meter components non-decreasing event to event, and the per-phase /
-// per-span / final-meter cycle reconciliation.
+// meter components non-decreasing event to event, the per-phase /
+// per-span / final-meter cycle reconciliation, and metric records equal
+// to the view Recorder.Data derives from the run's other records.
 func (f *File) Validate() error {
 	if f.Schema != SchemaVersion {
 		return fmt.Errorf("trace: schema %d, want %d", f.Schema, SchemaVersion)
@@ -668,5 +669,8 @@ func (d *RunData) validate() error {
 			return fmt.Errorf("request span %d (id %d): ends after final meter", i, q.ID)
 		}
 	}
-	return d.Reconcile()
+	if err := d.Reconcile(); err != nil {
+		return err
+	}
+	return d.checkMetrics()
 }

@@ -8,16 +8,16 @@ import (
 )
 
 // Recorder collects one run's trace: span events, per-site counters, and
-// the metrics registry. Collectors call the emit methods at collection and
-// phase boundaries; the simulated runtime counts marker-stub fires into
-// it. A nil *Recorder is valid and records nothing, so instrumentation
-// sites call methods unconditionally.
+// the two counts only its metric records carry (see Data). Collectors
+// call the emit methods at collection and phase boundaries; the
+// simulated runtime counts marker-stub fires into it. A nil *Recorder is
+// valid and records nothing, so instrumentation sites call methods
+// unconditionally.
 //
 // A Recorder is single-run, single-goroutine state, like the meter it
 // reads timestamps from; the harness creates one per traced run.
 type Recorder struct {
 	meter *costmodel.Meter
-	reg   *Registry
 
 	events    []Event
 	sites     []*SiteCounters // indexed by site id; nil until the site is seen
@@ -26,24 +26,21 @@ type Recorder struct {
 	seq       uint64
 	gcOpen    bool
 	phaseOpen bool
-	gcBegin   costmodel.Breakdown
 
 	finished     bool
 	final        costmodel.Breakdown
 	finalOverlap costmodel.Cycles
 
-	gcCount   *Metric
-	gcMajors  *Metric
-	pauseHist *Metric
-	stubs     *Metric
+	// stubReturns counts mutator returns through marker stubs; no other
+	// record carries it, so it reaches the trace only as a metric.
+	stubReturns uint64
 
-	// Adaptive-pretenuring telemetry (§9). The decision list and the
-	// adapt.* counters are created lazily on first use so non-adaptive
-	// runs' traces are byte-identical to pre-§9 builds.
+	// Adaptive-pretenuring telemetry (§9): the advisor's decisions, and
+	// its sample count with a flag saying it counted any. Non-adaptive
+	// runs set none of them, so their traces carry no adapt records.
 	adapt        []AdaptDecision
-	adaptProms   *Metric
-	adaptDemos   *Metric
-	adaptSamples *Metric
+	adaptSamples uint64
+	adaptSampled bool
 
 	// Footprint and request telemetry (SLO layer). Both are opt-in /
 	// workload-driven: heap samples are recorded only after
@@ -73,15 +70,7 @@ type SiteCounters struct {
 
 // NewRecorder creates a recorder reading timestamps from meter.
 func NewRecorder(meter *costmodel.Meter) *Recorder {
-	r := &Recorder{
-		meter: meter,
-		reg:   NewRegistry(),
-	}
-	r.gcCount = r.reg.Counter(MetricGCCount)
-	r.gcMajors = r.reg.Counter(MetricGCMajors)
-	r.pauseHist = r.reg.Histogram(MetricPauseCycles)
-	r.stubs = r.reg.Counter(MetricStubReturns)
-	return r
+	return &Recorder{meter: meter}
 }
 
 // SetSiteNames attaches site documentation used in site records.
@@ -104,12 +93,10 @@ func (r *Recorder) BeginGC(major bool) {
 	}
 	r.gcOpen = true
 	r.seq++
-	r.gcBegin = r.meter.Snapshot()
-	r.events = append(r.events, Event{Kind: EvGCBegin, Seq: r.seq, Major: major, Break: r.gcBegin})
+	r.events = append(r.events, Event{Kind: EvGCBegin, Seq: r.seq, Major: major, Break: r.meter.Snapshot()})
 }
 
-// EndGC closes the current collection span with its counter deltas and
-// feeds the pause histogram.
+// EndGC closes the current collection span with its counter deltas.
 func (r *Recorder) EndGC(c GCCounters) {
 	if r == nil {
 		return
@@ -125,9 +112,6 @@ func (r *Recorder) EndGC(c GCCounters) {
 	// from untraced runs, breaking the collectors' zero-allocation GC path.
 	cc := c
 	r.events = append(r.events, Event{Kind: EvGCEnd, Seq: r.seq, Break: b, Counters: &cc})
-	r.gcCount.Add(1)
-	r.gcMajors.Add(c.Majors)
-	r.pauseHist.Observe(uint64(b.GC() - r.gcBegin.GC()))
 }
 
 // BeginPhase opens a phase span inside the current collection.
@@ -270,16 +254,7 @@ func (r *Recorder) CountStubReturn() {
 	if r == nil {
 		return
 	}
-	r.stubs.Add(1)
-}
-
-// ensureAdaptMetrics lazily materializes the adapt.* counters.
-func (r *Recorder) ensureAdaptMetrics() {
-	if r.adaptProms == nil {
-		r.adaptProms = r.reg.Counter(MetricAdaptPromotions)
-		r.adaptDemos = r.reg.Counter(MetricAdaptDemotions)
-		r.adaptSamples = r.reg.Counter(MetricAdaptSamples)
-	}
+	r.stubReturns++
 }
 
 // AdaptDecision records one online pretenuring decision, stamping it with
@@ -287,13 +262,6 @@ func (r *Recorder) ensureAdaptMetrics() {
 func (r *Recorder) AdaptDecision(site obj.SiteID, verb string, survivalPPM, garbagePPM, sampleWords uint64) {
 	if r == nil {
 		return
-	}
-	r.ensureAdaptMetrics()
-	switch verb {
-	case AdaptPromote, AdaptWarm:
-		r.adaptProms.Add(1)
-	case AdaptDemote:
-		r.adaptDemos.Add(1)
 	}
 	r.adapt = append(r.adapt, AdaptDecision{
 		Seq:         r.seq,
@@ -311,8 +279,8 @@ func (r *Recorder) CountAdaptSamples(n uint64) {
 	if r == nil {
 		return
 	}
-	r.ensureAdaptMetrics()
-	r.adaptSamples.Add(n)
+	r.adaptSamples += n
+	r.adaptSampled = true
 }
 
 // Finish seals the trace with the run's final meter totals. Call once,
@@ -329,52 +297,32 @@ func (r *Recorder) Finish() {
 	r.finalOverlap = r.meter.Overlap()
 }
 
-// Metrics returns the run's metrics registry for snapshotting at any
-// collection boundary.
-func (r *Recorder) Metrics() *Registry {
-	if r == nil {
-		return nil
-	}
-	return r.reg
-}
-
-// Events returns the collected span events in emission order.
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	return r.events
-}
-
 // Data freezes the recorder into the sink-independent run model the
-// writers consume. Sites are sorted by id; metrics by name.
+// writers consume. Sites are sorted by id. Metrics are a view of the
+// frozen run (see metricsView), sorted by name.
 func (r *Recorder) Data(label string) *RunData {
 	if r == nil {
 		return nil
 	}
-	final := r.final
-	overlap := r.finalOverlap
-	if !r.finished {
-		final = r.meter.Snapshot()
-		overlap = r.meter.Overlap()
-	}
+	final, overlap := r.finalMeter()
 	sites := make([]SiteCounters, 0, len(r.sites))
 	for _, s := range r.sites {
 		if s != nil {
 			sites = append(sites, *s)
 		}
 	}
-	return &RunData{
+	d := &RunData{
 		Label:   label,
 		Events:  r.events,
 		Final:   final,
 		Overlap: overlap,
 		Sites:   sites,
-		Metrics: r.reg.Snapshot(),
 		Adapt:   r.adapt,
 		Heap:    r.heap,
 		Reqs:    r.reqs,
 	}
+	d.Metrics = metricsView(d.Summarize(), r.adapt, r.stubReturns, r.adaptSamples, r.adaptSampled)
+	return d
 }
 
 // VerifyReconciled checks the acceptance invariant: per-phase cycle deltas
@@ -387,11 +335,21 @@ func (r *Recorder) VerifyReconciled() error {
 	if r == nil {
 		return nil
 	}
-	return r.Data("").Reconcile()
+	final, overlap := r.finalMeter()
+	return (&RunData{Events: r.events, Final: final, Overlap: overlap}).Reconcile()
+}
+
+// finalMeter returns the run's final meter totals and overlap: those
+// Finish sealed, or the meter's current ones before Finish.
+func (r *Recorder) finalMeter() (costmodel.Breakdown, costmodel.Cycles) {
+	if r.finished {
+		return r.final, r.finalOverlap
+	}
+	return r.meter.Snapshot(), r.meter.Overlap()
 }
 
 // RunData is one run's frozen trace: events in emission order, the final
-// meter breakdown, sorted per-site counters, sorted metric snapshots, and
+// meter breakdown, sorted per-site counters, name-sorted metrics, and
 // — when the producing run opted in — the advisor's decisions, footprint
 // samples, and request spans, each in emission order.
 type RunData struct {

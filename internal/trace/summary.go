@@ -217,10 +217,10 @@ func (f *File) WriteSummary(w io.Writer, topPauses int) error {
 	return bw.Flush()
 }
 
-// WriteMetrics renders every run's metrics registry as a compact table:
-// one row per metric, counters by value, histograms by
-// count/sum/max/mean. Output is deterministic (registry snapshots are
-// name-sorted; no wall-clock quantities appear).
+// WriteMetrics renders every run's metrics as a compact table: one row
+// per metric, counters by value, histograms by count/sum/max/mean.
+// Output is deterministic (metrics are name-sorted; no wall-clock
+// quantities appear).
 func (f *File) WriteMetrics(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for i, d := range f.Runs {
@@ -266,7 +266,7 @@ func writePauses(bw *bufio.Writer, s *RunSummary, d *RunData, topPauses int, ms 
 	}
 	if hist != nil && hist.Count > 0 {
 		fmt.Fprintf(bw, "pause histogram (cycles, log2 buckets): n=%d mean=%.0f max=%d p90<=%d\n",
-			hist.Count, hist.Mean(), hist.Max, hist.Quantile(0.9))
+			hist.Count, hist.Mean(), hist.Max, hist.Quantile(900000))
 		for b, n := range hist.Buckets {
 			if n == 0 {
 				continue

@@ -171,11 +171,11 @@ type GCCounters struct {
 	WordsSlid     uint64 `json:"words_slid,omitempty"`
 }
 
-// Standard metric names the Recorder maintains. The pause histogram is
+// Metric record names (see metricsView). The pause histogram is
 // log2-bucketed: bucket i counts pauses p with 2^(i-1) <= p < 2^i.
-// The adapt.* counters are created lazily, on the first adaptive-advisor
-// event: non-adaptive runs never materialize them, keeping their metric
-// streams (and the golden traces) byte-identical to pre-§9 builds.
+// The adapt.* counters appear only once the advisor has reported
+// something: non-adaptive runs carry none, keeping their metric streams
+// (and the golden traces) byte-identical to pre-§9 builds.
 const (
 	MetricGCCount         = "gc.count"
 	MetricGCMajors        = "gc.majors"

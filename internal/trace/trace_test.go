@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,8 +24,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.DeadSite(1, 8)
 	r.CountStubReturn()
 	r.Finish()
-	if r.Metrics() != nil || r.Events() != nil || r.Data("x") != nil {
-		t.Error("nil recorder returned non-nil accessors")
+	if r.Data("x") != nil {
+		t.Error("nil recorder returned non-nil run data")
 	}
 	if err := r.VerifyReconciled(); err != nil {
 		t.Error(err)
@@ -69,8 +71,13 @@ func TestRecorderPauseHistogram(t *testing.T) {
 	r.EndPhase(PhaseCopy)
 	r.EndGC(GCCounters{})
 	r.Finish()
-	h, ok := r.Metrics().Lookup(MetricPauseCycles)
-	if !ok {
+	var h *Metric
+	for _, m := range r.Data("").Metrics {
+		if m.Name == MetricPauseCycles {
+			h = &m
+		}
+	}
+	if h == nil {
 		t.Fatal("pause histogram missing")
 	}
 	if h.Count != 1 || h.Sum != 1000 || h.Max != 1000 {
@@ -122,8 +129,24 @@ func TestHistogramBuckets(t *testing.T) {
 	if m.Count != 9 || m.Max != 1024 {
 		t.Errorf("count %d max %d, want 9/1024", m.Count, m.Max)
 	}
-	if q := m.Quantile(1); q < m.Max {
+	if q := m.Quantile(1e6); q < m.Max {
 		t.Errorf("p100 upper bound %d below max %d", q, m.Max)
+	}
+
+	// Nearest rank, as Percentile: p90 of 15 samples is the 14th, which
+	// is 600 here, so the bound is its bucket's upper edge, 1024.
+	var p Metric
+	samples := []uint64{600, 700}
+	for range 13 {
+		samples = append(samples, 20)
+	}
+	for _, v := range samples {
+		p.Observe(v)
+	}
+	slices.Sort(samples)
+	exact, _ := Percentile(samples, 900000)
+	if q := p.Quantile(900000); q < exact || q != 1024 {
+		t.Errorf("p90 bound %d, want 1024 (exact p90 %d)", q, exact)
 	}
 }
 
@@ -132,29 +155,6 @@ func bucketAt(m *Metric, b int) uint64 {
 		return m.Buckets[b]
 	}
 	return 0
-}
-
-// TestRegistryKinds: kind clashes panic; snapshots are name-sorted deep
-// copies.
-func TestRegistryKinds(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("b.count").Add(2)
-	reg.Counter("a.count").Add(7)
-	reg.Histogram("c.hist").Observe(5)
-	defer func() {
-		if recover() == nil {
-			t.Error("kind clash did not panic")
-		}
-	}()
-	snap := reg.Snapshot()
-	if len(snap) != 3 || snap[0].Name != "a.count" || snap[1].Name != "b.count" || snap[2].Name != "c.hist" {
-		t.Fatalf("snapshot misordered: %+v", snap)
-	}
-	snap[2].Buckets[0] = 99
-	if m, _ := reg.Lookup("c.hist"); len(m.Buckets) > 0 && m.Buckets[0] == 99 {
-		t.Error("snapshot shares bucket storage with the registry")
-	}
-	reg.Histogram("b.count") // registered as counter: panics
 }
 
 // TestPhaseNames: wire names parse back to themselves and unknown names
@@ -254,6 +254,69 @@ func TestValidateCatchesBrokenSpans(t *testing.T) {
 	}}
 	if err := NewFile(backwards).Validate(); err == nil {
 		t.Error("backwards meter snapshot validated")
+	}
+}
+
+// TestValidateChecksMetrics: metric records are a view of the run's
+// other records, so Validate rejects a run whose metrics disagree with
+// its events or its advisor decisions.
+func TestValidateChecksMetrics(t *testing.T) {
+	golden, err := os.ReadFile("../harness/testdata/trace_golden.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(in string) *File {
+		t.Helper()
+		f, err := ReadJSONL(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	if err := read(string(golden)).Validate(); err != nil {
+		t.Fatalf("golden trace: %v", err)
+	}
+	for name, edit := range map[string][2]string{
+		"gc.count 3 to 4":    {`"name":"gc.count","kind":"counter","value":3}`, `"name":"gc.count","kind":"counter","value":4}`},
+		"pause bucket moved": {`"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,3]}`, `"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,1,2]}`},
+	} {
+		in := strings.Replace(string(golden), edit[0], edit[1], 1)
+		if in == string(golden) {
+			t.Fatalf("%s: edit does not apply to the golden trace", name)
+		}
+		if err := read(in).Validate(); err == nil {
+			t.Errorf("%s: validated", name)
+		}
+	}
+
+	m := costmodel.NewMeter()
+	r := NewRecorder(m)
+	r.AdaptDecision(1, AdaptWarm, 0, 0, 0)
+	r.BeginGC(false)
+	r.BeginPhase(PhaseCopy)
+	m.ChargeN(costmodel.GCCopy, 1, 100)
+	r.EndPhase(PhaseCopy)
+	r.EndGC(GCCounters{})
+	r.CountAdaptSamples(64)
+	r.AdaptDecision(2, AdaptPromote, 900000, 0, 64)
+	r.AdaptDecision(1, AdaptDemote, 0, 600000, 64)
+	r.Finish()
+	if err := NewFile(r.Data("adapt")).Validate(); err != nil {
+		t.Fatalf("recorded adaptive run: %v", err)
+	}
+	for name, edit := range map[string]func(d *RunData){
+		"adapt.promotions off by one": func(d *RunData) { d.Metrics[1].Value++ },
+		"adapt records dropped":       func(d *RunData) { d.Metrics = d.Metrics[3:] },
+		"decision dropped":            func(d *RunData) { d.Adapt = d.Adapt[1:] },
+	} {
+		d := r.Data("adapt")
+		if d.Metrics[1].Name != MetricAdaptPromotions || d.Metrics[1].Value != 2 {
+			t.Fatalf("metric 1 = %+v, want adapt.promotions 2 (warm and promote)", d.Metrics[1])
+		}
+		edit(d)
+		if err := NewFile(d).Validate(); err == nil {
+			t.Errorf("%s: validated", name)
+		}
 	}
 }
 
