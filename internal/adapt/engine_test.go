@@ -263,7 +263,7 @@ func TestAdaptDecisionsReachTrace(t *testing.T) {
 	e.ObserveAlloc(1, 400, true)
 	e.ObserveDeath(1, 400, prof.DeathPretenured)
 	e.ObserveGCEnd()
-	rec.Finish()
+	rec.Finish(nil, 0)
 	data := rec.Data("t")
 	if len(data.Adapt) != 2 {
 		t.Fatalf("trace decisions = %d, want 2", len(data.Adapt))

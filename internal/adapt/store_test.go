@@ -114,7 +114,7 @@ func TestFromProfile(t *testing.T) {
 		a := mem.MakeAddr(1, uint64(1+i*8))
 		p.OnAlloc(a, 7, obj.Record, 4, false)
 		if i != 0 {
-			p.OnMove(a, mem.MakeAddr(2, uint64(1+i*8)))
+			p.OnMove(a, mem.MakeAddr(2, uint64(1+i*8)), false)
 		}
 	}
 	p.OnGCEnd()

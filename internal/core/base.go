@@ -142,10 +142,8 @@ func (b *base) chargeAlloc(k obj.Kind, size uint64) {
 	}
 }
 
-// noteAlloc reports one allocation of size words at a to the trace and
-// the profiler.
+// noteAlloc reports one allocation of size words at a to the profiler.
 func (b *base) noteAlloc(a mem.Addr, site obj.SiteID, k obj.Kind, size uint64, pretenured bool) {
-	b.tr.AllocSite(site, size, pretenured)
 	if b.prof != nil {
 		b.prof.OnAlloc(a, site, k, size, pretenured)
 	}
@@ -192,7 +190,6 @@ func (b *base) evacuation(condemned []mem.SpaceID, to *mem.Space) *evacuator {
 		prof:     b.prof,
 		to:       to,
 		los:      b.los,
-		tr:       b.tr,
 		tally:    b.tally,
 		scans:    scans,
 		losQueue: e.losQueue[:0],

@@ -147,8 +147,10 @@ type Profiler interface {
 	// pretenured marks the direct-to-tenured allocation path (§6), whether
 	// chosen by a static policy or by the online advisor (§9).
 	OnAlloc(addr mem.Addr, site obj.SiteID, k obj.Kind, words uint64, pretenured bool)
-	// OnMove records that the object at from was copied to to.
-	OnMove(from, to mem.Addr)
+	// OnMove records that the object at from was copied to to; tenured
+	// reports that to is in the tenured space. A mark-compact slide, which
+	// moves an object within its space, passes false.
+	OnMove(from, to mem.Addr, tenured bool)
 	// OnSpaceCondemned declares that every tracked object still recorded
 	// in space id (i.e. not moved out during this collection) has died.
 	OnSpaceCondemned(id mem.SpaceID)

@@ -7,7 +7,6 @@ import (
 	"tilgc/internal/costmodel"
 	"tilgc/internal/mem"
 	"tilgc/internal/obj"
-	"tilgc/internal/trace"
 )
 
 // evacuator implements Cheney's algorithm over the simulated heap: objects
@@ -49,10 +48,9 @@ type evacuator struct {
 	// tenure, so the collector keeps them in a sticky remembered set.
 	isYoung func(mem.SpaceID) bool
 	sticky  *[]mem.Addr
-	// tr receives per-site copy telemetry (nil-safe); tenuredID classifies
-	// one destination space as tenured for the promotion counters (space
-	// id 0 — the reserved nil space — means none, the semispace case).
-	tr        *trace.Recorder
+	// tenuredID classifies one destination space as tenured for the
+	// profiler's per-site promotion counts (space id 0 — the reserved nil
+	// space — means none, the semispace case).
 	tenuredID mem.SpaceID
 	// tally, when non-nil (W > 1), brackets each Cheney drain step as one
 	// work quantum for the simulated parallel workers. The work itself
@@ -222,7 +220,7 @@ func claimForward(src []uint64, off uint64, dst mem.Addr) {
 	src[off] = obj.PackForward(dst)
 }
 
-// finishCopy issues the metering, statistics, telemetry, and policy
+// finishCopy issues the metering, statistics, profiler and policy
 // callbacks for one completed evacuation, whichever space receives it.
 func (e *evacuator) finishCopy(dst mem.Addr, o obj.Object, size uint64) {
 	e.meter.Charge(costmodel.GCCopy, costmodel.CopyObject)
@@ -237,12 +235,11 @@ func (e *evacuator) finishCopy(dst mem.Addr, o obj.Object, size uint64) {
 	if e.oldFromID != 0 && o.Addr.Space() == e.oldFromID {
 		e.stats.OldBytesCopied += size * mem.WordSize
 	}
-	e.tr.CopySite(o.Site, size, dst.Space() == e.tenuredID)
 	if e.postCopy != nil {
 		e.postCopy(dst, o)
 	}
 	if e.prof != nil {
-		e.prof.OnMove(o.Addr, dst)
+		e.prof.OnMove(o.Addr, dst, dst.Space() == e.tenuredID)
 	}
 }
 

@@ -231,7 +231,7 @@ func (c *Generational) compactSlide(runs []compactRun) uint64 {
 			c.stats.WordsSlid += size
 			copy(w[dst:dst+size], w[src:src+size])
 			if c.prof != nil {
-				c.prof.OnMove(mem.MakeAddr(os.id, src), mem.MakeAddr(os.id, dst))
+				c.prof.OnMove(mem.MakeAddr(os.id, src), mem.MakeAddr(os.id, dst), false)
 			}
 			c.tally.EndQuantum()
 			src += size

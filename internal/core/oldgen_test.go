@@ -277,7 +277,7 @@ func TestNonmovingTraceReconciles(t *testing.T) {
 				OldCollector: c.oc, GCWorkers: c.workers, Trace: rec,
 			})
 			driveKernelWorkload(t, g, e)
-			rec.Finish()
+			rec.Finish(nil, 0)
 			if err := rec.VerifyReconciled(); err != nil {
 				t.Fatalf("trace does not reconcile: %v", err)
 			}

@@ -8,7 +8,6 @@ import (
 	"tilgc/internal/adapt"
 	"tilgc/internal/core"
 	"tilgc/internal/costmodel"
-	"tilgc/internal/mem"
 	"tilgc/internal/obj"
 	"tilgc/internal/prof"
 	"tilgc/internal/rt"
@@ -26,11 +25,12 @@ type Spec struct {
 	// Collector configures the collector; Collector.Semispace selects
 	// which one. Build sets the Trace and Advisor fields.
 	Collector core.Config
-	// Sites names the allocation sites in profiler and trace output.
+	// Sites names the allocation sites in the profiler's output, the
+	// trace's site records included.
 	Sites map[obj.SiteID]string
 	// Profile attaches the heap profiler. Trace and Adapt attach it too,
-	// since its lifetime records feed the recorder's per-site deaths and
-	// the advisor. It charges nothing to the meter.
+	// since its per-site table is the trace's site records and its
+	// lifetime records feed the advisor. It charges nothing to the meter.
 	Profile bool
 	// Trace attaches a telemetry recorder (see RunConfig.Trace).
 	Trace bool
@@ -83,13 +83,7 @@ func Build(s Spec) *Sim {
 		hook = sim.Profiler
 	}
 	if s.Trace {
-		rec := trace.NewRecorder(sim.Meter)
-		rec.SetSiteNames(s.Sites)
-		sim.Stack.SetTracer(rec)
-		sim.Profiler.SetDeathSink(func(site obj.SiteID, bytes uint64) {
-			rec.DeadSite(site, bytes/mem.WordSize)
-		})
-		sim.Rec = rec
+		sim.Rec = trace.NewRecorder(sim.Meter)
 	}
 	if s.Adapt != nil {
 		sim.Advisor = adapt.New(sim.Meter, sim.Rec, *s.Adapt)
@@ -123,7 +117,8 @@ func (s *Sim) Mutator() *workload.Mutator {
 
 // Finish closes the run: the profiler's end-of-run deaths, then the
 // advisor's seal (so those deaths fold into its stored state without
-// triggering decisions), then the recorder's seal and the check that its
+// triggering decisions), then the recorder's seal with the profiler's
+// site records and every thread's stub returns, and the check that its
 // phases tile the meter exactly.
 func (s *Sim) Finish() error {
 	if s.Profiler != nil {
@@ -135,6 +130,10 @@ func (s *Sim) Finish() error {
 	if s.Rec == nil {
 		return nil
 	}
-	s.Rec.Finish()
+	var stubReturns uint64
+	for _, t := range s.Col.Threads().Threads() {
+		stubReturns += t.Stack().StubReturns()
+	}
+	s.Rec.Finish(s.Profiler.TraceSites(), stubReturns)
 	return s.Rec.VerifyReconciled()
 }

@@ -38,7 +38,7 @@ var oldCollectors = []core.OldCollector{core.OldCopy, core.OldMarkSweep, core.Ol
 // subset) under every old collector (semispace has none) for each stream
 // workload, at T=2 W=2. Each kind runs once profiled and traced, and each generational kind
 // once more with the online advisor, so the profile report, the trace's
-// per-site death counters and the advisor's event feed are all covered.
+// site records and the advisor's event feed are all covered.
 func streamConfigs() []RunConfig {
 	var out []RunConfig
 	for _, w := range streamWorkloads {
@@ -70,8 +70,8 @@ func streamConfigs() []RunConfig {
 
 // streamDigest hashes everything a run's profiler feeds: the Figure 2
 // report, the full per-site statistics (float sums printed exactly, so a
-// change in death order shows), the trace JSONL with its per-site death
-// counters, the advisor's snapshot and store profile, and the run's check
+// change in death order shows), the trace JSONL with its site records,
+// the advisor's snapshot and store profile, and the run's check
 // value and cycles.
 func streamDigest(t *testing.T, cfg RunConfig, r *RunResult) string {
 	t.Helper()
@@ -79,8 +79,12 @@ func streamDigest(t *testing.T, cfg RunConfig, r *RunResult) string {
 	fmt.Fprintf(h, "check %d\ntimes %+v\nstats %+v\n", r.Check, r.Times, r.Stats)
 	if r.Profiler != nil {
 		r.Profiler.WriteReport(h, prof.DefaultReportOptions(cfg.Label()))
+		// The trace-only counts reach the digest through the site records
+		// below; these eight keep the layout the pinned digests were
+		// taken with.
 		for _, s := range r.Profiler.Sites() {
-			fmt.Fprintf(h, "site %+v\n", *s)
+			fmt.Fprintf(h, "site {Site:%v Name:%v AllocBytes:%v AllocCount:%v CopiedBytes:%v SurvivedFirst:%v Deaths:%v SumDeathAgeKB:%v}\n",
+				s.Site, s.Name, s.AllocBytes, s.AllocCount, s.CopiedBytes, s.SurvivedFirst, s.Deaths, s.SumDeathAgeKB)
 		}
 	}
 	if r.Trace != nil {
@@ -96,7 +100,7 @@ func streamDigest(t *testing.T, cfg RunConfig, r *RunResult) string {
 
 // TestProfilerStreamsPinned pins a SHA-256 of every profiler-fed output
 // for each stream config: the proof that a change to the profiler's
-// bookkeeping left its death-sink and observer event sequences, and so
+// bookkeeping left its per-site table and observer event sequences, and so
 // every report, trace and advisor decision, byte-identical. Refresh
 // intentionally with:
 //

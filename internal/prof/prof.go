@@ -24,6 +24,7 @@ import (
 	"tilgc/internal/core"
 	"tilgc/internal/mem"
 	"tilgc/internal/obj"
+	"tilgc/internal/trace"
 )
 
 // objRec is one object's lifetime record in its space's table.
@@ -140,16 +141,23 @@ type Observer interface {
 	ObserveGCEnd()
 }
 
-// SiteStats aggregates one allocation site.
+// SiteStats aggregates one allocation site. The fields after
+// SumDeathAgeKB are the trace's per-site counts (see TraceSites).
 type SiteStats struct {
 	Site          obj.SiteID
 	Name          string
 	AllocBytes    uint64
 	AllocCount    uint64
-	CopiedBytes   uint64
+	CopiedBytes   uint64 // every move, mark-compact slides included
 	SurvivedFirst uint64 // objects that survived their first collection
 	Deaths        uint64
 	SumDeathAgeKB float64 // sum over deaths of (bytes allocated during lifetime)/1024
+
+	PretenuredCount uint64 // objects allocated directly into the tenured generation
+	PretenuredBytes uint64
+	MovedBytes      uint64 // bytes copied to another space; slides excluded
+	TenuredBytes    uint64 // bytes landing in the tenured space: pretenured or moved there
+	DiedBytes       uint64
 }
 
 // OldPct returns the percentage of objects surviving their first
@@ -183,10 +191,6 @@ type Profiler struct {
 	siteNames map[obj.SiteID]string
 	spaces    []spaceRecs // indexed by space id
 	clock     uint64      // total bytes allocated
-
-	// deathSink, when set, receives every recorded death, in the same
-	// deterministic order as the observer's deaths.
-	deathSink func(site obj.SiteID, bytes uint64)
 
 	// observer, when set, receives the online lifetime event stream (§9).
 	observer Observer
@@ -232,6 +236,11 @@ func (p *Profiler) OnAlloc(addr mem.Addr, site obj.SiteID, k obj.Kind, words uin
 	s := p.site(site)
 	s.AllocBytes += bytes
 	s.AllocCount++
+	if pretenured {
+		s.PretenuredCount++
+		s.PretenuredBytes += bytes
+		s.TenuredBytes += bytes
+	}
 	p.clock += bytes
 	p.table(addr.Space()).add(objRec{
 		off: addr.Offset(), site: site, sizeBytes: bytes, birth: p.clock, pretenured: pretenured,
@@ -247,8 +256,10 @@ func (p *Profiler) OnAlloc(addr mem.Addr, site obj.SiteID, k obj.Kind, words uin
 // no collector condemns in the collection that fills it. A move within one
 // space is a mark-compact slide, which keeps the live objects' order: the
 // record is re-addressed in place, so an object promoted and then slid in
-// the same collection is found again at its promoted address.
-func (p *Profiler) OnMove(from, to mem.Addr) {
+// the same collection is found again at its promoted address. A slide
+// counts in CopiedBytes only; tenured, true when to is in the tenured
+// space, matters only for a move to another space.
+func (p *Profiler) OnMove(from, to mem.Addr, tenured bool) {
 	t := p.lookup(from.Space())
 	if t == nil {
 		return // object predates profiling
@@ -277,6 +288,10 @@ func (p *Profiler) OnMove(from, to mem.Addr) {
 			t.unsorted = true
 		}
 		return
+	}
+	s.MovedBytes += rec.sizeBytes
+	if tenured {
+		s.TenuredBytes += rec.sizeBytes
 	}
 	moved := *rec
 	moved.off = to.Offset()
@@ -337,9 +352,7 @@ func (p *Profiler) recordDeath(rec *objRec) {
 	s := p.site(rec.site)
 	s.Deaths++
 	s.SumDeathAgeKB += float64(p.clock-rec.birth) / 1024
-	if p.deathSink != nil {
-		p.deathSink(rec.site, rec.sizeBytes)
-	}
+	s.DiedBytes += rec.sizeBytes
 	if p.observer != nil {
 		class := DeathYoung
 		switch {
@@ -350,13 +363,6 @@ func (p *Profiler) recordDeath(rec *objRec) {
 		}
 		p.observer.ObserveDeath(rec.site, rec.sizeBytes/mem.WordSize, class)
 	}
-}
-
-// SetDeathSink registers a callback invoked on every object death with the
-// site and the object's size in bytes. Used by the trace layer to build
-// per-site died-words counters without coupling this package to it.
-func (p *Profiler) SetDeathSink(fn func(site obj.SiteID, bytes uint64)) {
-	p.deathSink = fn
 }
 
 // SetObserver registers the online lifetime-event observer (the adaptive
@@ -416,6 +422,30 @@ func (p *Profiler) Sites() []*SiteStats {
 	// The dense table is in ascending id order, so a stable sort keeps the
 	// tie-break.
 	slices.SortStableFunc(out, func(a, b *SiteStats) int { return cmp.Compare(b.AllocBytes, a.AllocBytes) })
+	return out
+}
+
+// TraceSites returns the trace's per-site records in ascending site id,
+// in words. After Finalize every allocated word has died once, so each
+// record's DiedWords equals its AllocWords.
+func (p *Profiler) TraceSites() []trace.SiteCounters {
+	out := make([]trace.SiteCounters, 0, len(p.sites))
+	for _, s := range p.sites {
+		if s == nil {
+			continue
+		}
+		out = append(out, trace.SiteCounters{
+			Site:              s.Site,
+			Name:              s.Name,
+			AllocObjects:      s.AllocCount,
+			AllocWords:        s.AllocBytes / mem.WordSize,
+			PretenuredObjects: s.PretenuredCount,
+			PretenuredWords:   s.PretenuredBytes / mem.WordSize,
+			CopiedWords:       s.MovedBytes / mem.WordSize,
+			TenuredWords:      s.TenuredBytes / mem.WordSize,
+			DiedWords:         s.DiedBytes / mem.WordSize,
+		})
+	}
 	return out
 }
 

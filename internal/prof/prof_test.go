@@ -1,6 +1,7 @@
 package prof
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"tilgc/internal/mem"
 	"tilgc/internal/obj"
 	"tilgc/internal/rt"
+	"tilgc/internal/trace"
 )
 
 func TestSiteStatsMath(t *testing.T) {
@@ -33,10 +35,10 @@ func TestProfilerAllocMoveDeath(t *testing.T) {
 	p := New(nil)
 	a := mem.MakeAddr(1, 10)
 	b := mem.MakeAddr(1, 20)
-	p.OnAlloc(a, 5, obj.Record, 4, false) // 32 bytes
-	p.OnAlloc(b, 5, obj.Record, 2, false) // 16 bytes
-	p.OnMove(a, mem.MakeAddr(2, 1))       // a survives, copied
-	p.OnSpaceCondemned(1)                 // b dies
+	p.OnAlloc(a, 5, obj.Record, 4, false)  // 32 bytes
+	p.OnAlloc(b, 5, obj.Record, 2, false)  // 16 bytes
+	p.OnMove(a, mem.MakeAddr(2, 1), false) // a survives, copied
+	p.OnSpaceCondemned(1)                  // b dies
 	p.OnGCEnd()
 
 	s := p.sites[5]
@@ -55,10 +57,54 @@ func TestProfilerAllocMoveDeath(t *testing.T) {
 
 	// Second move of the same object: more copying, but SurvivedFirst
 	// stays (first survival already counted).
-	p.OnMove(mem.MakeAddr(2, 1), mem.MakeAddr(3, 1))
+	p.OnMove(mem.MakeAddr(2, 1), mem.MakeAddr(3, 1), false)
 	p.OnGCEnd()
 	if s.CopiedBytes != 64 || s.SurvivedFirst != 1 {
 		t.Fatalf("second copy stats: %+v", s)
+	}
+}
+
+// TestTraceSites: the trace's per-site records count pretenured
+// allocations, moves to another space and the share landing in the
+// tenured space, and deaths in every form. A mark-compact slide counts in
+// CopiedBytes but in neither trace count. Records come in ascending site
+// id, not Sites' allocation order.
+func TestTraceSites(t *testing.T) {
+	const nursery, tenured, aging = 1, 2, 5
+	p := New(map[obj.SiteID]string{3: "cons", 4: "big"})
+	a := mem.MakeAddr(nursery, 1)
+	b := mem.MakeAddr(nursery, 5)
+	c := mem.MakeAddr(tenured, 1)
+	p.OnAlloc(a, 3, obj.Record, 4, false)
+	p.OnAlloc(b, 3, obj.Record, 2, false)
+	p.OnAlloc(c, 3, obj.Record, 6, true)
+	p.OnAlloc(mem.MakeAddr(nursery, 7), 3, obj.Record, 3, false)
+	p.OnAlloc(mem.MakeAddr(nursery, 10), 4, obj.RawArray, 20, false)
+
+	p.OnMove(a, mem.MakeAddr(aging, 1), false)   // a to the aging space
+	p.OnMove(b, mem.MakeAddr(tenured, 20), true) // b promoted
+	p.OnSpaceCondemned(nursery)                  // the 3- and 20-word objects die
+	p.OnGCEnd()
+	p.OnLOSDead(c) // c reclaimed in place
+	// A mark-compact slides b down over c.
+	p.OnMove(mem.MakeAddr(tenured, 20), mem.MakeAddr(tenured, 1), false)
+	p.OnGCEnd()
+
+	if s := p.sites[3]; s.CopiedBytes != 8*(4+2+2) || s.MovedBytes != 8*(4+2) || s.DiedBytes != 8*(3+6) {
+		t.Fatalf("site 3 before Finalize: copied %d moved %d died %d bytes, want 64, 48, 72",
+			s.CopiedBytes, s.MovedBytes, s.DiedBytes)
+	}
+	p.Finalize() // a and b die
+	want := []trace.SiteCounters{
+		{Site: 3, Name: "cons", AllocObjects: 4, AllocWords: 15, PretenuredObjects: 1, PretenuredWords: 6,
+			CopiedWords: 6, TenuredWords: 8, DiedWords: 15},
+		{Site: 4, Name: "big", AllocObjects: 1, AllocWords: 20, DiedWords: 20},
+	}
+	if got := p.TraceSites(); !slices.Equal(got, want) {
+		t.Fatalf("TraceSites = %+v\nwant %+v", got, want)
+	}
+	if p.Sites()[0].Site != 4 {
+		t.Fatal("site 4 allocated more, so Sites should list it first")
 	}
 }
 
@@ -99,7 +145,7 @@ func TestPolicyCutoff(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a := mem.MakeAddr(1, uint64(1+i*10))
 		p.OnAlloc(a, 1, obj.Record, 2, false)
-		p.OnMove(a, mem.MakeAddr(2, uint64(1+i*10)))
+		p.OnMove(a, mem.MakeAddr(2, uint64(1+i*10)), false)
 		p.OnGCEnd()
 	}
 	for i := 0; i < 10; i++ {
@@ -109,7 +155,7 @@ func TestPolicyCutoff(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		a := mem.MakeAddr(4, uint64(1+i*10))
 		p.OnAlloc(a, 3, obj.Record, 2, false)
-		p.OnMove(a, mem.MakeAddr(5, uint64(1+i*10)))
+		p.OnMove(a, mem.MakeAddr(5, uint64(1+i*10)), false)
 		p.OnGCEnd()
 	}
 	pol := p.Policy(80, 5)
@@ -144,7 +190,7 @@ func TestWriteReportFormat(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a := mem.MakeAddr(1, uint64(1+i*4))
 		p.OnAlloc(a, 7, obj.Record, 4, false)
-		p.OnMove(a, mem.MakeAddr(2, uint64(1+i*4)))
+		p.OnMove(a, mem.MakeAddr(2, uint64(1+i*4)), false)
 		p.OnGCEnd()
 	}
 	var sb strings.Builder
@@ -252,7 +298,7 @@ func TestSitesSortedByAllocation(t *testing.T) {
 func TestMoveOfUntrackedObject(t *testing.T) {
 	p := New(nil)
 	// Moving an object the profiler never saw must be ignored.
-	p.OnMove(mem.MakeAddr(1, 7), mem.MakeAddr(2, 7))
+	p.OnMove(mem.MakeAddr(1, 7), mem.MakeAddr(2, 7), false)
 	p.OnGCEnd()
 	if len(p.sites) != 0 {
 		t.Fatal("phantom site created")
@@ -311,11 +357,11 @@ func profilerCycle(p *Profiler, n, old uint64, from, to mem.SpaceID) uint64 {
 	}
 	var moved uint64
 	for i := uint64(0); i < old; i += 2 {
-		p.OnMove(mem.MakeAddr(from, 1+4*i), mem.MakeAddr(to, 1+4*moved))
+		p.OnMove(mem.MakeAddr(from, 1+4*i), mem.MakeAddr(to, 1+4*moved), false)
 		moved++
 	}
 	for i := uint64(0); i < n; i += 3 {
-		p.OnMove(mem.MakeAddr(1, 1+4*i), mem.MakeAddr(to, 1+4*moved))
+		p.OnMove(mem.MakeAddr(1, 1+4*i), mem.MakeAddr(to, 1+4*moved), false)
 		moved++
 	}
 	p.OnSpaceCondemned(1)

@@ -228,6 +228,29 @@ func TestMarkerFiresOnReturn(t *testing.T) {
 	}
 }
 
+// TestStubReturnsCountedPerStack: a return through a marker stub counts
+// on the stack it fires on, a spawned thread's included, and on no other.
+func TestStubReturnsCountedPerStack(t *testing.T) {
+	tt, m, s := newTestEnv()
+	f := simpleFrame(tt, "f", 3)
+	st := NewThreadSet(s, m).Spawn().Stack()
+	for i := 0; i < 3; i++ {
+		st.Call(f)
+	}
+	if !st.PlaceMarker(1) {
+		t.Fatal("PlaceMarker failed")
+	}
+	st.Return() // frame 2
+	if st.StubReturns() != 0 {
+		t.Fatal("plain return counted as a stub return")
+	}
+	st.Return() // frame 1: through the stub
+	st.Return()
+	if st.StubReturns() != 1 || s.StubReturns() != 0 {
+		t.Fatalf("stub returns: spawned stack %d, primary %d; want 1, 0", st.StubReturns(), s.StubReturns())
+	}
+}
+
 func TestReuseBoundaryShallowestSurvivingMarker(t *testing.T) {
 	tt, _, s := newTestEnv()
 	f := simpleFrame(tt, "f", 2)

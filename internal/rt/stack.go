@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"tilgc/internal/costmodel"
-	"tilgc/internal/trace"
 )
 
 // Marker records one stack marker: a frame whose stored return key has been
@@ -20,9 +19,8 @@ type Marker struct {
 // activation records, plus the register file, exception-handler chain, and
 // the stack-marker bookkeeping of §5.
 type Stack struct {
-	table  *TraceTable
-	meter  *costmodel.Meter
-	tracer *trace.Recorder // optional telemetry; nil-safe
+	table *TraceTable
+	meter *costmodel.Meter
 
 	slots   []uint64
 	sp      int // next free slot
@@ -41,6 +39,8 @@ type Stack struct {
 	// Statistics for Table 2.
 	maxDepth    int
 	framePushes uint64
+
+	stubReturns uint64 // returns through marker stubs: the trace's rt.stub_returns
 }
 
 type frameRec struct {
@@ -61,10 +61,6 @@ func NewStack(table *TraceTable, meter *costmodel.Meter) *Stack {
 	}
 }
 
-// SetTracer attaches a telemetry recorder; stub-return fires are counted
-// into it. A nil recorder detaches.
-func (s *Stack) SetTracer(tr *trace.Recorder) { s.tracer = tr }
-
 // Depth returns the current number of frames.
 func (s *Stack) Depth() int { return len(s.frames) }
 
@@ -73,6 +69,9 @@ func (s *Stack) MaxDepth() int { return s.maxDepth }
 
 // FramePushes returns the total number of frames ever pushed.
 func (s *Stack) FramePushes() uint64 { return s.framePushes }
+
+// StubReturns returns the number of returns through marker stubs.
+func (s *Stack) StubReturns() uint64 { return s.stubReturns }
 
 // CurrentKey returns the key of the currently-executing function's layout.
 func (s *Stack) CurrentKey() RetKey { return s.curKey }
@@ -122,7 +121,7 @@ func (s *Stack) Return() {
 		delete(s.markers, f.base)
 		raw = m.OrigKey
 		s.meter.Charge(costmodel.Client, costmodel.StubReturn)
-		s.tracer.CountStubReturn()
+		s.stubReturns++
 	} else {
 		s.meter.Charge(costmodel.Client, costmodel.ReturnFrame)
 	}

@@ -64,13 +64,9 @@ func NewThreadSet(primary *Stack, meter *costmodel.Meter) *ThreadSet {
 func (ts *ThreadSet) OnSpawn(fn func(*Thread)) { ts.onSpawn = fn }
 
 // Spawn creates a new live thread with an empty stack and makes it known
-// to the owning collector. The new thread is NOT made current. The
-// primary stack's telemetry recorder carries over so stub returns on
-// spawned threads are counted like everyone else's.
+// to the owning collector. The new thread is NOT made current.
 func (ts *ThreadSet) Spawn() *Thread {
-	st := NewStack(ts.table, ts.meter)
-	st.tracer = ts.threads[0].stack.tracer
-	t := &Thread{id: len(ts.threads), stack: st}
+	t := &Thread{id: len(ts.threads), stack: NewStack(ts.table, ts.meter)}
 	ts.threads = append(ts.threads, t)
 	if ts.onSpawn != nil {
 		ts.onSpawn(t)

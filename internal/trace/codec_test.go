@@ -58,7 +58,7 @@ func serverShapedTrace(reqs int) *File {
 	d.Final = b
 	for s := range 24 {
 		d.Sites = append(d.Sites, SiteCounters{Site: obj.SiteID(1000 + s), Name: "server.alloc",
-			AllocObjects: 123_456, AllocWords: 987_654, CopiedWords: 45_678, TenuredWords: 12_345, DiedWords: 901_234})
+			AllocObjects: 123_456, AllocWords: 987_654, CopiedWords: 45_678, TenuredWords: 12_345, DiedWords: 987_654})
 	}
 	d.Metrics = []Metric{
 		{Name: MetricGCCount, Kind: KindCounter, Value: gcs},

@@ -570,8 +570,10 @@ func (re *recEvent) event() (Event, error) {
 // Validate checks every run's structural invariants: spans strictly
 // nested and paired, collection sequence numbers consecutive from 1,
 // meter components non-decreasing event to event, the per-phase /
-// per-span / final-meter cycle reconciliation, and metric records equal
-// to the view Recorder.Data derives from the run's other records.
+// per-span / final-meter cycle reconciliation, site records whose every
+// allocated word died once and whose pretenured share fits inside both
+// the allocated and the tenured words, and metric records equal to the
+// view Recorder.Data derives from the run's other records.
 func (f *File) Validate() error {
 	if f.Schema != SchemaVersion {
 		return fmt.Errorf("trace: schema %d, want %d", f.Schema, SchemaVersion)
@@ -667,6 +669,17 @@ func (d *RunData) validate() error {
 		prevReq = q.Begin.Total()
 		if q.End.Total() > d.Final.Total() {
 			return fmt.Errorf("request span %d (id %d): ends after final meter", i, q.ID)
+		}
+	}
+	for _, s := range d.Sites {
+		switch {
+		case s.DiedWords != s.AllocWords:
+			return fmt.Errorf("site %d: died %d words of %d allocated", s.Site, s.DiedWords, s.AllocWords)
+		case s.PretenuredWords > s.AllocWords || s.PretenuredWords > s.TenuredWords:
+			return fmt.Errorf("site %d: pretenured %d words, above allocated %d or tenured %d",
+				s.Site, s.PretenuredWords, s.AllocWords, s.TenuredWords)
+		case s.PretenuredObjects > s.AllocObjects:
+			return fmt.Errorf("site %d: pretenured %d objects of %d allocated", s.Site, s.PretenuredObjects, s.AllocObjects)
 		}
 	}
 	if err := d.Reconcile(); err != nil {

@@ -7,10 +7,11 @@ import (
 	"tilgc/internal/obj"
 )
 
-// Recorder collects one run's trace: span events, per-site counters, and
-// the two counts only its metric records carry (see Data). Collectors
-// call the emit methods at collection and phase boundaries; the
-// simulated runtime counts marker-stub fires into it. A nil *Recorder is
+// Recorder collects one run's trace: span events, the advisor's decisions
+// and sample count, footprint samples and request spans. Collectors call
+// the emit methods at collection and phase boundaries. The per-site
+// counters and the stub-return count are kept by the heap profiler and
+// the stacks; Finish takes them at the end of the run. A nil *Recorder is
 // valid and records nothing, so instrumentation sites call methods
 // unconditionally.
 //
@@ -19,21 +20,20 @@ import (
 type Recorder struct {
 	meter *costmodel.Meter
 
-	events    []Event
-	sites     []*SiteCounters // indexed by site id; nil until the site is seen
-	siteNames map[obj.SiteID]string
+	events []Event
 
 	seq       uint64
 	gcOpen    bool
 	phaseOpen bool
 
+	// Set by Finish: the final meter totals, the per-site counters and
+	// the count of mutator returns through marker stubs, which reaches
+	// the trace only as a metric.
 	finished     bool
 	final        costmodel.Breakdown
 	finalOverlap costmodel.Cycles
-
-	// stubReturns counts mutator returns through marker stubs; no other
-	// record carries it, so it reaches the trace only as a metric.
-	stubReturns uint64
+	sites        []SiteCounters
+	stubReturns  uint64
 
 	// Adaptive-pretenuring telemetry (§9): the advisor's decisions, and
 	// its sample count with a flag saying it counted any. Non-adaptive
@@ -51,11 +51,14 @@ type Recorder struct {
 	reqs   []RequestSpan
 }
 
-// SiteCounters aggregates one allocation site's telemetry: words allocated
-// (split normal vs pretenured), words copied by collections (and the share
-// copied into the tenured generation), and words that died (observed via
-// the profiler's lifetime records when one is attached). The JSONL site
-// record embeds it, so the tags are wire names.
+// SiteCounters aggregates one allocation site's telemetry, built from the
+// heap profiler's per-site table at the end of the run: words allocated
+// (and the share pretenured), words copied to another space by
+// collections (mark-compact slides excluded), words landing in the
+// tenured generation (pretenured or copied there), and words that died.
+// The profiler kills every object still live at the end of the run, so
+// DiedWords equals AllocWords. The JSONL site record embeds it, so the
+// tags are wire names.
 type SiteCounters struct {
 	Site              obj.SiteID `json:"site"`
 	Name              string     `json:"name,omitempty"`
@@ -71,14 +74,6 @@ type SiteCounters struct {
 // NewRecorder creates a recorder reading timestamps from meter.
 func NewRecorder(meter *costmodel.Meter) *Recorder {
 	return &Recorder{meter: meter}
-}
-
-// SetSiteNames attaches site documentation used in site records.
-func (r *Recorder) SetSiteNames(names map[obj.SiteID]string) {
-	if r == nil {
-		return
-	}
-	r.siteNames = names
 }
 
 // BeginGC opens a collection span. major reports how the collection was
@@ -158,56 +153,6 @@ func (r *Recorder) EndPhaseWorkers(p Phase, workers []costmodel.Cycles) {
 	r.events = append(r.events, Event{Kind: EvPhaseEnd, Seq: r.seq, Phase: p, Break: r.meter.Snapshot(), Workers: w})
 }
 
-func (r *Recorder) site(id obj.SiteID) *SiteCounters {
-	if int(id) >= len(r.sites) {
-		r.sites = append(r.sites, make([]*SiteCounters, int(id)+1-len(r.sites))...)
-	}
-	s := r.sites[id]
-	if s == nil {
-		s = &SiteCounters{Site: id, Name: r.siteNames[id]}
-		r.sites[id] = s
-	}
-	return s
-}
-
-// AllocSite records an allocation of words words from site; pretenured
-// marks the direct-to-tenured allocation path (§6).
-func (r *Recorder) AllocSite(id obj.SiteID, words uint64, pretenured bool) {
-	if r == nil {
-		return
-	}
-	s := r.site(id)
-	s.AllocObjects++
-	s.AllocWords += words
-	if pretenured {
-		s.PretenuredObjects++
-		s.PretenuredWords += words
-		s.TenuredWords += words
-	}
-}
-
-// CopySite records that a collection copied words words of site id's data;
-// tenured marks copies landing in the tenured generation (promotion or
-// tenured-to-tenured compaction).
-func (r *Recorder) CopySite(id obj.SiteID, words uint64, tenured bool) {
-	if r == nil {
-		return
-	}
-	s := r.site(id)
-	s.CopiedWords += words
-	if tenured {
-		s.TenuredWords += words
-	}
-}
-
-// DeadSite records the death of words words of site id's data.
-func (r *Recorder) DeadSite(id obj.SiteID, words uint64) {
-	if r == nil {
-		return
-	}
-	r.site(id).DiedWords += words
-}
-
 // EnableHeapSampling turns on end-of-collection footprint snapshots.
 // Collectors gate their sample construction on HeapSampling, so disabled
 // (and untraced) runs build nothing and the zero-allocation GC path is
@@ -249,14 +194,6 @@ func (r *Recorder) Request(id uint64, begin, end costmodel.Breakdown) {
 	r.reqs = append(r.reqs, RequestSpan{ID: id, Begin: begin, End: end})
 }
 
-// CountStubReturn counts one mutator return through a stack-marker stub.
-func (r *Recorder) CountStubReturn() {
-	if r == nil {
-		return
-	}
-	r.stubReturns++
-}
-
 // AdaptDecision records one online pretenuring decision, stamping it with
 // the current collection number and meter snapshot.
 func (r *Recorder) AdaptDecision(site obj.SiteID, verb string, survivalPPM, garbagePPM, sampleWords uint64) {
@@ -283,9 +220,11 @@ func (r *Recorder) CountAdaptSamples(n uint64) {
 	r.adaptSampled = true
 }
 
-// Finish seals the trace with the run's final meter totals. Call once,
-// after the workload completes; emitting after Finish panics.
-func (r *Recorder) Finish() {
+// Finish seals the trace with the run's final meter totals, its per-site
+// counters in ascending site id, and its count of mutator returns through
+// marker stubs. Call once, after the workload completes; emitting after
+// Finish panics.
+func (r *Recorder) Finish(sites []SiteCounters, stubReturns uint64) {
 	if r == nil {
 		return
 	}
@@ -295,28 +234,24 @@ func (r *Recorder) Finish() {
 	r.finished = true
 	r.final = r.meter.Snapshot()
 	r.finalOverlap = r.meter.Overlap()
+	r.sites = sites
+	r.stubReturns = stubReturns
 }
 
 // Data freezes the recorder into the sink-independent run model the
-// writers consume. Sites are sorted by id. Metrics are a view of the
-// frozen run (see metricsView), sorted by name.
+// writers consume. Sites are those Finish took, sorted by id. Metrics are
+// a view of the frozen run (see metricsView), sorted by name.
 func (r *Recorder) Data(label string) *RunData {
 	if r == nil {
 		return nil
 	}
 	final, overlap := r.finalMeter()
-	sites := make([]SiteCounters, 0, len(r.sites))
-	for _, s := range r.sites {
-		if s != nil {
-			sites = append(sites, *s)
-		}
-	}
 	d := &RunData{
 		Label:   label,
 		Events:  r.events,
 		Final:   final,
 		Overlap: overlap,
-		Sites:   sites,
+		Sites:   r.sites,
 		Adapt:   r.adapt,
 		Heap:    r.heap,
 		Reqs:    r.reqs,

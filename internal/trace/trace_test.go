@@ -14,16 +14,11 @@ import (
 // receiver — instrumentation sites call unconditionally.
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	r.SetSiteNames(nil)
 	r.BeginGC(false)
 	r.BeginPhase(PhaseRoots)
 	r.EndPhase(PhaseRoots)
 	r.EndGC(GCCounters{})
-	r.AllocSite(1, 8, false)
-	r.CopySite(1, 8, true)
-	r.DeadSite(1, 8)
-	r.CountStubReturn()
-	r.Finish()
+	r.Finish([]SiteCounters{{Site: 1, AllocObjects: 1, AllocWords: 8, DiedWords: 8}}, 1)
 	if r.Data("x") != nil {
 		t.Error("nil recorder returned non-nil run data")
 	}
@@ -53,10 +48,10 @@ func TestRecorderSpanGuards(t *testing.T) {
 	r.BeginPhase(PhaseRoots)
 	mustPanic("nested BeginPhase", func() { r.BeginPhase(PhaseCopy) })
 	mustPanic("EndGC with open phase", func() { r.EndGC(GCCounters{}) })
-	mustPanic("Finish with open span", func() { r.Finish() })
+	mustPanic("Finish with open span", func() { r.Finish(nil, 0) })
 	r.EndPhase(PhaseRoots)
 	r.EndGC(GCCounters{})
-	r.Finish()
+	r.Finish(nil, 0)
 }
 
 // TestRecorderPauseHistogram: GC spans feed the pause histogram with the
@@ -70,7 +65,7 @@ func TestRecorderPauseHistogram(t *testing.T) {
 	m.ChargeN(costmodel.GCCopy, 1, 1000)
 	r.EndPhase(PhaseCopy)
 	r.EndGC(GCCounters{})
-	r.Finish()
+	r.Finish(nil, 0)
 	var h *Metric
 	for _, m := range r.Data("").Metrics {
 		if m.Name == MetricPauseCycles {
@@ -99,7 +94,7 @@ func TestReconcileDetectsLeaks(t *testing.T) {
 	m.ChargeN(costmodel.GCCopy, 1, 10)
 	r.EndPhase(PhaseCopy)
 	r.EndGC(GCCounters{})
-	r.Finish()
+	r.Finish(nil, 0)
 	if err := r.VerifyReconciled(); err == nil {
 		t.Error("phase-untiled GC charge went undetected")
 	}
@@ -107,7 +102,7 @@ func TestReconcileDetectsLeaks(t *testing.T) {
 	m2 := costmodel.NewMeter()
 	r2 := NewRecorder(m2)
 	m2.ChargeN(costmodel.GCStack, 1, 7) // GC charge outside any collection span
-	r2.Finish()
+	r2.Finish(nil, 0)
 	if err := r2.VerifyReconciled(); err == nil {
 		t.Error("span-untiled GC charge went undetected")
 	}
@@ -300,7 +295,7 @@ func TestValidateChecksMetrics(t *testing.T) {
 	r.CountAdaptSamples(64)
 	r.AdaptDecision(2, AdaptPromote, 900000, 0, 64)
 	r.AdaptDecision(1, AdaptDemote, 0, 600000, 64)
-	r.Finish()
+	r.Finish(nil, 0)
 	if err := NewFile(r.Data("adapt")).Validate(); err != nil {
 		t.Fatalf("recorded adaptive run: %v", err)
 	}
@@ -316,6 +311,35 @@ func TestValidateChecksMetrics(t *testing.T) {
 		edit(d)
 		if err := NewFile(d).Validate(); err == nil {
 			t.Errorf("%s: validated", name)
+		}
+	}
+}
+
+// TestValidateChecksSites: every allocated word dies once by the end of a
+// run, and the pretenured share fits inside both the allocated and the
+// tenured counts, so Validate rejects a site record that breaks either.
+func TestValidateChecksSites(t *testing.T) {
+	golden, err := os.ReadFile("../harness/testdata/trace_golden.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const site = `"alloc_objects":41,"alloc_words":164,"pretenured_objects":0,"pretenured_words":0,"copied_words":52,"tenured_words":52,"died_words":164}`
+	for name, edit := range map[string]string{
+		"died_words below alloc_words":           `"alloc_objects":41,"alloc_words":164,"pretenured_objects":0,"pretenured_words":0,"copied_words":52,"tenured_words":52,"died_words":160}`,
+		"pretenured_words above tenured_words":   `"alloc_objects":41,"alloc_words":164,"pretenured_objects":1,"pretenured_words":60,"copied_words":52,"tenured_words":52,"died_words":164}`,
+		"pretenured_words above alloc_words":     `"alloc_objects":41,"alloc_words":164,"pretenured_objects":1,"pretenured_words":200,"copied_words":52,"tenured_words":252,"died_words":164}`,
+		"pretenured_objects above alloc_objects": `"alloc_objects":41,"alloc_words":164,"pretenured_objects":42,"pretenured_words":4,"copied_words":52,"tenured_words":56,"died_words":164}`,
+	} {
+		in := strings.Replace(string(golden), site, edit, 1)
+		if in == string(golden) {
+			t.Fatalf("%s: edit does not apply to the golden trace", name)
+		}
+		f, err := ReadJSONL(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Validate(); err == nil || !strings.Contains(err.Error(), "site 700") {
+			t.Errorf("%s: got %v, want a site 700 error", name, err)
 		}
 	}
 }
