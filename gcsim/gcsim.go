@@ -375,7 +375,7 @@ const (
 	EventRunFinished = harness.EventRunFinished
 )
 
-// experiments is every Experiment in the order Experiments lists them
+// experiments is every experiment in the order Experiments lists them
 // (and `gcbench -experiment all` runs them), each with its renderer.
 var experiments = []struct {
 	name   string
@@ -403,13 +403,9 @@ var experiments = []struct {
 	{"oldgen", harness.ExperimentOldgen},
 }
 
-// Experiment regenerates one of the paper's tables or figures, writing
-// the rendered result to w. Experiments lists the valid names.
-func Experiment(w io.Writer, name string, scale Scale) error {
-	return ExperimentOpts(w, name, scale, RunOptions{})
-}
-
-// ExperimentOpts is Experiment with explicit execution options.
+// ExperimentOpts regenerates one of the paper's tables or figures, or an
+// extension experiment, writing the rendered result to w. Experiments
+// lists the valid names; opts sets the worker pool and progress hook.
 func ExperimentOpts(w io.Writer, name string, scale Scale, opts RunOptions) error {
 	for _, e := range experiments {
 		if e.name == name {
@@ -419,7 +415,7 @@ func ExperimentOpts(w io.Writer, name string, scale Scale, opts RunOptions) erro
 	return fmt.Errorf("gcsim: unknown experiment %q", name)
 }
 
-// Experiments lists the valid Experiment names, in paper order: the
+// Experiments lists the valid ExperimentOpts names, in paper order: the
 // tables, Figure 2, then the extensions.
 func Experiments() []string {
 	names := make([]string, len(experiments))
@@ -449,7 +445,7 @@ func ReadAdaptStore(r io.Reader) (*AdaptStore, error) { return adapt.ReadJSONL(r
 // or above it is pretenured.
 const PaperCutoffPct = prof.PaperCutoffPct
 
-// Figure2Store regenerates Figure 2 as Experiment "figure2" does, writing
+// Figure2Store regenerates Figure 2 as experiment "figure2" does, writing
 // the report to w, and returns an advisor store made from the same runs:
 // one warm-startable profile per profiled benchmark, labelled with its
 // run, holding every site's survival evidence, with the sites whose old%

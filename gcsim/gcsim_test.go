@@ -112,13 +112,13 @@ func TestBenchmarksListing(t *testing.T) {
 
 func TestExperimentDispatch(t *testing.T) {
 	var b strings.Builder
-	if err := Experiment(&b, "table1", DefaultScale); err != nil {
+	if err := ExperimentOpts(&b, "table1", DefaultScale, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "Knuth-Bendix") {
 		t.Fatal("table1 output incomplete")
 	}
-	if err := Experiment(&b, "nope", DefaultScale); err == nil {
+	if err := ExperimentOpts(&b, "nope", DefaultScale, RunOptions{}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 	if len(Experiments()) < 10 {
@@ -228,43 +228,5 @@ func TestTimeAccessorsAndCollect(t *testing.T) {
 	opts := DefaultReportOptions("x")
 	if opts.CutoffPct != 80 || opts.Title != "x" {
 		t.Fatalf("DefaultReportOptions = %+v", opts)
-	}
-}
-
-func TestExperimentOptsParallelIdentical(t *testing.T) {
-	scale := Scale{Repeat: 0.002, Depth: 0.3}
-	var serial, parallel strings.Builder
-	if err := ExperimentOpts(&serial, "elide", scale, RunOptions{Parallelism: 1}); err != nil {
-		t.Fatal(err)
-	}
-	events := 0
-	opts := RunOptions{Parallelism: 4, Events: func(e RunEvent) { events++ }}
-	if err := ExperimentOpts(&parallel, "elide", scale, opts); err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != parallel.String() {
-		t.Fatalf("parallel output differs from serial:\n%s\nvs\n%s", serial.String(), parallel.String())
-	}
-	if events == 0 {
-		t.Fatal("progress hook never fired")
-	}
-}
-
-func TestExperimentDispatchAllNames(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment")
-	}
-	scale := Scale{Repeat: 0.001, Depth: 0.15}
-	for _, name := range Experiments() {
-		if name == "table3" || name == "table4" || name == "table7" {
-			continue // full 11-benchmark k-sweeps; covered by the harness tests
-		}
-		var b strings.Builder
-		if err := Experiment(&b, name, scale); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if b.Len() == 0 {
-			t.Fatalf("%s produced no output", name)
-		}
 	}
 }

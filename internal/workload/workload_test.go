@@ -34,77 +34,75 @@ func runUnder(t *testing.T, w Workload, mk func(stack *rt.Stack, meter *costmode
 	return runOut{result: res, stats: *col.Stats(), stack: stack}
 }
 
-func collectorConfigs() map[string]func(stack *rt.Stack, meter *costmodel.Meter) core.Collector {
-	return map[string]func(stack *rt.Stack, meter *costmodel.Meter) core.Collector{
-		"semispace": func(s *rt.Stack, m *costmodel.Meter) core.Collector {
+// collectorConfig is one collector configuration the differential test
+// runs every workload under.
+type collectorConfig struct {
+	name string
+	mk   func(stack *rt.Stack, meter *costmodel.Meter) core.Collector
+}
+
+// collectorConfigs lists the configurations in the order the test runs
+// them.
+func collectorConfigs() []collectorConfig {
+	return []collectorConfig{
+		{"semispace", func(s *rt.Stack, m *costmodel.Meter) core.Collector {
 			return core.NewSemispace(s, m, nil, core.Config{BudgetWords: 1 << 22})
-		},
-		"gen": func(s *rt.Stack, m *costmodel.Meter) core.Collector {
+		}},
+		{"gen", func(s *rt.Stack, m *costmodel.Meter) core.Collector {
 			return core.NewGenerational(s, m, nil, core.Config{
 				BudgetWords: 1 << 22, NurseryWords: 8 * 1024})
-		},
-		"gen-markers": func(s *rt.Stack, m *costmodel.Meter) core.Collector {
+		}},
+		{"gen-markers", func(s *rt.Stack, m *costmodel.Meter) core.Collector {
 			return core.NewGenerational(s, m, nil, core.Config{
 				BudgetWords: 1 << 22, NurseryWords: 8 * 1024, MarkerN: 25})
-		},
-		"gen-tiny-nursery": func(s *rt.Stack, m *costmodel.Meter) core.Collector {
+		}},
+		{"gen-tiny-nursery", func(s *rt.Stack, m *costmodel.Meter) core.Collector {
 			return core.NewGenerational(s, m, nil, core.Config{
 				BudgetWords: 1 << 22, NurseryWords: 1024, MarkerN: 10})
-		},
-		"gen-marksweep": func(s *rt.Stack, m *costmodel.Meter) core.Collector {
+		}},
+		{"gen-marksweep", func(s *rt.Stack, m *costmodel.Meter) core.Collector {
 			return core.NewGenerational(s, m, nil, core.Config{
 				BudgetWords: 1 << 22, NurseryWords: 8 * 1024,
 				OldCollector: core.OldMarkSweep})
-		},
-		"gen-markcompact": func(s *rt.Stack, m *costmodel.Meter) core.Collector {
+		}},
+		{"gen-markcompact", func(s *rt.Stack, m *costmodel.Meter) core.Collector {
 			return core.NewGenerational(s, m, nil, core.Config{
 				BudgetWords: 1 << 22, NurseryWords: 8 * 1024,
 				OldCollector: core.OldMarkCompact})
-		},
+		}},
 	}
 }
 
 // TestWorkloadsDeterministicAcrossCollectors is the central differential
 // test: every benchmark must compute the same self-check under every
-// collector configuration (and under repeated runs).
+// collector configuration, and a second run under "gen" must repeat the
+// first run's check and allocation exactly.
 func TestWorkloadsDeterministicAcrossCollectors(t *testing.T) {
 	for _, w := range All() {
 		t.Run(w.Name(), func(t *testing.T) {
 			var ref Result
-			first := true
-			for cname, mk := range collectorConfigs() {
-				out := runUnder(t, w, mk, testScale)
-				if out.stats.NumGC == 0 && cname == "gen-tiny-nursery" {
+			for i, c := range collectorConfigs() {
+				out := runUnder(t, w, c.mk, testScale)
+				if out.stats.NumGC == 0 && c.name == "gen-tiny-nursery" {
 					t.Errorf("%s under %s: no collections at all — workload too small to test",
-						w.Name(), cname)
+						w.Name(), c.name)
 				}
-				if first {
+				if i == 0 {
 					ref = out.result
-					first = false
+				} else if out.result != ref {
+					t.Errorf("%s under %s: check %#x, want %#x",
+						w.Name(), c.name, out.result.Check, ref.Check)
+				}
+				if c.name != "gen" {
 					continue
 				}
-				if out.result != ref {
-					t.Errorf("%s under %s: check %#x, want %#x",
-						w.Name(), cname, out.result.Check, ref.Check)
+				again := runUnder(t, w, c.mk, testScale)
+				if again.result != out.result {
+					t.Errorf("%s not repeatable: %#x vs %#x", w.Name(), out.result.Check, again.result.Check)
 				}
-			}
-		})
-	}
-}
-
-// TestWorkloadsDeterministicAcrossScales verifies runs are reproducible
-// for the same scale (run twice, same collector).
-func TestWorkloadsRepeatable(t *testing.T) {
-	mk := collectorConfigs()["gen"]
-	for _, w := range All() {
-		t.Run(w.Name(), func(t *testing.T) {
-			a := runUnder(t, w, mk, testScale)
-			b := runUnder(t, w, mk, testScale)
-			if a.result != b.result {
-				t.Errorf("%s not repeatable: %#x vs %#x", w.Name(), a.result.Check, b.result.Check)
-			}
-			if a.stats.BytesAllocated != b.stats.BytesAllocated {
-				t.Errorf("%s allocation not deterministic", w.Name())
+				if again.stats.BytesAllocated != out.stats.BytesAllocated {
+					t.Errorf("%s allocation not deterministic", w.Name())
+				}
 			}
 		})
 	}
