@@ -1,8 +1,11 @@
 package gcsim
 
 import (
+	"fmt"
 	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -19,26 +22,56 @@ const experimentsGolden = "testdata/experiments.txt"
 // goldenScale is the scale experimentsGolden is rendered at.
 var goldenScale = Scale{Repeat: 0.001, Depth: 0.15}
 
-// TestExperimentsGolden renders every experiment, in Experiments order,
-// through a four-worker pool and compares the text byte for byte with the
-// serial CLI output pinned in experimentsGolden. It pins every table and
-// figure the repository reports, and that parallel rendering equals
-// serial rendering for each of them.
+// goldenRun is every experiment rendered at goldenScale through a
+// four-worker pool, in Experiments order. It is made once and shared by
+// the tests that check it.
+type goldenRun struct {
+	out    []string // each experiment's output
+	events int      // progress events the pool reported
+	err    error
+}
+
+var (
+	goldenOnce     sync.Once
+	goldenRendered goldenRun
+)
+
+// renderGolden returns the shared goldenRun, rendering it on first use.
+func renderGolden(t *testing.T) goldenRun {
+	t.Helper()
+	goldenOnce.Do(func() {
+		r := &goldenRendered
+		opts := RunOptions{Parallelism: 4, Events: func(RunEvent) { r.events++ }}
+		for _, name := range Experiments() {
+			var b strings.Builder
+			if err := ExperimentOpts(&b, name, goldenScale, opts); err != nil {
+				r.err = fmt.Errorf("%s: %v", name, err)
+				return
+			}
+			r.out = append(r.out, b.String())
+		}
+	})
+	if goldenRendered.err != nil {
+		t.Fatal(goldenRendered.err)
+	}
+	return goldenRendered
+}
+
+// TestExperimentsGolden compares every experiment's four-worker rendering,
+// in Experiments order, byte for byte with the serial CLI output pinned in
+// experimentsGolden. It pins every table and figure the repository
+// reports, and that parallel rendering equals serial rendering for each of
+// them.
 func TestExperimentsGolden(t *testing.T) {
 	raw, err := os.ReadFile(experimentsGolden)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := string(raw)
-	events := 0
-	opts := RunOptions{Parallelism: 4, Events: func(RunEvent) { events++ }}
+	run := renderGolden(t)
 	off := 0
-	for _, name := range Experiments() {
-		var b strings.Builder
-		if err := ExperimentOpts(&b, name, goldenScale, opts); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got := b.String()
+	for i, name := range Experiments() {
+		got := run.out[i]
 		if !strings.HasPrefix(want[off:], got) {
 			line, g, w := firstLineDiff(got, want[off:])
 			t.Fatalf("experiment %s differs from %s at line %d:\n got: %q\nwant: %q\n"+
@@ -52,7 +85,33 @@ func TestExperimentsGolden(t *testing.T) {
 		t.Fatalf("%s has %d lines after the last experiment's output", experimentsGolden,
 			strings.Count(want[off:], "\n"))
 	}
-	if events == 0 {
+}
+
+// TestExperimentDispatchAllNames checks that every name Experiments lists
+// dispatches to a renderer that succeeds and prints something.
+func TestExperimentDispatchAllNames(t *testing.T) {
+	run := renderGolden(t)
+	for i, name := range Experiments() {
+		if len(run.out[i]) == 0 {
+			t.Fatalf("%s produced no output", name)
+		}
+	}
+}
+
+// TestExperimentOptsParallelIdentical renders "elide" serially in process
+// and checks it equals the four-worker rendering, and that the worker
+// pool's progress hook fired.
+func TestExperimentOptsParallelIdentical(t *testing.T) {
+	run := renderGolden(t)
+	i := slices.Index(Experiments(), "elide")
+	var serial strings.Builder
+	if err := ExperimentOpts(&serial, "elide", goldenScale, RunOptions{Parallelism: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if serial.String() != run.out[i] {
+		t.Fatalf("parallel output differs from serial:\n%s\nvs\n%s", serial.String(), run.out[i])
+	}
+	if run.events == 0 {
 		t.Fatal("progress hook never fired")
 	}
 }

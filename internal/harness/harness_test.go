@@ -139,6 +139,42 @@ func TestProfileRunAttachesProfiler(t *testing.T) {
 	}
 }
 
+func TestTableRenderersProduceOutput(t *testing.T) {
+	if raceEnabled {
+		t.Skip("profiling and k=4 sweeps; too slow under the race detector")
+	}
+	par := Options{Parallelism: 4}
+	cases := map[string]func(*strings.Builder) error{
+		"table1":  func(b *strings.Builder) error { return Table1(b) },
+		"figure2": func(b *strings.Builder) error { _, err := Figure2(b, tiny, par); return err },
+		"elide":   func(b *strings.Builder) error { return ExtensionElide(b, tiny, par) },
+		"barrier": func(b *strings.Builder) error { return ExtensionBarrier(b, tiny, par) },
+	}
+	for name, fn := range cases {
+		var b strings.Builder
+		if err := fn(&b); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if b.Len() < 100 {
+			t.Fatalf("%s output suspiciously short:\n%s", name, b.String())
+		}
+	}
+}
+
+func TestTable5SmallScale(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("table sweep")
+	}
+	var b strings.Builder
+	if err := Table5(&b, workload.Scale{Repeat: 0.002, Depth: 0.5}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if !strings.Contains(out, "Knuth-Bendix") || !strings.Contains(out, "decreased") {
+		t.Fatalf("table 5 malformed:\n%s", out)
+	}
+}
+
 func TestNurseryFor(t *testing.T) {
 	if nurseryFor(1<<24) != 64*1024 {
 		t.Error("big budget should give the 512KB nursery")
@@ -159,6 +195,37 @@ func TestCollectorKindStrings(t *testing.T) {
 	}
 	if got := CollectorKind(9).String(); got != "CollectorKind(9)" {
 		t.Errorf("kind 9 = %q, want CollectorKind(9)", got)
+	}
+}
+
+// TestAllTableRenderers exercises every table renderer end to end at a
+// tiny scale (slow: a full k-sweep per table).
+func TestAllTableRenderers(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("full table sweeps")
+	}
+	scale := workload.Scale{Repeat: 0.001, Depth: 0.15}
+	par := Options{Parallelism: 4}
+	renderers := map[string]func(*strings.Builder) error{
+		"table2": func(b *strings.Builder) error { return Table2(b, scale, par) },
+		"table3": func(b *strings.Builder) error { return Table3(b, scale, par) },
+		"table4": func(b *strings.Builder) error { return Table4(b, scale, par) },
+		"table6": func(b *strings.Builder) error { return Table6(b, scale, par) },
+		"table7": func(b *strings.Builder) error { return Table7(b, scale, par) },
+		"aging":  func(b *strings.Builder) error { return ExtensionAging(b, scale, par) },
+		"msweep": func(b *strings.Builder) error {
+			return MarkerSweep(b, scale, []string{"Color"}, []int{5, 50}, par)
+		},
+	}
+	for name, fn := range renderers {
+		var b strings.Builder
+		if err := fn(&b); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out := b.String()
+		if !strings.Contains(out, "Knuth-Bendix") && !strings.Contains(out, "Color") {
+			t.Fatalf("%s output missing benchmarks:\n%s", name, out)
+		}
 	}
 }
 

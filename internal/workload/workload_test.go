@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 
 	"tilgc/internal/core"
@@ -41,6 +42,13 @@ type collectorConfig struct {
 	mk   func(stack *rt.Stack, meter *costmodel.Meter) core.Collector
 }
 
+// newGen is the "gen" configuration, the one TestWorkloadsRepeatable
+// runs twice.
+func newGen(s *rt.Stack, m *costmodel.Meter) core.Collector {
+	return core.NewGenerational(s, m, nil, core.Config{
+		BudgetWords: 1 << 22, NurseryWords: 8 * 1024})
+}
+
 // collectorConfigs lists the configurations in the order the test runs
 // them.
 func collectorConfigs() []collectorConfig {
@@ -48,10 +56,7 @@ func collectorConfigs() []collectorConfig {
 		{"semispace", func(s *rt.Stack, m *costmodel.Meter) core.Collector {
 			return core.NewSemispace(s, m, nil, core.Config{BudgetWords: 1 << 22})
 		}},
-		{"gen", func(s *rt.Stack, m *costmodel.Meter) core.Collector {
-			return core.NewGenerational(s, m, nil, core.Config{
-				BudgetWords: 1 << 22, NurseryWords: 8 * 1024})
-		}},
+		{"gen", newGen},
 		{"gen-markers", func(s *rt.Stack, m *costmodel.Meter) core.Collector {
 			return core.NewGenerational(s, m, nil, core.Config{
 				BudgetWords: 1 << 22, NurseryWords: 8 * 1024, MarkerN: 25})
@@ -73,16 +78,37 @@ func collectorConfigs() []collectorConfig {
 	}
 }
 
+// genRuns holds each workload's run under "gen" at testScale, by
+// workload name, so TestWorkloadsRepeatable can compare a second run with
+// the one TestWorkloadsDeterministicAcrossCollectors already made.
+var genRuns sync.Map
+
+// genRun returns w's run under "gen" at testScale, making it on the first
+// call for w.
+func genRun(t *testing.T, w Workload) runOut {
+	t.Helper()
+	if out, ok := genRuns.Load(w.Name()); ok {
+		return out.(runOut)
+	}
+	out := runUnder(t, w, newGen, testScale)
+	genRuns.Store(w.Name(), out)
+	return out
+}
+
 // TestWorkloadsDeterministicAcrossCollectors is the central differential
 // test: every benchmark must compute the same self-check under every
-// collector configuration, and a second run under "gen" must repeat the
-// first run's check and allocation exactly.
+// collector configuration.
 func TestWorkloadsDeterministicAcrossCollectors(t *testing.T) {
 	for _, w := range All() {
 		t.Run(w.Name(), func(t *testing.T) {
 			var ref Result
 			for i, c := range collectorConfigs() {
-				out := runUnder(t, w, c.mk, testScale)
+				var out runOut
+				if c.name == "gen" {
+					out = genRun(t, w)
+				} else {
+					out = runUnder(t, w, c.mk, testScale)
+				}
 				if out.stats.NumGC == 0 && c.name == "gen-tiny-nursery" {
 					t.Errorf("%s under %s: no collections at all — workload too small to test",
 						w.Name(), c.name)
@@ -93,16 +119,24 @@ func TestWorkloadsDeterministicAcrossCollectors(t *testing.T) {
 					t.Errorf("%s under %s: check %#x, want %#x",
 						w.Name(), c.name, out.result.Check, ref.Check)
 				}
-				if c.name != "gen" {
-					continue
-				}
-				again := runUnder(t, w, c.mk, testScale)
-				if again.result != out.result {
-					t.Errorf("%s not repeatable: %#x vs %#x", w.Name(), out.result.Check, again.result.Check)
-				}
-				if again.stats.BytesAllocated != out.stats.BytesAllocated {
-					t.Errorf("%s allocation not deterministic", w.Name())
-				}
+			}
+		})
+	}
+}
+
+// TestWorkloadsRepeatable verifies runs are reproducible: a second run
+// under "gen" at the same scale repeats the first run's check value and
+// allocation exactly.
+func TestWorkloadsRepeatable(t *testing.T) {
+	for _, w := range All() {
+		t.Run(w.Name(), func(t *testing.T) {
+			a := genRun(t, w)
+			b := runUnder(t, w, newGen, testScale)
+			if a.result != b.result {
+				t.Errorf("%s not repeatable: %#x vs %#x", w.Name(), a.result.Check, b.result.Check)
+			}
+			if a.stats.BytesAllocated != b.stats.BytesAllocated {
+				t.Errorf("%s allocation not deterministic", w.Name())
 			}
 		})
 	}
